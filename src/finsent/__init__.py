@@ -80,6 +80,8 @@ from .evaluate import (
     load_phrasebank,
     make_folds,
     sweep_confidence,
+    tag_text,
+    train_model,
 )
 
 __version__ = "0.1.0"

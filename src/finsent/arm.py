@@ -192,11 +192,33 @@ def mine_rules(
 # ---------------------------------------------------------------------------
 
 
+def _unwritable(text: str, forbidden: Sequence[str] = ()) -> bool:
+    """True if ``text`` would not read back unchanged as one field of a rules-file line."""
+    return text != text.strip() or "".join(text.splitlines()) != text or any(s in text for s in forbidden)
+
+
 def serialize_rulebase(rb: RuleBase) -> str:
-    """Text form: '# key=value' headers, then 'a,b -> c<TAB>sup<TAB>conf' lines."""
+    """Text form: '# key=value' headers, then 'a,b -> c<TAB>sup<TAB>conf' lines.
+
+    Raises RuleBaseFormatError for a rule base parse_rulebase could not read
+    back: an empty antecedent; a tag or class that is empty, has surrounding
+    whitespace, or holds a line break or a separator; a tag that starts with
+    '#'; a metadata key that holds '=' or names a threshold.
+    """
     lines = [f"# minsup={rb.minsup!r}", f"# minconf={rb.minconf!r}"]
-    lines.extend(f"# {key}={value}" for key, value in rb.metadata)
+    for key, value in rb.metadata:
+        if _unwritable(f"{key}", ("=",)) or key in ("minsup", "minconf") or _unwritable(f"{value}"):
+            raise RuleBaseFormatError(f"metadata {key!r}={value!r} cannot be written to a rules file")
+        lines.append(f"# {key}={value}")
     for rule in rb.rules:
+        if not rule.antecedent:
+            raise RuleBaseFormatError(f"rule -> {rule.consequent!r} has an empty antecedent")
+        for tag in rule.antecedent:
+            # a tag ending in " ->" would end the antecedent early
+            if not tag or tag.startswith("#") or " -> " in tag + " " or _unwritable(tag, (",", "\t")):
+                raise RuleBaseFormatError(f"antecedent tag {tag!r} cannot be written to a rules file")
+        if not rule.consequent or _unwritable(rule.consequent, ("\t",)):
+            raise RuleBaseFormatError(f"consequent {rule.consequent!r} cannot be written to a rules file")
         antecedent = ",".join(sorted(rule.antecedent))
         lines.append(f"{antecedent} -> {rule.consequent}\t{rule.support!r}\t{rule.confidence!r}")
     return "\n".join(lines) + "\n"

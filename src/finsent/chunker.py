@@ -34,6 +34,8 @@ __all__ = [
     "bundled_grammar_source",
     "bundled_grammar",
     "chunk",
+    "chunk_span",
+    "pair_nodes",
     "extract_pairs",
     "to_bracket",
     "INDICATOR_LABELS",
@@ -283,6 +285,7 @@ class ChunkRule:
         matcher_index: dict = {}
         matchers: list = []
         nfa = _build_nfa(ast, matcher_index, matchers)
+        object.__setattr__(self, "_ast", ast)
         object.__setattr__(self, "_nfa", nfa)
         object.__setattr__(self, "_matchers", matchers)
         object.__setattr__(self, "_match_cache", {})
@@ -388,10 +391,9 @@ def compile_grammar(source: str) -> ChunkGrammar:
             j += 1
         if j >= n:
             raise GrammarError(f"rule {label}: missing closing '}}'")
-        pattern = text[i:j].strip()
-        ast = _parse_pattern(pattern, label)
-        _validate_atoms(ast, label, known)
-        rules.append(ChunkRule(label, pattern))
+        rule = ChunkRule(label, text[i:j].strip())
+        _validate_atoms(rule._ast, label, known)  # type: ignore[attr-defined]
+        rules.append(rule)
         known.add(label)
         i = j + 1
     if not rules:
@@ -541,8 +543,14 @@ class PairExtraction:
     singletons: tuple
 
 
-def _span(node: Chunk) -> Span:
+def chunk_span(node: Chunk) -> Span:
+    """The span a chunk covers."""
     return Span(node.label, node.start, node.surfaces())
+
+
+def pair_nodes(tree: Chunk) -> List[Chunk]:
+    """The tree's pair-pattern (NPJJ) nodes, the root included, in pre-order."""
+    return [node for node in (tree, *tree.subchunks()) if node.label == PAIR_NODE_LABEL]
 
 
 def extract_pairs(tree: Chunk) -> PairExtraction:
@@ -555,11 +563,9 @@ def extract_pairs(tree: Chunk) -> PairExtraction:
     """
     pairs: List[tuple] = []
     singletons: List[Span] = []
-    nodes = [tree] if tree.label == PAIR_NODE_LABEL else []
-    nodes.extend(n for n in tree.subchunks() if n.label == PAIR_NODE_LABEL)
-    for node in nodes:
-        indicators = [_span(c) for c in node.subchunks() if c.label in INDICATOR_LABELS]
-        modifiers = [_span(c) for c in node.subchunks() if c.label in MODIFIER_LABELS]
+    for node in pair_nodes(tree):
+        indicators = [chunk_span(c) for c in node.subchunks() if c.label in INDICATOR_LABELS]
+        modifiers = [chunk_span(c) for c in node.subchunks() if c.label in MODIFIER_LABELS]
         if indicators and modifiers:
             for ind in indicators:
                 for mod in modifiers:

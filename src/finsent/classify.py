@@ -24,7 +24,6 @@ from .arm import (
     DEFAULT_MINCONF,
     DEFAULT_MINSUP,
     MiningError,
-    Rule,
     RuleBase,
     Transaction,
     mine_rules,
@@ -60,6 +59,7 @@ CLASSES = (POSITIVE, NEUTRAL, NEGATIVE)
 
 # Deterministic tie resolution between equal class scores.
 TIE_ORDER = (NEUTRAL, NEGATIVE, POSITIVE, POLARIZED)
+_TIE_RANK = {cls: i for i, cls in enumerate(TIE_ORDER)}
 
 
 class ModelFormatError(ValueError):
@@ -106,32 +106,24 @@ def score_tags(
     tags = frozenset(tags)
     sums: Dict[str, float] = {}
     counts: Dict[str, int] = {}
-
-    def add(rule: Rule) -> None:
-        sums[rule.consequent] = sums.get(rule.consequent, 0.0) + rule.confidence
-        counts[rule.consequent] = counts.get(rule.consequent, 0) + 1
-
     for rule in rb.rules:
         if match_policy is MatchPolicy.SUBSET:
-            if rule.antecedent <= tags:
-                add(rule)
-            continue
-        if rule.antecedent == tags:
-            add(rule)
+            matched = rule.antecedent <= tags
         else:
-            for tag in tags:
-                if rule.antecedent == {tag}:
-                    add(rule)
+            # the whole tag set, or a one-tag antecedent that is one of the tags
+            matched = rule.antecedent == tags or (len(rule.antecedent) == 1 and rule.antecedent <= tags)
+        if matched:
+            sums[rule.consequent] = sums.get(rule.consequent, 0.0) + rule.confidence
+            counts[rule.consequent] = counts.get(rule.consequent, 0) + 1
     return ClassScore(sums, counts)
 
 
 def _pick(score: ClassScore, scoring: Scoring) -> Optional[str]:
     if not score.sums:
         return None
-    order = {cls: i for i, cls in enumerate(TIE_ORDER)}
 
     def key(cls: str) -> tuple:
-        return (-score.value(cls, scoring), order.get(cls, len(order)), cls)
+        return (-score.value(cls, scoring), _TIE_RANK.get(cls, len(_TIE_RANK)), cls)
 
     return min(score.sums, key=key)
 
@@ -271,8 +263,7 @@ def predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
         default = NEUTRAL if NEUTRAL in (a, b) else NEGATIVE
         vote = predict_flat(tags, model.stages[_pair_stage(a, b)], default=default, **kwargs)
         votes[vote] = votes.get(vote, 0) + 1
-    order = {cls: i for i, cls in enumerate(TIE_ORDER)}
-    return min(votes, key=lambda cls: (-votes[cls], order.get(cls, len(order))))
+    return min(votes, key=lambda cls: (-votes[cls], _TIE_RANK.get(cls, len(_TIE_RANK))))
 
 
 # ---------------------------------------------------------------------------

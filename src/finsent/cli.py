@@ -12,11 +12,12 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arm import MiningError, RuleBaseFormatError
 from .chunker import GrammarError
 from .classify import (
+    CLASSES,
     Arrangement,
     MatchPolicy,
     ModelFormatError,
@@ -24,7 +25,6 @@ from .classify import (
     load_model,
     predict,
     save_model,
-    train,
 )
 from .evaluate import (
     CorpusError,
@@ -43,10 +43,12 @@ from .evaluate import (
     sweep_confidence,
     sweep_to_csv,
     tag_corpus,
+    tag_text,
+    train_model,
 )
 from .lexicon import LexiconError, Lexicon, default_lexicon_paths, load_lexicon
-from .pos_text import PosTextError, ingest_pretagged, tag_raw
-from .semtag import Mode, canonical_order, filter_mode, tag_sentence
+from .pos_text import PosTextError
+from .semtag import Mode, canonical_order
 
 CONFIG_ERRORS = (LexiconError, GrammarError, ModelFormatError, FileNotFoundError, IsADirectoryError)
 DATA_ERRORS = (CorpusError, FoldError, MiningError, RuleBaseFormatError, PosTextError)
@@ -66,22 +68,27 @@ def _fold_count(value: str) -> int:
     return number
 
 
-def _load_lexicon_from_args(args: argparse.Namespace) -> Lexicon:
-    if args.lexicon:
-        reversals = args.reversals
-        return load_lexicon(args.lexicon, reversals)
+def _load_lexicon(lexicon_path: Optional[str], reversals_path: Optional[str]) -> Lexicon:
+    """The given lexicon, else the bundled (or $FINSENT_LEXICON_DIR) one.
+
+    With the default lexicon, ``reversals_path`` replaces the default reversal
+    file, and a reversal file that does not exist is skipped.
+    """
+    if lexicon_path:
+        return load_lexicon(lexicon_path, reversals_path)
     lex_path, rev_path = default_lexicon_paths()
-    if args.reversals:
-        rev_path = Path(args.reversals)
+    if reversals_path:
+        rev_path = Path(reversals_path)
     return load_lexicon(lex_path, rev_path if Path(rev_path).exists() else None)
 
 
-def _read_lines(source: Optional[str], encoding: str) -> List[str]:
+def _read_lines(source: Optional[str], encoding: str) -> List[Tuple[int, str]]:
+    """The non-blank lines of a file (or stdin), each with its line number."""
     if source in (None, "-"):
         data = sys.stdin.read()
     else:
         data = Path(source).read_bytes().decode(encoding, errors="replace")
-    return [line for line in data.splitlines() if line.strip()]
+    return [(lineno, line) for lineno, line in enumerate(data.splitlines(), start=1) if line.strip()]
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -114,33 +121,23 @@ def _split_labeled(line: str) -> tuple:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
-    lexicon = _load_lexicon_from_args(args)
+    lexicon = _load_lexicon(args.lexicon, args.reversals)
     lines = _read_lines(args.input, args.encoding)
     out_lines = []
-    for line in lines:
+    for _, line in lines:
         text, label = _split_labeled(line)
-        sentence = ingest_pretagged(text) if args.pretagged else tag_raw(text)
-        tagged = tag_sentence(sentence, lexicon, reversal=args.reversal)
-        tagged = filter_mode(tagged, Mode(args.mode))
-        tags = " ".join(t.value for t in canonical_order(tagged.tags))
+        tagged = tag_text(text, lexicon, Mode(args.mode), args.reversal, args.pretagged)
+        tags = " ".join(t.value for t in canonical_order(tagged))
         out_lines.append(f"{tags}\t{label}" if label is not None else tags)
     _write_out("".join(f"{l}\n" for l in out_lines), args.out)
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    lexicon = _load_lexicon_from_args(args)
+    lexicon = _load_lexicon(args.lexicon, args.reversals)
     corpus = load_phrasebank(args.corpus, encoding=args.encoding, pretagged=args.pretagged)
     config = _config_from_args(args)
-    transactions = tag_corpus(corpus, lexicon, config)
-    model = train(
-        transactions,
-        arrangement=Arrangement(args.classifier),
-        minsup=args.minsup,
-        minconf=args.minconf,
-        match_policy=MatchPolicy(args.match_policy),
-        scoring=Scoring(args.scoring),
-    )
+    model = train_model(tag_corpus(corpus, lexicon, config), config)
     tagging = {
         "mode": args.mode,
         "reversal": args.reversal,
@@ -159,24 +156,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model, manifest = load_model(args.model_dir)
     tagging = manifest.get("tagging", {})
-    if args.lexicon:
-        lexicon = load_lexicon(args.lexicon, args.reversals)
-    elif tagging.get("lexicon"):
-        reversals = tagging.get("reversals") or None
-        lexicon = load_lexicon(tagging["lexicon"], reversals)
-    else:
-        args.lexicon = None
-        lexicon = _load_lexicon_from_args(args)
+    # --lexicon, else the lexicon the model was trained with, else the default
+    lexicon_path, reversals_path = args.lexicon, args.reversals
+    if not lexicon_path and tagging.get("lexicon"):
+        lexicon_path, reversals_path = tagging["lexicon"], tagging.get("reversals") or None
+    lexicon = _load_lexicon(lexicon_path, reversals_path)
     mode = Mode(tagging.get("mode", "all"))
     reversal = bool(tagging.get("reversal", False))
     pretagged = args.pretagged or bool(tagging.get("pretagged", False))
     lines = _read_lines(args.input, args.encoding)
     out_lines = []
-    for i, line in enumerate(lines, start=1):
+    for i, (_, line) in enumerate(lines, start=1):
         text, _ = _split_labeled(line)
-        sentence = ingest_pretagged(text) if pretagged else tag_raw(text)
-        tagged = filter_mode(tag_sentence(sentence, lexicon, reversal=reversal), mode)
-        label = predict(model, frozenset(t.value for t in tagged.tags))
+        tags = tag_text(text, lexicon, mode, reversal, pretagged)
+        label = predict(model, frozenset(t.value for t in tags))
         out_lines.append(f"{i}\t{label}")
     _write_out("".join(f"{l}\n" for l in out_lines), args.out)
     return 0
@@ -200,7 +193,7 @@ def _emit_report(report, args: argparse.Namespace) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    lexicon = _load_lexicon_from_args(args)
+    lexicon = _load_lexicon(args.lexicon, args.reversals)
     corpus = load_phrasebank(args.corpus, encoding=args.encoding, pretagged=args.pretagged)
     config = _config_from_args(args)
     folds = make_folds(corpus, config.folds, config.seed)
@@ -216,12 +209,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     corpus = load_phrasebank(args.corpus, encoding=args.encoding)
-    predicted = {}
-    for lineno, line in enumerate(_read_lines(args.predictions, args.encoding), start=1):
+    ids = {str(i) for i in range(1, len(corpus) + 1)}
+    predicted: Dict[str, str] = {}
+    line_of: Dict[str, int] = {}
+    for lineno, line in _read_lines(args.predictions, args.encoding):
+        where = f"{args.predictions}:{lineno}"
         parts = line.split("\t")
         if len(parts) != 2:
-            raise CorpusError(f"{args.predictions}:{lineno}: expected 'id<TAB>class'")
-        predicted[parts[0].strip()] = parts[1].strip()
+            raise CorpusError(f"{where}: expected 'id<TAB>class'")
+        sentence_id, label = parts[0].strip(), parts[1].strip()
+        if sentence_id not in ids:
+            raise CorpusError(f"{where}: id {sentence_id!r} is not a sentence number 1..{len(corpus)}")
+        if sentence_id in predicted:
+            raise CorpusError(f"{where}: duplicate id {sentence_id} (first on line {line_of[sentence_id]})")
+        if label not in CLASSES:
+            raise CorpusError(f"{where}: unknown class {label!r}")
+        predicted[sentence_id], line_of[sentence_id] = label, lineno
     pairs = []
     for i, gold in enumerate(corpus.labels, start=1):
         label = predicted.get(str(i))
@@ -234,7 +237,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    lexicon = _load_lexicon_from_args(args)
+    lexicon = _load_lexicon(args.lexicon, args.reversals)
     corpus = load_phrasebank(args.corpus, encoding=args.encoding, pretagged=args.pretagged)
     config = _config_from_args(args)
     grid = [float(v) for v in args.grid.split(",") if v.strip()]

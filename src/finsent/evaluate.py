@@ -19,10 +19,10 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .arm import Transaction
-from .chunker import ChunkGrammar
 from .classify import (
     CLASSES,
     Arrangement,
+    ClassifierModel,
     MatchPolicy,
     NEGATIVE,
     Scoring,
@@ -44,7 +44,9 @@ __all__ = [
     "PipelineConfig",
     "load_phrasebank",
     "make_folds",
+    "tag_text",
     "tag_corpus",
+    "train_model",
     "cross_validate",
     "sweep_confidence",
     "score_predictions",
@@ -241,40 +243,33 @@ class PipelineConfig:
     seed: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "mode": Mode(self.mode).value,
-            "reversal": self.reversal,
-            "arrangement": Arrangement(self.arrangement).value,
-            "minsup": self.minsup,
-            "minconf": self.minconf,
-            "match_policy": MatchPolicy(self.match_policy).value,
-            "scoring": Scoring(self.scoring).value,
-            "stage2_default": self.stage2_default,
-            "folds": self.folds,
-            "seed": self.seed,
-        }
+        return {k: getattr(v, "value", v) for k, v in asdict(self).items()}
+
+
+def tag_text(
+    text: str,
+    lexicon: Lexicon,
+    mode: Mode = Mode.ALL,
+    reversal: bool = False,
+    pretagged: bool = False,
+) -> frozenset:
+    """The semantic tag set of one raw (or ``surface_TAG``) sentence, restricted to ``mode``."""
+    sentence = ingest_pretagged(text) if pretagged else tag_raw(text)
+    return filter_mode(tag_sentence(sentence, lexicon, reversal=reversal), mode).tags
 
 
 def tag_corpus(
     corpus: Corpus,
     lexicon: Optional[Lexicon] = None,
     config: Optional[PipelineConfig] = None,
-    pair_grammar: Optional[ChunkGrammar] = None,
-    numeric_grammar: Optional[ChunkGrammar] = None,
 ) -> List[Transaction]:
     """Tag every corpus sentence once; returns index-aligned transactions."""
     lexicon = lexicon or load_default_lexicon()
     config = config or PipelineConfig()
     transactions: List[Transaction] = []
     for text, label in zip(corpus.texts, corpus.labels):
-        sentence = ingest_pretagged(text) if corpus.pretagged else tag_raw(text)
-        tagged = tag_sentence(
-            sentence, lexicon,
-            pair_grammar=pair_grammar, numeric_grammar=numeric_grammar,
-            reversal=config.reversal,
-        )
-        tagged = filter_mode(tagged, config.mode)
-        transactions.append(Transaction(frozenset(t.value for t in tagged.tags), label))
+        tags = tag_text(text, lexicon, config.mode, config.reversal, corpus.pretagged)
+        transactions.append(Transaction(frozenset(t.value for t in tags), label))
     return transactions
 
 
@@ -282,19 +277,24 @@ def tag_corpus(
 Trainer = Callable[[Sequence[Transaction]], Tuple[Callable[[Transaction], str], int]]
 
 
+def train_model(transactions: Sequence[Transaction], config: PipelineConfig) -> ClassifierModel:
+    """Train the associative classifier a config describes."""
+    return train(
+        transactions,
+        arrangement=config.arrangement,
+        minsup=config.minsup,
+        minconf=config.minconf,
+        match_policy=config.match_policy,
+        scoring=config.scoring,
+        stage2_default=config.stage2_default,
+    )
+
+
 def pipeline_trainer(config: PipelineConfig) -> Trainer:
     """The real associative-classifier trainer for a config."""
 
     def fit(transactions: Sequence[Transaction]):
-        model = train(
-            transactions,
-            arrangement=config.arrangement,
-            minsup=config.minsup,
-            minconf=config.minconf,
-            match_policy=config.match_policy,
-            scoring=config.scoring,
-            stage2_default=config.stage2_default,
-        )
+        model = train_model(transactions, config)
         return (lambda t: predict(model, t.items)), model.rule_count()
 
     return fit

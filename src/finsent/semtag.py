@@ -24,13 +24,13 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .chunker import (
     Chunk,
-    ChunkGrammar,
     INDICATOR_LABELS,
-    PAIR_NODE_LABEL,
     Span,
     bundled_grammar,
     chunk,
+    chunk_span,
     extract_pairs,
+    pair_nodes,
 )
 from .lexicon import (
     DIRECTION_CATEGORIES,
@@ -151,6 +151,9 @@ def filter_mode(tagged: TaggedSentence, mode: Mode) -> TaggedSentence:
 COMPARISON_MARKERS = ("down from", "up from", "compared to", "versus")
 
 _NUMBER_RE = re.compile(r"[+-]?\d+(?:[.,]\d+)*")
+# A comma before exactly three digits groups thousands; any other comma is a
+# decimal point ("12,500" is 12500, "8,3" is 8.3).
+_THOUSANDS_COMMA_RE = re.compile(r",(?=\d{3}(?!\d))")
 
 
 @dataclass(frozen=True)
@@ -203,20 +206,20 @@ def _parse_value(surface: str) -> Optional[float]:
     m = _NUMBER_RE.match(surface)
     if not m:
         return None
-    return float(m.group(0).replace(",", ""))
+    try:
+        return float(_THOUSANDS_COMMA_RE.sub("", m.group(0)).replace(",", "."))
+    except ValueError:  # more than one decimal point, e.g. "1.2.3"
+        return None
 
 
 def _numeric_hit(sentence: PosSentence, tree: Chunk, lex: Lexicon) -> Optional[Tuple[SemTag, _Hit]]:
     surfaces = sentence.surfaces
     marker = _marker_in(surfaces)
-    nodes = [tree] if tree.label == PAIR_NODE_LABEL else []
-    nodes.extend(n for n in tree.subchunks() if n.label == PAIR_NODE_LABEL)
-    for node in nodes:
+    for node in pair_nodes(tree):
         indicator = None
         for sub in node.subchunks():
             if sub.label in INDICATOR_LABELS:
-                span = Span(sub.label, sub.start, sub.surfaces())
-                indicator = _find_in_span(lex, surfaces, span, INDICATOR_CATEGORIES)
+                indicator = _find_in_span(lex, surfaces, chunk_span(sub), INDICATOR_CATEGORIES)
                 if indicator is not None:
                     break
         if indicator is None:
@@ -258,19 +261,11 @@ def derive_numeric_direction(
     return found[0] if found else None
 
 
-def tag_sentence(
-    sentence: PosSentence,
-    lex: Lexicon,
-    pair_grammar: Optional[ChunkGrammar] = None,
-    numeric_grammar: Optional[ChunkGrammar] = None,
-    reversal: bool = False,
-) -> TaggedSentence:
+def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False) -> TaggedSentence:
     """Extract the semantic tag set of one sentence (see module docstring)."""
-    pair_grammar = pair_grammar or bundled_grammar("indicator_direction")
-    numeric_grammar = numeric_grammar or bundled_grammar("numeric_direction")
     surfaces = sentence.surfaces
 
-    tree = chunk(pair_grammar, sentence)
+    tree = chunk(bundled_grammar("indicator_direction"), sentence)
     extraction = extract_pairs(tree)
 
     interactions: List[Tuple[SemTag, _Hit]] = []
@@ -291,7 +286,7 @@ def tag_sentence(
         used_spans.add(mod_span)
 
     if not interactions and _marker_in(surfaces):
-        found = _numeric_hit(sentence, chunk(numeric_grammar, sentence), lex)
+        found = _numeric_hit(sentence, chunk(bundled_grammar("numeric_direction"), sentence), lex)
         if found is not None:
             tag, ind_hit = found
             interactions.append((tag, ind_hit))

@@ -192,6 +192,53 @@ def test_serialize_round_trip():
     assert again == rb
 
 
+@pytest.mark.parametrize("antecedent, consequent, metadata", [
+    ({"a,b"}, "positive", ()),
+    ({"a -> b"}, "positive", ()),
+    ({"a ->"}, "positive", ()),
+    ({"a\tb"}, "positive", ()),
+    ({"a\nb"}, "positive", ()),
+    ({" a"}, "positive", ()),
+    ({""}, "positive", ()),
+    ({"#a"}, "positive", ()),
+    (set(), "positive", ()),
+    ({"a"}, "", ()),
+    ({"a"}, "pos\titive", ()),
+    ({"a"}, "positive\n", ()),
+    ({"a"}, " positive", ()),
+    ({"a"}, "positive", (("k=ey", "v"),)),
+    ({"a"}, "positive", (("minsup", "1"),)),
+    ({"a"}, "positive", (("key", "v\nw"),)),
+])
+def test_serialize_rejects_what_parse_cannot_read(antecedent, consequent, metadata):
+    rb = RuleBase((Rule(frozenset(antecedent), consequent, 10.0, 80.0),), metadata=metadata)
+    with pytest.raises(RuleBaseFormatError):
+        serialize_rulebase(rb)
+
+
+# arbitrary strings, and strings built from the pieces the rules-file format gives meaning to
+FIELD = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.sampled_from(["a", "b", " ", ",", "#", "->", "=", "\t", "\n", "\r", "\x1c", "minsup"]),
+             max_size=4).map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    antecedent=st.frozensets(FIELD | st.just("LagInd"), max_size=3),
+    consequent=FIELD | st.just("positive"),
+    metadata=st.lists(st.tuples(FIELD | st.just("stage"), FIELD | st.just("gate")), max_size=1),
+)
+def test_serialize_raises_or_round_trips(antecedent, consequent, metadata):
+    rb = RuleBase((Rule(antecedent, consequent, 12.5, 75.0),), metadata=tuple(metadata))
+    try:
+        text = serialize_rulebase(rb)
+    except RuleBaseFormatError:
+        return
+    assert parse_rulebase(text) == rb
+
+
 def test_empty_rulebase_serializes_to_header_only():
     rb = RuleBase((), minsup=0.5, minconf=60.0)
     text = serialize_rulebase(rb)

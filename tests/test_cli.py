@@ -5,6 +5,10 @@ import pytest
 from sample_data import KNOWN_RULES
 from finsent.arm import parse_rulebase
 from finsent.cli import main
+from finsent.evaluate import Corpus, PipelineConfig, tag_corpus
+from finsent.lexicon import default_lexicon_paths
+from finsent.pos_text import format_pretagged, tag_raw
+from finsent.semtag import Mode, SemTag, canonical_order
 
 
 def write_corpus(tmp_path, rows, name="corpus.txt"):
@@ -189,6 +193,21 @@ def test_score_missing_prediction_is_data_error(tmp_path, capsys):
     assert main(["score", "--corpus", str(corpus), str(predictions)]) == 3
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("1\tpositive\n2\tneutral\n1\tnegative\n", "preds.tsv:3: duplicate id 1 (first on line 1)"),
+    ("1\tpositive\n\n3\tneutral\n2\tneutral\n", "preds.tsv:3: id '3' is not a sentence number 1..2"),
+    ("0\tpositive\n1\tneutral\n2\tneutral\n", "preds.tsv:1: id '0' is not a sentence number 1..2"),
+    ("01\tpositive\n2\tneutral\n", "preds.tsv:1: id '01' is not a sentence number 1..2"),
+    ("1\tpositive\n2\tgood\n", "preds.tsv:2: unknown class 'good'"),
+])
+def test_score_bad_ids_are_located_data_errors(tmp_path, capsys, lines, message):
+    corpus = write_corpus(tmp_path, [("a .", "positive"), ("b .", "neutral")])
+    predictions = tmp_path / "preds.tsv"
+    predictions.write_text(lines)
+    assert main(["score", "--corpus", str(corpus), str(predictions)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_evaluate_report_names_the_classifier(tmp_path, capsys):
     corpus = write_corpus(tmp_path, [(f"Sentence {i} .", l) for l in ("positive", "neutral", "negative") for i in range(3)])
     rc = main(["evaluate", "--corpus", str(corpus), "--classifier", "majority",
@@ -206,3 +225,88 @@ def test_cli_rerun_is_byte_identical(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def custom_lexicon(tmp_path):
+    """The bundled lexicon plus 'widgets' as a lagging indicator."""
+    bundled, _ = default_lexicon_paths()
+    path = tmp_path / "custom.txt"
+    path.write_text(bundled.read_text(encoding="utf-8") + "widgets,LagInd\n", encoding="utf-8")
+    return path, bundled
+
+
+def test_predict_uses_manifest_lexicon_unless_flag_given(tmp_path, capsys):
+    custom, bundled = custom_lexicon(tmp_path)
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir),
+                 "--lexicon", str(custom), "--minsup", "16", "--minconf", "60"]) == 0
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Widgets rose .\n")
+    capsys.readouterr()
+    # the manifest's lexicon tags 'Widgets rose' as LagInd::UP
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tpositive\n"
+    # --lexicon wins over the manifest: the bundled lexicon only sees UP
+    assert main(["predict", "--model-dir", str(model_dir), "--lexicon", str(bundled),
+                 str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tneutral\n"
+
+
+def test_predict_without_manifest_lexicon_uses_bundled(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir),
+                 "--minsup", "16", "--minconf", "60"]) == 0
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    assert manifest["tagging"]["lexicon"] == ""
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Widgets rose .\nTurnover rose to EUR 21mn from EUR 17mn\n")
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tneutral\n2\tpositive\n"
+
+
+def test_predict_missing_manifest_lexicon_is_config_error(tmp_path, capsys):
+    custom, bundled = custom_lexicon(tmp_path)
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir),
+                 "--lexicon", str(custom)]) == 0
+    custom.unlink()
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Widgets rose .\n")
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 2
+    assert main(["predict", "--model-dir", str(model_dir), "--lexicon", str(bundled),
+                 str(queries)]) == 0
+
+
+TAG_SENTENCES = [
+    "Turnover rose to EUR 21mn from EUR 17mn",
+    "Operating costs fell by 5 % .",
+    "Operating profit was EUR 8.3 mn , compared to EUR 11 mn .",
+    "The company won new contracts in Finland",
+    "Sales were strong but the lawsuit remained a concern",
+    "Nothing relevant here",
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "lag"], ["--mode", "lag-lead", "--reversal"],
+                                   ["--reversal"], ["--pretagged"], ["--pretagged", "--mode", "lag"]])
+def test_tag_lines_equal_tag_corpus(tmp_path, capsys, lexicon, flags):
+    pretagged = "--pretagged" in flags
+    texts = [format_pretagged(tag_raw(t)) if pretagged else t for t in TAG_SENTENCES]
+    source = tmp_path / "in.txt"
+    source.write_text("".join(f"{t}@neutral\n" for t in texts))
+    assert main(["tag", *flags, str(source)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    mode = flags[flags.index("--mode") + 1] if "--mode" in flags else "all"
+    config = PipelineConfig(mode=Mode(mode), reversal="--reversal" in flags)
+    corpus = Corpus(tuple(texts), ("neutral",) * len(texts), pretagged=pretagged)
+    expected = [
+        " ".join(t.value for t in canonical_order(SemTag(v) for v in tx.items)) + "\tneutral"
+        for tx in tag_corpus(corpus, lexicon, config)
+    ]
+    assert lines == expected
+    assert any(line != "\tneutral" for line in lines)

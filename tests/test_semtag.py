@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from finsent.semtag import (
     is_interaction,
     tag_sentence,
 )
+from finsent.semtag import _parse_value
 
 
 def mini_lexicon(entries, reversals=()):
@@ -125,6 +127,33 @@ def test_numeric_marker_overrides():
 def test_numeric_requires_two_values():
     lex = mini_lexicon({"sales": "LagInd"})
     assert numeric_tag("Sales were 21 mn , compared to expectations", lex) is None
+
+
+@pytest.mark.parametrize("surface, value", [
+    ("1,234.5", 1234.5),
+    ("8,3", 8.3),
+    ("12,500", 12500.0),
+    ("1,234,567", 1234567.0),
+    ("8,30", 8.3),
+    ("-2.5", -2.5),
+    ("+12", 12.0),
+    ("21mn", 21.0),
+    ("1.2.3", None),
+    ("mn", None),
+])
+def test_parse_value(surface, value):
+    assert _parse_value(surface) == value
+
+
+def test_numeric_decimal_comma(lexicon):
+    text = "Operating profit was EUR 8,3 mn , compared to EUR 11 mn ."
+    assert tags_of(text, lexicon) == {SemTag.LAGIND_DOWN}
+
+
+def test_numeric_unparseable_value_is_skipped(lexicon):
+    # "1.2.3" is no number: one value is left, so the numeric path yields nothing
+    text = "Operating profit was EUR 1.2.3 mn , compared to EUR 11 mn ."
+    assert tags_of(text, lexicon) == {SemTag.LAGIND}
 
 
 def test_numeric_skipped_when_direction_word_present(lexicon):
