@@ -8,9 +8,14 @@ leaves and chunks built by earlier rules), so later rules can reference
 earlier labels as single symbols.
 
 Matching policy per rule: scan left to right; at each position take the
-longest possible match (computed by NFA simulation, so independent of
-alternative order); a match of at least one element becomes a chunk and
-scanning resumes after it.
+longest possible match (independent of alternative order); a match of at
+least one element becomes a chunk and scanning resumes after it.
+
+Each rule compiles to a Thompson NFA that runs as a lazily built DFA: a
+transition between sets of NFA states is computed the first time a match
+takes it and cached on the rule.  Sequences are POS tags and chunk labels, so
+the cache is bounded by the grammar, not by the input, and compiling a
+grammar builds no DFA state beyond the start set.
 """
 from __future__ import annotations
 
@@ -196,7 +201,7 @@ def _validate_atoms(node, label: str, known: set) -> None:
 
 
 # ---------------------------------------------------------------------------
-# NFA construction and longest-match simulation
+# NFA construction (Thompson) and lazy-DFA longest match
 # ---------------------------------------------------------------------------
 
 
@@ -227,8 +232,10 @@ class _Nfa:
         return frozenset(seen)
 
 
-def _build_nfa(node, matcher_index: dict, matchers: list) -> _Nfa:
+def _build_nfa(node, matchers: list) -> _Nfa:
+    """Thompson's construction; each distinct atom body is appended to ``matchers`` once."""
     nfa = _Nfa()
+    matcher_index: dict = {}
 
     def midx(body: str) -> int:
         if body not in matcher_index:
@@ -275,49 +282,62 @@ def _build_nfa(node, matcher_index: dict, matchers: list) -> _Nfa:
 
 @dataclass(frozen=True)
 class ChunkRule:
-    """One compiled grammar rule."""
+    """One compiled grammar rule.
+
+    Matching runs the rule's NFA as a lazily built DFA: each DFA state is an
+    ε-closed set of NFA states, and ``_dfa`` maps ``(state set, symbol)`` to
+    ``(next state set or None, accepting)``.  An entry is computed the first
+    time a match takes that transition.  ``_sets`` interns the state sets, so
+    the cache holds one object per DFA state instead of one per transition.
+    """
 
     label: str
     pattern: str
 
     def __post_init__(self) -> None:
         ast = _parse_pattern(self.pattern, self.label)
-        matcher_index: dict = {}
         matchers: list = []
-        nfa = _build_nfa(ast, matcher_index, matchers)
+        nfa = _build_nfa(ast, matchers)
         object.__setattr__(self, "_ast", ast)
         object.__setattr__(self, "_nfa", nfa)
         object.__setattr__(self, "_matchers", matchers)
-        object.__setattr__(self, "_match_cache", {})
+        object.__setattr__(self, "_dfa", {})
+        object.__setattr__(self, "_sets", {nfa.closure0: nfa.closure0})
 
-    def _matches(self, matcher: int, symbol: str) -> bool:
-        cache = self._match_cache  # type: ignore[attr-defined]
-        key = (matcher, symbol)
-        hit = cache.get(key)
-        if hit is None:
-            hit = self._matchers[matcher].fullmatch(symbol) is not None  # type: ignore[attr-defined]
-            cache[key] = hit
-        return hit
+    def _step(self, states: frozenset, symbol: str) -> tuple:
+        """Compute and cache the DFA transition from ``states`` on ``symbol``."""
+        nfa: _Nfa = self._nfa  # type: ignore[attr-defined]
+        matchers = self._matchers  # type: ignore[attr-defined]
+        moved = {
+            dest
+            for state in states
+            for matcher, dest in nfa.sym[state]
+            if matchers[matcher].fullmatch(symbol) is not None
+        }
+        if moved:
+            closed = nfa.closure(moved)
+            closed = self._sets.setdefault(closed, closed)  # type: ignore[attr-defined]
+            step = (closed, nfa.accept in closed)
+        else:
+            step = (None, False)
+        self._dfa[(states, symbol)] = step  # type: ignore[attr-defined]
+        return step
 
     def longest_match(self, symbols: Sequence[str], start: int) -> int:
         """Length of the longest match beginning at ``start`` (0 if none)."""
-        nfa: _Nfa = self._nfa  # type: ignore[attr-defined]
-        frontier = nfa.closure0
+        dfa: dict = self._dfa  # type: ignore[attr-defined]
+        states = self._nfa.closure0  # type: ignore[attr-defined]
         best = 0
-        j = start
-        while j < len(symbols) and frontier:
+        for j in range(start, len(symbols)):
             symbol = symbols[j]
-            nxt = set()
-            for state in frontier:
-                for matcher, dest in nfa.sym[state]:
-                    if self._matches(matcher, symbol):
-                        nxt.add(dest)
-            if not nxt:
+            step = dfa.get((states, symbol))
+            if step is None:
+                step = self._step(states, symbol)
+            states, accepting = step
+            if states is None:
                 break
-            frontier = nfa.closure(nxt)
-            j += 1
-            if nfa.accept in frontier:
-                best = j - start
+            if accepting:
+                best = j + 1 - start
         return best
 
 

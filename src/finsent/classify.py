@@ -30,6 +30,7 @@ from .arm import (
     parse_rulebase,
     serialize_rulebase,
 )
+from .semtag import Mode
 
 __all__ = [
     "POSITIVE",
@@ -301,7 +302,12 @@ def save_model(model: ClassifierModel, directory: Union[str, Path], tagging: Opt
 
 
 def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
-    """Load a model directory; returns (model, manifest)."""
+    """Load a model directory; returns (model, manifest).
+
+    Raises ModelFormatError for a missing or malformed manifest, including a
+    default class outside CLASSES and a ``tagging`` section that is not an
+    object or whose ``mode`` is not a Mode.
+    """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
     if not manifest_path.exists():
@@ -310,9 +316,20 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format") != "finsent-model/1":
         raise ModelFormatError(f"{manifest_path}: unsupported format {manifest.get('format')!r}")
     try:
+        for key in ("default_class", "stage2_default"):
+            if manifest[key] not in CLASSES:
+                raise ValueError(f"{key} {manifest[key]!r} is not one of {', '.join(CLASSES)}")
+        tagging = manifest.get("tagging", {})
+        if not isinstance(tagging, dict):
+            raise ValueError(f"tagging {tagging!r} is not an object")
+        mode = tagging.get("mode", Mode.ALL.value)
+        if mode not in {m.value for m in Mode}:
+            raise ValueError(f"tagging.mode {mode!r} is not one of {', '.join(m.value for m in Mode)}")
         stages = {
             stage: parse_rulebase((directory / filename).read_text(encoding="utf-8"))
             for stage, filename in manifest["stages"].items()

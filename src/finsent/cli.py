@@ -138,12 +138,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = load_phrasebank(args.corpus, encoding=args.encoding, pretagged=args.pretagged)
     config = _config_from_args(args)
     model = train_model(tag_corpus(corpus, lexicon, config), config)
+    # absolute paths, so that `finsent predict` finds them from any directory
     tagging = {
         "mode": args.mode,
         "reversal": args.reversal,
         "pretagged": args.pretagged,
-        "lexicon": args.lexicon or "",
-        "reversals": args.reversals or "",
+        "lexicon": str(Path(args.lexicon).resolve()) if args.lexicon else "",
+        "reversals": str(Path(args.reversals).resolve()) if args.reversals else "",
         "encoding": args.encoding,
     }
     save_model(model, args.model_dir, tagging=tagging)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .chunker import (
     Chunk,
@@ -178,6 +178,26 @@ def _find_in_span(lex: Lexicon, surfaces: Sequence[str], span: Span, categories)
     return None
 
 
+_SpanFinder = Callable[[Span, frozenset], Optional[_Hit]]
+
+
+def _span_finder(lex: Lexicon, surfaces: Sequence[str]) -> _SpanFinder:
+    """``_find_in_span`` memoised for one sentence.
+
+    The memo is keyed by (span start, span length, categories): a sentence's
+    spans recur across its indicator/modifier pairs and the numeric path.
+    """
+    memo: dict = {}
+
+    def find(span: Span, categories: frozenset) -> Optional[_Hit]:
+        key = (span.start, len(span.tokens), categories)
+        if key not in memo:
+            memo[key] = _find_in_span(lex, surfaces, span, categories)
+        return memo[key]
+
+    return find
+
+
 def _scan(lex: Lexicon, surfaces: Sequence[str], categories) -> Iterable[_Hit]:
     """Longest-match, non-overlapping, left-to-right lexicon scan."""
     i, n = 0, len(surfaces)
@@ -212,14 +232,13 @@ def _parse_value(surface: str) -> Optional[float]:
         return None
 
 
-def _numeric_hit(sentence: PosSentence, tree: Chunk, lex: Lexicon) -> Optional[Tuple[SemTag, _Hit]]:
-    surfaces = sentence.surfaces
-    marker = _marker_in(surfaces)
+def _numeric_hit(sentence: PosSentence, tree: Chunk, find: _SpanFinder) -> Optional[Tuple[SemTag, _Hit]]:
+    marker = _marker_in(sentence.surfaces)
     for node in pair_nodes(tree):
         indicator = None
         for sub in node.subchunks():
             if sub.label in INDICATOR_LABELS:
-                indicator = _find_in_span(lex, surfaces, chunk_span(sub), INDICATOR_CATEGORIES)
+                indicator = find(chunk_span(sub), INDICATOR_CATEGORIES)
                 if indicator is not None:
                     break
         if indicator is None:
@@ -257,13 +276,14 @@ def derive_numeric_direction(
     equal values produce nothing.  "down from"/"up from" markers state the
     direction outright.  Missing values or indicators yield None.
     """
-    found = _numeric_hit(sentence, tree, lex)
+    found = _numeric_hit(sentence, tree, _span_finder(lex, sentence.surfaces))
     return found[0] if found else None
 
 
 def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False) -> TaggedSentence:
     """Extract the semantic tag set of one sentence (see module docstring)."""
     surfaces = sentence.surfaces
+    find = _span_finder(lex, surfaces)
 
     tree = chunk(bundled_grammar("indicator_direction"), sentence)
     extraction = extract_pairs(tree)
@@ -274,10 +294,10 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
     for ind_span, mod_span in extraction.pairs:
         if ind_span in used_spans or mod_span in used_spans:
             continue
-        ind_hit = _find_in_span(lex, surfaces, ind_span, INDICATOR_CATEGORIES)
+        ind_hit = find(ind_span, INDICATOR_CATEGORIES)
         if ind_hit is None:
             continue
-        mod_hit = _find_in_span(lex, surfaces, mod_span, DIRECTION_CATEGORIES)
+        mod_hit = find(mod_span, DIRECTION_CATEGORIES)
         if mod_hit is None:
             continue
         interactions.append((interaction_tag(ind_hit.category, mod_hit.category), ind_hit))
@@ -286,7 +306,7 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
         used_spans.add(mod_span)
 
     if not interactions and _marker_in(surfaces):
-        found = _numeric_hit(sentence, chunk(bundled_grammar("numeric_direction"), sentence), lex)
+        found = _numeric_hit(sentence, chunk(bundled_grammar("numeric_direction"), sentence), find)
         if found is not None:
             tag, ind_hit = found
             interactions.append((tag, ind_hit))

@@ -134,14 +134,31 @@ def test_span_soundness(tags, grammar_name):
     _spans_sound(tree, sentence)
 
 
+_REF_RULES = {name: ref.parse_grammar(bundled_grammar_source(name))
+              for name in ("indicator_direction", "numeric_direction")}
+
+
+def _assert_matches_reference(tags, grammar_name):
+    # bundled_grammar is cached, so later examples also run warm DFA transitions
+    want = ref.to_bracket(ref.chunk_sentence(_REF_RULES[grammar_name],
+                                             [(f"w{i}", t) for i, t in enumerate(tags)]))
+    got = to_bracket(chunk(bundled_grammar(grammar_name), sentence_from_tags(tags)))
+    assert got == want
+
+
 @given(st.lists(st.sampled_from(_TAGS), min_size=1, max_size=10),
        st.sampled_from(["indicator_direction", "numeric_direction"]))
 @settings(max_examples=150, deadline=None)
 def test_matches_reference_implementation(tags, grammar_name):
-    rules = ref.parse_grammar(bundled_grammar_source(grammar_name))
-    want = ref.to_bracket(ref.chunk_sentence(rules, [(f"w{i}", t) for i, t in enumerate(tags)]))
-    got = to_bracket(chunk(bundled_grammar(grammar_name), sentence_from_tags(tags)))
-    assert got == want
+    _assert_matches_reference(tags, grammar_name)
+
+
+# the longtail benchmark's sentence lengths run up to 240 tokens
+@given(st.integers(11, 240).flatmap(lambda n: st.lists(st.sampled_from(_TAGS), min_size=n, max_size=n)),
+       st.sampled_from(["indicator_direction", "numeric_direction"]))
+@settings(max_examples=60, deadline=None)
+def test_long_sequences_match_reference_implementation(tags, grammar_name):
+    _assert_matches_reference(tags, grammar_name)
 
 
 # random small patterns, both engines agree on longest-match lengths
@@ -162,15 +179,18 @@ def _patterns(depth):
     )
 
 
-@given(_patterns(3), st.lists(st.sampled_from(["A", "B", "C", "AB", "ABC"]), max_size=8))
+@given(_patterns(3),
+       st.lists(st.lists(st.sampled_from(["A", "B", "C", "AB", "ABC"]), max_size=8), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_longest_match_agrees_with_bruteforce(pattern, symbols):
+def test_longest_match_agrees_with_bruteforce(pattern, symbol_lists):
+    # one rule for every list, so later lists reuse the DFA transitions earlier ones built
     rule = ChunkRule("X", pattern)
     node = ref.parse_pattern(pattern)
-    for start in range(len(symbols) + 1):
-        assert rule.longest_match(symbols, start) == ref.longest_match(node, symbols, start), (
-            pattern, symbols, start,
-        )
+    for symbols in symbol_lists:
+        for start in range(len(symbols) + 1):
+            assert rule.longest_match(symbols, start) == ref.longest_match(node, symbols, start), (
+                pattern, symbols, start,
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -226,4 +227,27 @@ def test_load_missing_manifest(tmp_path):
 def test_load_rejects_unknown_format(tmp_path):
     (tmp_path / "manifest.json").write_text('{"format": "other/9"}')
     with pytest.raises(ModelFormatError, match="format"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda m: m["tagging"].update(mode="bogus"), "tagging.mode"),
+    (lambda m: m.update(default_class="mixed"), "default_class"),
+    (lambda m: m.update(stage2_default="positve"), "stage2_default"),
+    (lambda m: m.update(tagging="all"), "tagging 'all'"),
+], ids=["mode", "default_class", "stage2_default", "tagging"])
+def test_load_rejects_out_of_range_manifest_values(tmp_path, edit, key):
+    model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
+    save_model(model, tmp_path, tagging={"mode": "all", "reversal": False})
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=key):
+        load_model(tmp_path)
+
+
+def test_load_rejects_manifest_that_is_not_an_object(tmp_path):
+    (tmp_path / "manifest.json").write_text('["finsent-model/1"]')
+    with pytest.raises(ModelFormatError, match="JSON object"):
         load_model(tmp_path)

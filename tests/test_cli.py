@@ -281,6 +281,43 @@ def test_predict_missing_manifest_lexicon_is_config_error(tmp_path, capsys):
                  str(queries)]) == 0
 
 
+def test_manifest_paths_are_absolute_so_predict_runs_from_anywhere(tmp_path, capsys, monkeypatch):
+    train_dir, elsewhere = tmp_path / "train", tmp_path / "elsewhere"
+    train_dir.mkdir()
+    elsewhere.mkdir()
+    custom, _ = custom_lexicon(train_dir)
+    (train_dir / "reversals.txt").write_text("widgets\n")
+    write_corpus(train_dir, SAMPLE_SENTENCES)
+    monkeypatch.chdir(train_dir)
+    assert main(["train", "--corpus", "corpus.txt", "--model-dir", "model",
+                 "--lexicon", "custom.txt", "--reversals", "reversals.txt",
+                 "--minsup", "16", "--minconf", "60"]) == 0
+    tagging = json.loads((train_dir / "model" / "manifest.json").read_text())["tagging"]
+    assert tagging["lexicon"] == str(custom.resolve())
+    assert tagging["reversals"] == str((train_dir / "reversals.txt").resolve())
+
+    monkeypatch.chdir(elsewhere)
+    (elsewhere / "queries.txt").write_text("Widgets rose .\n")
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(train_dir / "model"), "queries.txt"]) == 0
+    assert capsys.readouterr().out == "1\tpositive\n"
+
+
+def test_predict_bad_manifest_mode_is_config_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir)]) == 0
+    manifest_path = model_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tagging"]["mode"] = "bogus"
+    manifest_path.write_text(json.dumps(manifest))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Widgets rose .\n")
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 2
+    assert "tagging.mode 'bogus'" in capsys.readouterr().err
+
+
 TAG_SENTENCES = [
     "Turnover rose to EUR 21mn from EUR 17mn",
     "Operating costs fell by 5 % .",

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsent.chunker import bundled_grammar, chunk
+from finsent.chunker import _Nfa, bundled_grammar, chunk
 from finsent.lexicon import LexCategory, Lexicon
-from finsent.pos_text import tag_raw
+from finsent.pos_text import PosTextError, tag_raw
 from finsent.semtag import (
     Mode,
     SemTag,
@@ -88,6 +88,74 @@ def test_sentiment_scan_is_chunk_independent(lexicon):
 def test_tagging_is_deterministic(lexicon):
     text = "Demand for fireplace products was lower than expected"
     assert tags_of(text, lexicon) == tags_of(text, lexicon)
+
+
+_FUZZ_WORDS = [
+    "operating profit", "net sales", "Turnover", "costs", "orders", "market share", "rose", "fell",
+    "increased", "lower", "strong", "lawsuit", "compared to", "down from", "up from", "versus",
+    "the", "of", "in", "to", "and", "was", "EUR", "mn", "%", ",", ".", "(", ")", "'s", "--",
+    "8,3", "1,234.5", "1.2.3", "-2.5", "+12", "21mn", "2010", "Finland", "Q1",
+]
+_fuzz_texts = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.sampled_from(_FUZZ_WORDS), max_size=40).map(" ".join),
+    st.integers(200, 260).flatmap(
+        lambda n: st.lists(st.sampled_from(_FUZZ_WORDS), min_size=n, max_size=n)
+    ).map(" ".join),
+)
+
+
+@given(_fuzz_texts, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_random_text_tags_the_same_on_cold_and_warm_caches(lexicon, text, reversal):
+    try:
+        sentence = tag_raw(text)
+        bundled_grammar.cache_clear()  # fresh grammars: no DFA transition is cached yet
+        cold = tag_sentence(sentence, lexicon, reversal=reversal).tags
+    except PosTextError:
+        return
+    assert tag_sentence(sentence, lexicon, reversal=reversal).tags == cold
+
+
+# Work counts of one fixed long sentence (153 tokens).  Searching each span once
+# per sentence takes 685 lookups; searching it again for every pair took 1869.
+GUARD_SENTENCE = (
+    "Operating profit and net sales rose in the first quarter , while costs fell and orders increased "
+    "compared to the weak market in Finland , and the strong order book of the company supported sales "
+    "although the lawsuit and lower prices in Sweden weighed on operating profit , costs and orders "
+) * 3
+GUARD_LOOKUPS = 685
+
+
+def test_work_count_guard(monkeypatch):
+    lex = mini_lexicon({
+        "operating profit": "LagInd", "sales": "LagInd", "costs": "LagInd", "orders": "LeadInd",
+        "rose": "UP", "increased": "UP", "fell": "DOWN", "lower": "DOWN",
+        "strong": "POS", "lawsuit": "NEG",
+    })
+    counts = {"lookup": 0, "closure": 0}
+    lookup, closure = Lexicon.lookup, _Nfa.closure
+
+    def counting_lookup(self, phrase):
+        counts["lookup"] += 1
+        return lookup(self, phrase)
+
+    def counting_closure(self, states):
+        counts["closure"] += 1
+        return closure(self, states)
+
+    monkeypatch.setattr(Lexicon, "lookup", counting_lookup)
+    monkeypatch.setattr(_Nfa, "closure", counting_closure)
+    sentence = tag_raw(GUARD_SENTENCE)
+    assert len(sentence) == 153
+    assert SemTag.LEADIND_UP in tag_sentence(sentence, lex).tags
+    assert counts["lookup"] <= GUARD_LOOKUPS
+
+    for name in ("indicator_direction", "numeric_direction"):
+        chunk(bundled_grammar(name), sentence)
+        computed = counts["closure"]
+        chunk(bundled_grammar(name), sentence)
+        assert counts["closure"] == computed, f"{name}: a warm chunk computed new DFA states"
 
 
 # ---------------------------------------------------------------------------
