@@ -260,13 +260,9 @@ def parse_rulebase(text: str) -> RuleBase:
     return RuleBase(tuple(rules), minsup=minsup, minconf=minconf, metadata=tuple(metadata))
 
 
-def dump_transactions(transactions: Sequence[Transaction], sort_key=None) -> str:
+def dump_transactions(transactions: Sequence[Transaction]) -> str:
     """Debug dump, one 'item, item, label' line per transaction."""
-    key = sort_key or (lambda item: item)
-    lines = []
-    for t in transactions:
-        items = sorted(t.items, key=key)
-        lines.append(", ".join([*items, t.label]))
+    lines = [", ".join([*sorted(t.items), t.label]) for t in transactions]
     return "\n".join(lines) + "\n"
 
 

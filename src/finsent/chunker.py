@@ -550,17 +550,12 @@ class Span:
     def end(self) -> int:
         return self.start + len(self.tokens)
 
-    @property
-    def positions(self) -> frozenset:
-        return frozenset(range(self.start, self.end))
-
 
 @dataclass(frozen=True)
 class PairExtraction:
-    """Candidate (indicator, modifier) pairs plus unpaired singleton spans."""
+    """Candidate (indicator, modifier) span pairs."""
 
     pairs: tuple
-    singletons: tuple
 
 
 def chunk_span(node: Chunk) -> Span:
@@ -577,20 +572,11 @@ def extract_pairs(tree: Chunk) -> PairExtraction:
     """Collect indicator/modifier span pairs from every pair-pattern node.
 
     For each node labelled NPJJ, every (NP-or-NPP, JJ/RB/VB) combination is a
-    candidate pair, ordered by indicator position then modifier position.  A
-    node with candidates on only one side contributes those spans as
-    singletons instead.
+    candidate pair, ordered by indicator position then modifier position.
     """
     pairs: List[tuple] = []
-    singletons: List[Span] = []
     for node in pair_nodes(tree):
         indicators = [chunk_span(c) for c in node.subchunks() if c.label in INDICATOR_LABELS]
         modifiers = [chunk_span(c) for c in node.subchunks() if c.label in MODIFIER_LABELS]
-        if indicators and modifiers:
-            for ind in indicators:
-                for mod in modifiers:
-                    pairs.append((ind, mod))
-        else:
-            singletons.extend(indicators)
-            singletons.extend(modifiers)
-    return PairExtraction(tuple(pairs), tuple(singletons))
+        pairs.extend((ind, mod) for ind in indicators for mod in modifiers)
+    return PairExtraction(tuple(pairs))

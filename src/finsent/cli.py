@@ -46,7 +46,7 @@ from .evaluate import (
     tag_text,
     train_model,
 )
-from .lexicon import LexiconError, Lexicon, default_lexicon_paths, load_lexicon
+from .lexicon import LexiconError, Lexicon, default_lexicon_paths, load_default_lexicon, load_lexicon
 from .pos_text import PosTextError
 from .semtag import Mode, canonical_order
 
@@ -71,15 +71,13 @@ def _fold_count(value: str) -> int:
 def _load_lexicon(lexicon_path: Optional[str], reversals_path: Optional[str]) -> Lexicon:
     """The given lexicon, else the bundled (or $FINSENT_LEXICON_DIR) one.
 
-    With the default lexicon, ``reversals_path`` replaces the default reversal
-    file, and a reversal file that does not exist is skipped.
+    A given ``reversals_path`` replaces the default reversal file and must exist.
     """
     if lexicon_path:
         return load_lexicon(lexicon_path, reversals_path)
-    lex_path, rev_path = default_lexicon_paths()
     if reversals_path:
-        rev_path = Path(reversals_path)
-    return load_lexicon(lex_path, rev_path if Path(rev_path).exists() else None)
+        return load_lexicon(default_lexicon_paths()[0], reversals_path)
+    return load_default_lexicon()
 
 
 def _read_lines(source: Optional[str], encoding: str) -> List[Tuple[int, str]]:
@@ -157,10 +155,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model, manifest = load_model(args.model_dir)
     tagging = manifest.get("tagging", {})
-    # --lexicon, else the lexicon the model was trained with, else the default
-    lexicon_path, reversals_path = args.lexicon, args.reversals
-    if not lexicon_path and tagging.get("lexicon"):
-        lexicon_path, reversals_path = tagging["lexicon"], tagging.get("reversals") or None
+    # --lexicon, else the model's lexicon, else the default; --reversals, else
+    # the model's reversal file unless --lexicon is given
+    lexicon_path = args.lexicon or tagging.get("lexicon")
+    reversals_path = args.reversals or (None if args.lexicon else tagging.get("reversals") or None)
     lexicon = _load_lexicon(lexicon_path, reversals_path)
     mode = Mode(tagging.get("mode", "all"))
     reversal = bool(tagging.get("reversal", False))

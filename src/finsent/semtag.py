@@ -12,15 +12,21 @@ is built in four passes:
    bare tags (spans consumed by an interaction are suppressed);
 4. POS/NEG sentiment words are collected token-wise, independent of chunking.
 
+The lexicon is read once per sentence: every n-gram of up to the longest
+phrase's length is looked up, giving one list of hits.  Passes 1 and 2 take
+the longest hit inside a chunk span; passes 3 and 4 scan the list left to
+right, longest match first, without overlaps.
+
 Optional reversal post-processing flips the direction of interaction tags
 whose indicator is on the reversal list (costs, expenses, ...).
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .chunker import (
     Chunk,
@@ -115,9 +121,6 @@ class TaggedSentence:
     tags: frozenset
     source: PosSentence
 
-    def __contains__(self, tag: SemTag) -> bool:
-        return tag in self.tags
-
 
 class Mode(str, Enum):
     """Which tag families the classifier sees."""
@@ -158,60 +161,43 @@ _THOUSANDS_COMMA_RE = re.compile(r",(?=\d{3}(?!\d))")
 
 @dataclass(frozen=True)
 class _Hit:
-    """A lexicon match inside the sentence: category, phrase, token positions."""
+    """A lexicon match inside the sentence: category, phrase, tokens [start, end)."""
 
     category: LexCategory
     phrase: str
-    positions: frozenset
+    start: int
+    end: int
 
 
-def _find_in_span(lex: Lexicon, surfaces: Sequence[str], span: Span, categories) -> Optional[_Hit]:
-    """Longest (then leftmost) sub-phrase of the span in the given categories."""
-    length = len(span.tokens)
-    for n in range(min(length, lex.max_phrase_len), 0, -1):
-        for off in range(0, length - n + 1):
-            start = span.start + off
-            phrase = surfaces[start : start + n]
-            category = lex.lookup(phrase)
-            if category is not None and category in categories:
-                return _Hit(category, " ".join(phrase).lower(), frozenset(range(start, start + n)))
-    return None
+def _lexicon_hits(lex: Lexicon, surfaces: Sequence[str]) -> Tuple[_Hit, ...]:
+    """Every lexicon phrase in the sentence, by start, longest first.
 
-
-_SpanFinder = Callable[[Span, frozenset], Optional[_Hit]]
-
-
-def _span_finder(lex: Lexicon, surfaces: Sequence[str]) -> _SpanFinder:
-    """``_find_in_span`` memoised for one sentence.
-
-    The memo is keyed by (span start, span length, categories): a sentence's
-    spans recur across its indicator/modifier pairs and the numeric path.
+    Each n-gram of up to ``lex.max_phrase_len`` tokens is looked up once.
     """
-    memo: dict = {}
-
-    def find(span: Span, categories: frozenset) -> Optional[_Hit]:
-        key = (span.start, len(span.tokens), categories)
-        if key not in memo:
-            memo[key] = _find_in_span(lex, surfaces, span, categories)
-        return memo[key]
-
-    return find
-
-
-def _scan(lex: Lexicon, surfaces: Sequence[str], categories) -> Iterable[_Hit]:
-    """Longest-match, non-overlapping, left-to-right lexicon scan."""
-    i, n = 0, len(surfaces)
-    max_len = lex.max_phrase_len
-    while i < n:
-        for length in range(min(max_len, n - i), 0, -1):
-            phrase = surfaces[i : i + length]
+    hits = []
+    n = len(surfaces)
+    for start in range(n):
+        for end in range(min(n, start + lex.max_phrase_len), start, -1):
+            phrase = surfaces[start:end]
             category = lex.lookup(phrase)
-            if category is not None and category in categories:
-                yield _Hit(category, " ".join(phrase).lower(), frozenset(range(i, i + length)))
-                i += length
-                break
-        else:
-            i += 1
+            if category is not None:
+                hits.append(_Hit(category, " ".join(phrase).lower(), start, end))
+    return tuple(hits)
+
+
+def _scan(hits: Sequence[_Hit], categories) -> Iterator[_Hit]:
+    """Longest-match, non-overlapping, left-to-right hits in the given categories."""
+    free = 0
+    for hit in hits:
+        if hit.start >= free and hit.category in categories:
+            free = hit.end
+            yield hit
+
+
+def _find_in_span(hits: Sequence[_Hit], start: int, end: int, categories) -> Optional[_Hit]:
+    """Longest (then leftmost) hit inside tokens [start, end) in the given categories."""
+    inside = [h for h in hits if start <= h.start and h.end <= end and h.category in categories]
+    return min(inside, key=lambda h: (h.start - h.end, h.start), default=None)
 
 
 def _marker_in(surfaces: Sequence[str]) -> Optional[str]:
@@ -232,13 +218,15 @@ def _parse_value(surface: str) -> Optional[float]:
         return None
 
 
-def _numeric_hit(sentence: PosSentence, tree: Chunk, find: _SpanFinder) -> Optional[Tuple[SemTag, _Hit]]:
-    marker = _marker_in(sentence.surfaces)
+def _numeric_hit(
+    tree: Chunk, find: Callable[[int, int, frozenset], Optional[_Hit]], marker: Optional[str]
+) -> Optional[Tuple[SemTag, _Hit]]:
     for node in pair_nodes(tree):
         indicator = None
         for sub in node.subchunks():
             if sub.label in INDICATOR_LABELS:
-                indicator = find(chunk_span(sub), INDICATOR_CATEGORIES)
+                span = chunk_span(sub)
+                indicator = find(span.start, span.end, INDICATOR_CATEGORIES)
                 if indicator is not None:
                     break
         if indicator is None:
@@ -276,14 +264,18 @@ def derive_numeric_direction(
     equal values produce nothing.  "down from"/"up from" markers state the
     direction outright.  Missing values or indicators yield None.
     """
-    found = _numeric_hit(sentence, tree, _span_finder(lex, sentence.surfaces))
+    surfaces = sentence.surfaces
+    find = functools.partial(_find_in_span, _lexicon_hits(lex, surfaces))
+    found = _numeric_hit(tree, find, _marker_in(surfaces))
     return found[0] if found else None
 
 
 def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False) -> TaggedSentence:
     """Extract the semantic tag set of one sentence (see module docstring)."""
     surfaces = sentence.surfaces
-    find = _span_finder(lex, surfaces)
+    hits = _lexicon_hits(lex, surfaces)
+    # a sentence's spans recur across its indicator/modifier pairs and the numeric path
+    find = functools.lru_cache(maxsize=None)(functools.partial(_find_in_span, hits))
 
     tree = chunk(bundled_grammar("indicator_direction"), sentence)
     extraction = extract_pairs(tree)
@@ -294,30 +286,29 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
     for ind_span, mod_span in extraction.pairs:
         if ind_span in used_spans or mod_span in used_spans:
             continue
-        ind_hit = find(ind_span, INDICATOR_CATEGORIES)
+        ind_hit = find(ind_span.start, ind_span.end, INDICATOR_CATEGORIES)
         if ind_hit is None:
             continue
-        mod_hit = find(mod_span, DIRECTION_CATEGORIES)
+        mod_hit = find(mod_span.start, mod_span.end, DIRECTION_CATEGORIES)
         if mod_hit is None:
             continue
         interactions.append((interaction_tag(ind_hit.category, mod_hit.category), ind_hit))
-        consumed |= ind_hit.positions | mod_hit.positions
+        consumed.update(range(ind_hit.start, ind_hit.end), range(mod_hit.start, mod_hit.end))
         used_spans.add(ind_span)
         used_spans.add(mod_span)
 
-    if not interactions and _marker_in(surfaces):
-        found = _numeric_hit(sentence, chunk(bundled_grammar("numeric_direction"), sentence), find)
+    if not interactions and (marker := _marker_in(surfaces)):
+        found = _numeric_hit(chunk(bundled_grammar("numeric_direction"), sentence), find, marker)
         if found is not None:
             tag, ind_hit = found
             interactions.append((tag, ind_hit))
-            consumed |= ind_hit.positions
+            consumed.update(range(ind_hit.start, ind_hit.end))
 
     tags: Set[SemTag] = set()
-    for hit in _scan(lex, surfaces, INDICATOR_CATEGORIES | DIRECTION_CATEGORIES):
-        if hit.positions & consumed:
-            continue
-        tags.add(_BARE[hit.category])
-    for hit in _scan(lex, surfaces, SENTIMENT_CATEGORIES):
+    for hit in _scan(hits, INDICATOR_CATEGORIES | DIRECTION_CATEGORIES):
+        if consumed.isdisjoint(range(hit.start, hit.end)):
+            tags.add(_BARE[hit.category])
+    for hit in _scan(hits, SENTIMENT_CATEGORIES):
         tags.add(_BARE[hit.category])
 
     for tag, ind_hit in interactions:

@@ -1,14 +1,19 @@
-"""Exhaustive-enumeration oracles for frequent itemsets and class rules.
+"""Reference implementations the production code is checked against.
 
-Independent of finsent.arm: supports are found by checking every subset of the
-item universe against every transaction, with no level-wise pruning.  Float
-formulas mirror the production definitions (percent = 100*count/n, confidence
-= 100*sup/sup) so results compare exactly.
+Frequent itemsets and class rules, independent of finsent.arm: supports are
+found by checking every subset of the item universe against every
+transaction, with no level-wise pruning.  Float formulas mirror the
+production definitions (percent = 100*count/n, confidence = 100*sup/sup) so
+results compare exactly.
+
+Lexicon scans, independent of semtag's hit list: every candidate n-gram is
+looked up in the lexicon where the scan reaches it.  A hit is the tuple
+(category, lowercased phrase, start, end) of the tokens [start, end).
 """
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Dict, FrozenSet, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
 
 
 def brute_force_frequent(
@@ -47,3 +52,32 @@ def brute_force_rules(
         if confidence >= minconf:
             rules.add((antecedent, consequent, support, confidence))
     return rules
+
+
+def lookup_scan(lex, surfaces: Sequence[str], categories) -> Iterator[tuple]:
+    """Longest-match, non-overlapping, left-to-right lexicon scan."""
+    i, n = 0, len(surfaces)
+    max_len = lex.max_phrase_len
+    while i < n:
+        for length in range(min(max_len, n - i), 0, -1):
+            phrase = surfaces[i : i + length]
+            category = lex.lookup(phrase)
+            if category is not None and category in categories:
+                yield (category, " ".join(phrase).lower(), i, i + length)
+                i += length
+                break
+        else:
+            i += 1
+
+
+def lookup_find_in_span(lex, surfaces: Sequence[str], start: int, end: int, categories) -> Optional[tuple]:
+    """Longest (then leftmost) sub-phrase of tokens [start, end) in the given categories."""
+    length = end - start
+    for n in range(min(length, lex.max_phrase_len), 0, -1):
+        for off in range(0, length - n + 1):
+            first = start + off
+            phrase = surfaces[first : first + n]
+            category = lex.lookup(phrase)
+            if category is not None and category in categories:
+                return (category, " ".join(phrase).lower(), first, first + n)
+    return None

@@ -205,7 +205,6 @@ def test_extract_pair_indicator_and_verb():
     assert [(p[0].tokens, p[1].tokens) for p in extraction.pairs] == [
         (("market", "share"), ("increase",))
     ]
-    assert extraction.singletons == ()
 
 
 def test_extract_pair_participle():
@@ -221,7 +220,6 @@ def test_extract_pairs_empty_without_pair_node():
     tree = chunk(bundled_grammar("indicator_direction"), sentence_from_tags(["DT", "PRP"]))
     extraction = extract_pairs(tree)
     assert extraction.pairs == ()
-    assert extraction.singletons == ()
 
 
 def test_pair_node_contains_required_children():

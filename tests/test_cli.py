@@ -56,6 +56,17 @@ def test_tag_missing_lexicon_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_tag_missing_reversals_is_config_error(tmp_path, capsys):
+    bundled, _ = default_lexicon_paths()
+    source = tmp_path / "in.txt"
+    source.write_text("Unit costs fell by 6.4 percent\n")
+    missing = str(tmp_path / "nope.txt")
+    for lexicon_flags in ([], ["--lexicon", str(bundled)]):
+        rc = main(["tag", "--reversal", *lexicon_flags, "--reversals", missing, str(source)])
+        assert rc == 2
+        assert "nope.txt" in capsys.readouterr().err
+
+
 def test_tag_pretagged_malformed_is_data_error(tmp_path, capsys):
     source = tmp_path / "in.txt"
     source.write_text("hello world\n")
@@ -265,6 +276,43 @@ def test_predict_without_manifest_lexicon_uses_bundled(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
     assert capsys.readouterr().out == "1\tneutral\n2\tpositive\n"
+
+
+def test_predict_uses_manifest_reversals_with_default_lexicon(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    # without reversal terms, "Unit costs ... fell" trains as LagInd::DOWN -> negative
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir), "--reversal",
+                 "--reversals", str(empty), "--minsup", "16", "--minconf", "60"]) == 0
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Unit costs fell by 6.4 percent\n")
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tnegative\n"
+
+
+def test_predict_reversals_flag_wins_over_manifest(tmp_path, capsys):
+    custom, _ = custom_lexicon(tmp_path)
+    reversals, empty = tmp_path / "reversals.txt", tmp_path / "empty.txt"
+    reversals.write_text("widgets\n")
+    empty.write_text("")
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir), "--reversal",
+                 "--lexicon", str(custom), "--reversals", str(reversals),
+                 "--minsup", "16", "--minconf", "60"]) == 0
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Widgets rose .\n")
+    capsys.readouterr()
+    # the manifest's reversal file flips 'Widgets rose' to LagInd::DOWN
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tnegative\n"
+    # --reversals alone replaces it; the manifest's lexicon still applies
+    assert main(["predict", "--model-dir", str(model_dir), "--reversals", str(empty),
+                 str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tpositive\n"
 
 
 def test_predict_missing_manifest_lexicon_is_config_error(tmp_path, capsys):

@@ -1,9 +1,18 @@
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsent import semtag
 from finsent.chunker import _Nfa, bundled_grammar, chunk
-from finsent.lexicon import LexCategory, Lexicon
+from finsent.lexicon import (
+    DIRECTION_CATEGORIES,
+    INDICATOR_CATEGORIES,
+    SENTIMENT_CATEGORIES,
+    LexCategory,
+    Lexicon,
+)
 from finsent.pos_text import PosTextError, tag_raw
 from finsent.semtag import (
     Mode,
@@ -16,7 +25,8 @@ from finsent.semtag import (
     is_interaction,
     tag_sentence,
 )
-from finsent.semtag import _parse_value
+from finsent.semtag import _find_in_span, _lexicon_hits, _parse_value, _scan
+from oracles import lookup_find_in_span, lookup_scan
 
 
 def mini_lexicon(entries, reversals=()):
@@ -117,14 +127,43 @@ def test_random_text_tags_the_same_on_cold_and_warm_caches(lexicon, text, revers
     assert tag_sentence(sentence, lexicon, reversal=reversal).tags == cold
 
 
-# Work counts of one fixed long sentence (153 tokens).  Searching each span once
-# per sentence takes 685 lookups; searching it again for every pair took 1869.
+# Overlapping multi-word entries in different categories, for the scan oracles.
+_OVERLAP_LEX = mini_lexicon({
+    "net sales": "LagInd", "sales": "LagInd", "strong sales": "POS", "strong": "POS",
+    "net sales fell": "NEG", "fell": "DOWN", "fell short": "NEG", "short": "DOWN",
+    "order book": "LeadInd", "book": "NEG", "orders rose": "POS", "orders": "LeadInd", "rose": "UP",
+})
+_OVERLAP_WORDS = ["net", "Net", "sales", "SALES", "strong", "fell", "short", "order", "book",
+                  "orders", "rose", "the", "of"]
+_CATEGORY_SETS = [
+    INDICATOR_CATEGORIES | DIRECTION_CATEGORIES, SENTIMENT_CATEGORIES,
+    INDICATOR_CATEGORIES, DIRECTION_CATEGORIES,
+]
+
+
+@given(st.lists(st.sampled_from(_OVERLAP_WORDS), max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_hit_list_matches_lookup_oracles(surfaces):
+    hits = _lexicon_hits(_OVERLAP_LEX, surfaces)
+    n = len(surfaces)
+    for categories in _CATEGORY_SETS:
+        scanned = [astuple(hit) for hit in _scan(hits, categories)]
+        assert scanned == list(lookup_scan(_OVERLAP_LEX, surfaces, categories))
+        for start in range(n):
+            for end in range(start + 1, n + 1):
+                found = _find_in_span(hits, start, end, categories)
+                expected = lookup_find_in_span(_OVERLAP_LEX, surfaces, start, end, categories)
+                assert (found and astuple(found)) == expected, (start, end, categories)
+
+
+# Work counts of one fixed long sentence (153 tokens).  The guard lexicon's
+# longest phrase has two tokens, so one lookup per n-gram is 153 + 152.
 GUARD_SENTENCE = (
     "Operating profit and net sales rose in the first quarter , while costs fell and orders increased "
     "compared to the weak market in Finland , and the strong order book of the company supported sales "
     "although the lawsuit and lower prices in Sweden weighed on operating profit , costs and orders "
 ) * 3
-GUARD_LOOKUPS = 685
+GUARD_LOOKUPS = 305
 
 
 def test_work_count_guard(monkeypatch):
@@ -133,8 +172,9 @@ def test_work_count_guard(monkeypatch):
         "rose": "UP", "increased": "UP", "fell": "DOWN", "lower": "DOWN",
         "strong": "POS", "lawsuit": "NEG",
     })
-    counts = {"lookup": 0, "closure": 0}
+    counts = {"lookup": 0, "closure": 0, "chunk": 0, "extract_pairs": 0}
     lookup, closure = Lexicon.lookup, _Nfa.closure
+    semtag_chunk, semtag_extract_pairs = semtag.chunk, semtag.extract_pairs
 
     def counting_lookup(self, phrase):
         counts["lookup"] += 1
@@ -144,12 +184,24 @@ def test_work_count_guard(monkeypatch):
         counts["closure"] += 1
         return closure(self, states)
 
+    def counting_chunk(grammar, sentence):
+        counts["chunk"] += 1
+        return semtag_chunk(grammar, sentence)
+
+    def counting_extract_pairs(tree):
+        counts["extract_pairs"] += 1
+        return semtag_extract_pairs(tree)
+
+    # the benchmark's tracer wraps the same attributes
     monkeypatch.setattr(Lexicon, "lookup", counting_lookup)
     monkeypatch.setattr(_Nfa, "closure", counting_closure)
+    monkeypatch.setattr(semtag, "chunk", counting_chunk)
+    monkeypatch.setattr(semtag, "extract_pairs", counting_extract_pairs)
     sentence = tag_raw(GUARD_SENTENCE)
     assert len(sentence) == 153
     assert SemTag.LEADIND_UP in tag_sentence(sentence, lex).tags
-    assert counts["lookup"] <= GUARD_LOOKUPS
+    assert counts["lookup"] == GUARD_LOOKUPS
+    assert counts["chunk"] > 0 and counts["extract_pairs"] > 0
 
     for name in ("indicator_direction", "numeric_direction"):
         chunk(bundled_grammar(name), sentence)
