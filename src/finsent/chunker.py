@@ -11,11 +11,17 @@ Matching policy per rule: scan left to right; at each position take the
 longest possible match (independent of alternative order); a match of at
 least one element becomes a chunk and scanning resumes after it.
 
-Each rule compiles to a Thompson NFA that runs as a lazily built DFA: a
-transition between sets of NFA states is computed the first time a match
-takes it and cached on the rule.  Sequences are POS tags and chunk labels, so
-the cache is bounded by the grammar, not by the input, and compiling a
-grammar builds no DFA state beyond the start set.
+Each pattern is read once: its tokens go to a recursive-descent parser that
+emits Thompson NFA fragments as it goes, with no syntax tree in between.  The
+parser collects the distinct atom bodies, which are then compiled as regexes
+(a malformed one, such as ``<*>``, is a GrammarError naming the rule, the atom
+and its position) and checked against the Penn tags and the earlier labels.
+
+The NFA runs as a lazily built DFA: a transition between sets of NFA states
+is computed the first time a match takes it and cached on the rule.
+Sequences are POS tags and chunk labels, so the cache is bounded by the
+grammar, not by the input, and compiling a grammar builds no DFA state beyond
+the start set.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from .pos_text import PENN_TAGS, PosSentence, PosToken
 
@@ -50,154 +56,6 @@ __all__ = [
 
 class GrammarError(ValueError):
     """Raised for grammar syntax errors or references to undefined labels."""
-
-
-# ---------------------------------------------------------------------------
-# pattern AST
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Atom:
-    body: str
-
-
-@dataclass(frozen=True)
-class _Seq:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class _Alt:
-    options: tuple
-
-
-@dataclass(frozen=True)
-class _Rep:
-    child: object
-    min_count: int  # 0 for * and ?, 1 for +
-    unbounded: bool  # False only for ?
-
-
-def _scan_tokens(pattern: str, label: str) -> List[tuple]:
-    """Lex a rule pattern into ('atom', body) and punctuation tokens."""
-    tokens: List[tuple] = []
-    i, n = 0, len(pattern)
-    while i < n:
-        ch = pattern[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "<":
-            end = pattern.find(">", i + 1)
-            if end < 0:
-                raise GrammarError(f"rule {label}: unclosed atom at position {i}")
-            body = pattern[i + 1 : end].strip()
-            if not body:
-                raise GrammarError(f"rule {label}: empty atom at position {i}")
-            tokens.append(("atom", body, i))
-            i = end + 1
-        elif ch in "()|*+?":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise GrammarError(f"rule {label}: unexpected character {ch!r} at position {i}")
-    return tokens
-
-
-class _PatternParser:
-    def __init__(self, tokens: List[tuple], label: str) -> None:
-        self.tokens = tokens
-        self.label = label
-        self.pos = 0
-
-    def peek(self) -> Optional[tuple]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def parse(self):
-        node = self.alternation()
-        if self.peek() is not None:
-            kind, _, at = self.peek()
-            raise GrammarError(f"rule {self.label}: unexpected {kind!r} at position {at}")
-        return node
-
-    def alternation(self):
-        options = [self.sequence()]
-        while self.peek() and self.peek()[0] == "|":
-            self.pos += 1
-            options.append(self.sequence())
-        return options[0] if len(options) == 1 else _Alt(tuple(options))
-
-    def sequence(self):
-        parts = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] in ("|", ")"):
-                break
-            parts.append(self.repeat())
-        return _Seq(tuple(parts))
-
-    def repeat(self):
-        node = self.primary()
-        tok = self.peek()
-        if tok and tok[0] in ("*", "+", "?"):
-            self.pos += 1
-            if tok[0] == "*":
-                node = _Rep(node, 0, True)
-            elif tok[0] == "+":
-                node = _Rep(node, 1, True)
-            else:
-                node = _Rep(node, 0, False)
-        return node
-
-    def primary(self):
-        tok = self.peek()
-        if tok is None:
-            raise GrammarError(f"rule {self.label}: pattern ended unexpectedly")
-        kind, value, at = tok
-        if kind == "atom":
-            self.pos += 1
-            return _Atom(value)
-        if kind == "(":
-            self.pos += 1
-            node = self.alternation()
-            closing = self.peek()
-            if closing is None or closing[0] != ")":
-                raise GrammarError(f"rule {self.label}: unclosed group at position {at}")
-            self.pos += 1
-            return node
-        raise GrammarError(f"rule {self.label}: unexpected {value!r} at position {at}")
-
-
-def _parse_pattern(pattern: str, label: str):
-    return _PatternParser(_scan_tokens(pattern, label), label).parse()
-
-
-_ATOM_META = set(".*+?")
-
-
-def _atom_regex(body: str) -> "re.Pattern[str]":
-    out = []
-    for ch in body:
-        out.append(ch if ch in _ATOM_META or ch == "|" else re.escape(ch))
-    return re.compile("".join(out))
-
-
-def _validate_atoms(node, label: str, known: set) -> None:
-    if isinstance(node, _Atom):
-        for alt in node.body.split("|"):
-            alt = alt.strip()
-            if not alt or any(ch in _ATOM_META for ch in alt):
-                continue
-            if alt not in PENN_TAGS and alt not in known:
-                raise GrammarError(f"rule {label}: reference to undefined label <{alt}>")
-    elif isinstance(node, _Seq):
-        for part in node.parts:
-            _validate_atoms(part, label, known)
-    elif isinstance(node, _Alt):
-        for opt in node.options:
-            _validate_atoms(opt, label, known)
-    elif isinstance(node, _Rep):
-        _validate_atoms(node.child, label, known)
 
 
 # ---------------------------------------------------------------------------
@@ -232,52 +90,109 @@ class _Nfa:
         return frozenset(seen)
 
 
-def _build_nfa(node, matchers: list) -> _Nfa:
-    """Thompson's construction; each distinct atom body is appended to ``matchers`` once."""
+# an atom (closed or not), an operator, or any other non-space character
+_TOKEN_RE = re.compile(r"<([^>]*)(>?)|[()|*+?]|\S")
+
+
+def _atom_regex(body: str, label: str, at: int) -> "re.Pattern[str]":
+    """An atom body as a regex over tag names: ``.*+?|`` are operators, the rest literal."""
+    try:
+        return re.compile("".join(ch if ch in ".*+?|" else re.escape(ch) for ch in body))
+    except re.error as exc:
+        raise GrammarError(
+            f"rule {label}: malformed atom <{body}> at position {at}: {exc.msg}"
+        ) from None
+
+
+def _compile_pattern(pattern: str, label: str) -> tuple:
+    """Parse a rule pattern by recursive descent, building its Thompson NFA as it goes.
+
+    Each parse function returns the ``(start, end)`` states of the fragment it
+    read.  Returns the NFA, one matcher per distinct atom body, and those
+    bodies in order of first use.
+    """
+    tokens: List[tuple] = []  # (kind, text, position); kind is "atom" or the operator
+    for m in _TOKEN_RE.finditer(pattern):  # skips whitespace, the only text no branch matches
+        text, at = m.group(), m.start()
+        body, closed = m.group(1, 2)
+        if body is None:
+            if text not in "()|*+?":
+                raise GrammarError(f"rule {label}: unexpected character {text!r} at position {at}")
+            tokens.append((text, text, at))
+        elif not closed:
+            raise GrammarError(f"rule {label}: unclosed atom at position {at}")
+        elif not body.strip():
+            raise GrammarError(f"rule {label}: empty atom at position {at}")
+        else:
+            tokens.append(("atom", body.strip(), at))
+    tokens.append((None, None, len(pattern)))
     nfa = _Nfa()
-    matcher_index: dict = {}
+    atoms: dict = {}  # body -> (matcher index, position of first use)
+    pos = 0
 
-    def midx(body: str) -> int:
-        if body not in matcher_index:
-            matcher_index[body] = len(matchers)
-            matchers.append(_atom_regex(body))
-        return matcher_index[body]
+    def alternation() -> tuple:
+        nonlocal pos
+        options = [sequence()]
+        while tokens[pos][0] == "|":
+            pos += 1
+            options.append(sequence())
+        if len(options) == 1:
+            return options[0]
+        s, e = nfa.new_state(), nfa.new_state()
+        for option_start, option_end in options:
+            nfa.eps[s].append(option_start)
+            nfa.eps[option_end].append(e)
+        return s, e
 
-    def build(n) -> tuple:
-        if isinstance(n, _Atom):
-            s, e = nfa.new_state(), nfa.new_state()
-            nfa.sym[s].append((midx(n.body), e))
-            return s, e
-        if isinstance(n, _Seq):
-            s = nfa.new_state()
-            cur = s
-            for part in n.parts:
-                ps, pe = build(part)
-                nfa.eps[cur].append(ps)
-                cur = pe
-            return s, cur
-        if isinstance(n, _Alt):
-            s, e = nfa.new_state(), nfa.new_state()
-            for opt in n.options:
-                os_, oe = build(opt)
-                nfa.eps[s].append(os_)
-                nfa.eps[oe].append(e)
-            return s, e
-        if isinstance(n, _Rep):
-            s, e = nfa.new_state(), nfa.new_state()
-            cs, ce = build(n.child)
-            nfa.eps[s].append(cs)
-            nfa.eps[ce].append(e)
-            if n.min_count == 0:
-                nfa.eps[s].append(e)
-            if n.unbounded:
-                nfa.eps[ce].append(cs)
-            return s, e
-        raise AssertionError(f"unknown node {n!r}")
+    def sequence() -> tuple:
+        s = cur = nfa.new_state()
+        while tokens[pos][0] not in ("|", ")", None):
+            part_start, part_end = repeat()
+            nfa.eps[cur].append(part_start)
+            cur = part_end
+        return s, cur
 
-    nfa.start, nfa.accept = build(node)
+    def repeat() -> tuple:
+        nonlocal pos
+        child_start, child_end = primary()
+        op = tokens[pos][0]
+        if op not in ("*", "+", "?"):
+            return child_start, child_end
+        pos += 1
+        s, e = nfa.new_state(), nfa.new_state()
+        nfa.eps[s].append(child_start)
+        nfa.eps[child_end].append(e)
+        if op != "+":  # may match zero times
+            nfa.eps[s].append(e)
+        if op != "?":  # may match more than once
+            nfa.eps[child_end].append(child_start)
+        return s, e
+
+    def primary() -> tuple:
+        nonlocal pos
+        kind, text, at = tokens[pos]
+        pos += 1
+        if kind == "atom":
+            index, _ = atoms.setdefault(text, (len(atoms), at))
+            s, e = nfa.new_state(), nfa.new_state()
+            nfa.sym[s].append((index, e))
+            return s, e
+        if kind == "(":
+            fragment = alternation()
+            if tokens[pos][0] != ")":
+                raise GrammarError(f"rule {label}: unclosed group at position {at}")
+            pos += 1
+            return fragment
+        raise GrammarError(f"rule {label}: unexpected {text!r} at position {at}")
+
+    nfa.start, nfa.accept = alternation()
+    kind, _, at = tokens[pos]
+    if kind is not None:
+        raise GrammarError(f"rule {label}: unexpected {kind!r} at position {at}")
+    # compiled after the parse, so a syntax error anywhere is reported first
+    matchers = [_atom_regex(body, label, at) for body, (_, at) in atoms.items()]
     nfa.closure0 = nfa.closure({nfa.start})
-    return nfa
+    return nfa, matchers, tuple(atoms)
 
 
 @dataclass(frozen=True)
@@ -295,12 +210,10 @@ class ChunkRule:
     pattern: str
 
     def __post_init__(self) -> None:
-        ast = _parse_pattern(self.pattern, self.label)
-        matchers: list = []
-        nfa = _build_nfa(ast, matchers)
-        object.__setattr__(self, "_ast", ast)
+        nfa, matchers, atoms = _compile_pattern(self.pattern, self.label)
         object.__setattr__(self, "_nfa", nfa)
         object.__setattr__(self, "_matchers", matchers)
+        object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_dfa", {})
         object.__setattr__(self, "_sets", {nfa.closure0: nfa.closure0})
 
@@ -346,7 +259,6 @@ class ChunkGrammar:
     """An ordered, immutable list of compiled chunk rules."""
 
     rules: tuple
-    source: str = ""
 
     @property
     def labels(self) -> tuple:
@@ -354,71 +266,56 @@ class ChunkGrammar:
 
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$.-]*")
+_SPACE_RE = re.compile(r"\s*")
 
 
-def _strip_comments(source: str) -> str:
-    # '#' starts a comment unless it appears inside an <...> atom.
-    out: List[str] = []
-    for line in source.splitlines():
-        depth = 0
-        for i, ch in enumerate(line):
-            if ch == "<":
-                depth += 1
-            elif ch == ">":
-                depth = max(0, depth - 1)
-            elif ch == "#" and depth == 0:
-                line = line[:i]
-                break
-        out.append(line)
-    return "\n".join(out)
+def _outside_atoms(text: str, char: str, start: int = 0) -> int:
+    """Index of the first ``char`` at or after ``start`` outside every ``<...>``, else ``len(text)``."""
+    depth = 0
+    for j in range(start, len(text)):
+        if text[j] == "<":
+            depth += 1
+        elif text[j] == ">":
+            depth = max(0, depth - 1)
+        elif text[j] == char and depth == 0:
+            return j
+    return len(text)
 
 
 def compile_grammar(source: str) -> ChunkGrammar:
     """Compile ``LABEL: { pattern }`` rules, in order, into a ChunkGrammar."""
-    text = _strip_comments(source)
+    # '#' starts a comment unless it appears inside an <...> atom
+    text = "\n".join(line[: _outside_atoms(line, "#")] for line in source.splitlines())
     rules: List[ChunkRule] = []
     known: set = set()
-    i, n = 0, len(text)
-    while True:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
+    i = _SPACE_RE.match(text).end()
+    while i < len(text):
         m = _LABEL_RE.match(text, i)
         if not m:
             raise GrammarError(f"expected rule label at offset {i}, got {text[i:i+10]!r}")
         label = m.group(0)
-        i = m.end()
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n or text[i] != ":":
+        i = _SPACE_RE.match(text, m.end()).end()
+        if not text.startswith(":", i):
             raise GrammarError(f"rule {label}: expected ':' at offset {i}")
-        i += 1
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n or text[i] != "{":
+        i = _SPACE_RE.match(text, i + 1).end()
+        if not text.startswith("{", i):
             raise GrammarError(f"rule {label}: expected '{{' at offset {i}")
-        i += 1
-        depth = 0
-        j = i
-        while j < n:
-            if text[j] == "<":
-                depth += 1
-            elif text[j] == ">":
-                depth = max(0, depth - 1)
-            elif text[j] == "}" and depth == 0:
-                break
-            j += 1
-        if j >= n:
+        j = _outside_atoms(text, "}", i + 1)
+        if j == len(text):
             raise GrammarError(f"rule {label}: missing closing '}}'")
-        rule = ChunkRule(label, text[i:j].strip())
-        _validate_atoms(rule._ast, label, known)  # type: ignore[attr-defined]
+        rule = ChunkRule(label, text[i + 1 : j].strip())
+        for body in rule._atoms:  # type: ignore[attr-defined]
+            for name in body.split("|"):
+                name = name.strip()
+                plain = name and not any(ch in ".*+?" for ch in name)
+                if plain and name not in PENN_TAGS and name not in known:
+                    raise GrammarError(f"rule {label}: reference to undefined label <{name}>")
         rules.append(rule)
         known.add(label)
-        i = j + 1
+        i = _SPACE_RE.match(text, j + 1).end()
     if not rules:
         raise GrammarError("grammar contains no rules")
-    return ChunkGrammar(tuple(rules), source=source)
+    return ChunkGrammar(tuple(rules))
 
 
 _BUNDLED = ("indicator_direction", "numeric_direction")

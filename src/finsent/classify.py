@@ -150,8 +150,19 @@ STAGE_POLARITY = "polarity"  # positive vs negative
 STAGE_MULTICLASS = "multiclass"
 
 
+_PAIRS = ((POSITIVE, NEUTRAL), (POSITIVE, NEGATIVE), (NEUTRAL, NEGATIVE))
+
+
 def _pair_stage(a: str, b: str) -> str:
     return "-".join(sorted((a, b)))
+
+
+# the stage rule bases each arrangement trains and predicts with
+_STAGES = {
+    Arrangement.HSC: (STAGE_GATE, STAGE_POLARITY),
+    Arrangement.MULTICLASS: (STAGE_MULTICLASS,),
+    Arrangement.ONE_VS_ONE: tuple(_pair_stage(a, b) for a, b in _PAIRS),
+}
 
 
 @dataclass(frozen=True)
@@ -225,7 +236,7 @@ def train(
             classes=set(CLASSES), metadata=(("stage", STAGE_MULTICLASS),),
         )
     else:
-        for a, b in ((POSITIVE, NEUTRAL), (POSITIVE, NEGATIVE), (NEUTRAL, NEGATIVE)):
+        for a, b in _PAIRS:
             subset = [t for t in transactions if t.label in (a, b)]
             stages[_pair_stage(a, b)] = _mine_or_empty(
                 subset, minsup, minconf,
@@ -260,7 +271,7 @@ def predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
         return predict_flat(tags, model.stages[STAGE_MULTICLASS], default=model.default_class, **kwargs)
 
     votes: Dict[str, int] = {}
-    for a, b in ((POSITIVE, NEUTRAL), (POSITIVE, NEGATIVE), (NEUTRAL, NEGATIVE)):
+    for a, b in _PAIRS:
         default = NEUTRAL if NEUTRAL in (a, b) else NEGATIVE
         vote = predict_flat(tags, model.stages[_pair_stage(a, b)], default=default, **kwargs)
         votes[vote] = votes.get(vote, 0) + 1
@@ -305,8 +316,11 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     """Load a model directory; returns (model, manifest).
 
     Raises ModelFormatError for a missing or malformed manifest, including a
-    default class outside CLASSES and a ``tagging`` section that is not an
-    object or whose ``mode`` is not a Mode.
+    default class outside CLASSES, a ``tagging`` section that is not an
+    object or whose ``mode`` is not a Mode, a ``stages`` section that is not
+    an object whose keys are exactly the arrangement's stage names, and a
+    value of the wrong JSON type (``"minsup": null``, a ``tagging.reversal``
+    that is not a bool).
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
@@ -330,12 +344,23 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         mode = tagging.get("mode", Mode.ALL.value)
         if mode not in {m.value for m in Mode}:
             raise ValueError(f"tagging.mode {mode!r} is not one of {', '.join(m.value for m in Mode)}")
+        # the entries `finsent predict` reads
+        for key, kind in (("lexicon", str), ("reversals", str), ("reversal", bool), ("pretagged", bool)):
+            if not isinstance(tagging.get(key, kind()), kind):
+                raise ValueError(f"tagging.{key} {tagging[key]!r} is not a {kind.__name__}")
+        arrangement = Arrangement(manifest["arrangement"])
+        files = manifest["stages"]
+        if not isinstance(files, dict) or sorted(files) != sorted(_STAGES[arrangement]):
+            raise ValueError(
+                f"stages {files!r} is not an object with the keys "
+                f"{', '.join(_STAGES[arrangement])} of arrangement {arrangement.value!r}"
+            )
         stages = {
             stage: parse_rulebase((directory / filename).read_text(encoding="utf-8"))
-            for stage, filename in manifest["stages"].items()
+            for stage, filename in files.items()
         }
         model = ClassifierModel(
-            arrangement=Arrangement(manifest["arrangement"]),
+            arrangement=arrangement,
             stages=stages,
             minsup=float(manifest["minsup"]),
             minconf=float(manifest["minconf"]),
@@ -344,6 +369,6 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
             match_policy=MatchPolicy(manifest["match_policy"]),
             scoring=Scoring(manifest["scoring"]),
         )
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, TypeError) as exc:
         raise ModelFormatError(f"{directory}: malformed model: {exc}") from None
     return model, manifest

@@ -118,13 +118,27 @@ def _split_labeled(line: str) -> tuple:
     return line.strip(), None
 
 
+def _tag_input(args: argparse.Namespace, lexicon: Lexicon, mode: Mode, reversal: bool,
+               pretagged: bool) -> List[tuple]:
+    """``(tag set, label or None)`` for each non-blank line of ``args.input``.
+
+    A line that cannot be tagged is a data error located at ``file:line``.
+    """
+    where = "<stdin>" if args.input in (None, "-") else args.input
+    tagged = []
+    for lineno, line in _read_lines(args.input, args.encoding):
+        text, label = _split_labeled(line)
+        try:
+            tagged.append((tag_text(text, lexicon, mode, reversal, pretagged), label))
+        except PosTextError as exc:
+            raise PosTextError(f"{where}:{lineno}: {exc}") from None
+    return tagged
+
+
 def cmd_tag(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args.lexicon, args.reversals)
-    lines = _read_lines(args.input, args.encoding)
     out_lines = []
-    for _, line in lines:
-        text, label = _split_labeled(line)
-        tagged = tag_text(text, lexicon, Mode(args.mode), args.reversal, args.pretagged)
+    for tagged, label in _tag_input(args, lexicon, Mode(args.mode), args.reversal, args.pretagged):
         tags = " ".join(t.value for t in canonical_order(tagged))
         out_lines.append(f"{tags}\t{label}" if label is not None else tags)
     _write_out("".join(f"{l}\n" for l in out_lines), args.out)
@@ -163,11 +177,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     mode = Mode(tagging.get("mode", "all"))
     reversal = bool(tagging.get("reversal", False))
     pretagged = args.pretagged or bool(tagging.get("pretagged", False))
-    lines = _read_lines(args.input, args.encoding)
     out_lines = []
-    for i, (_, line) in enumerate(lines, start=1):
-        text, _ = _split_labeled(line)
-        tags = tag_text(text, lexicon, mode, reversal, pretagged)
+    for i, (tags, _) in enumerate(_tag_input(args, lexicon, mode, reversal, pretagged), start=1):
         label = predict(model, frozenset(t.value for t in tags))
         out_lines.append(f"{i}\t{label}")
     _write_out("".join(f"{l}\n" for l in out_lines), args.out)

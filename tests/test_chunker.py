@@ -60,6 +60,47 @@ def test_forward_reference_is_undefined():
         compile_grammar(source)
 
 
+_GRAMMAR_ERRORS = [
+    ("", "grammar contains no rules"),
+    ("# only a comment\n", "grammar contains no rules"),
+    ("1X: {<NN>}", "expected rule label at offset 0, got '1X: {<NN>}'"),
+    ("X {<NN>}", "rule X: expected ':' at offset 2"),
+    ("X: <NN>}", "rule X: expected '{' at offset 3"),
+    ("X: {<NN>", "rule X: missing closing '}'"),
+    ("X: {<<NN>}", "rule X: missing closing '}'"),
+    ("X: {<>}", "rule X: empty atom at position 0"),
+    ("X: {< >}", "rule X: empty atom at position 0"),
+    ("X: {<NN>x}", "rule X: unexpected character 'x' at position 4"),
+    ("X: {<NN>)}", "rule X: unexpected ')' at position 4"),
+    ("X: {*}", "rule X: unexpected '*' at position 0"),
+    ("X: {<NN>??}", "rule X: unexpected '?' at position 5"),
+    ("X: {(<NN>}", "rule X: unclosed group at position 0"),
+    ("X: {<NN>(}", "rule X: unclosed group at position 4"),
+    ("X: {<NP>}", "rule X: reference to undefined label <NP>"),
+    ("X: {<Y>}\nY: {<NN>}", "rule X: reference to undefined label <Y>"),
+    ("X: {<NN>}}", "expected rule label at offset 9, got '}'"),
+    ("X: {<NN>}\nY {<NN>}", "rule Y: expected ':' at offset 12"),
+    ("X: {<NN>}\nY: <NN>}", "rule Y: expected '{' at offset 13"),
+    ("X: {<*>}", "rule X: malformed atom <*> at position 0: nothing to repeat"),
+    ("X: {<NN**>}", "rule X: malformed atom <NN**> at position 0: multiple repeat"),
+    ("X: {<+NN>}", "rule X: malformed atom <+NN> at position 0: nothing to repeat"),
+    ("X: {<?>}", "rule X: malformed atom <?> at position 0: nothing to repeat"),
+    ("X: {<NN> <.**>}", "rule X: malformed atom <.**> at position 5: multiple repeat"),
+]
+
+
+@pytest.mark.parametrize("source, message", _GRAMMAR_ERRORS, ids=[repr(s) for s, _ in _GRAMMAR_ERRORS])
+def test_grammar_error_text(source, message):
+    with pytest.raises(GrammarError) as info:
+        compile_grammar(source)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("source, labels", [("X: {<#>}", ("X",)), ("X:{<NN>}Y:{<X>}", ("X", "Y"))])
+def test_edge_case_grammars_compile(source, labels):
+    assert compile_grammar(source).labels == labels
+
+
 def test_bundled_grammars_compile():
     ga = bundled_grammar("indicator_direction")
     gb = bundled_grammar("numeric_direction")

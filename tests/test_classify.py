@@ -235,7 +235,16 @@ def test_load_rejects_unknown_format(tmp_path):
     (lambda m: m.update(default_class="mixed"), "default_class"),
     (lambda m: m.update(stage2_default="positve"), "stage2_default"),
     (lambda m: m.update(tagging="all"), "tagging 'all'"),
-], ids=["mode", "default_class", "stage2_default", "tagging"])
+    (lambda m: m.update(arrangement="ovo"),
+     "keys neutral-positive, negative-positive, negative-neutral of arrangement 'ovo'"),
+    (lambda m: m["stages"].pop("polarity"), "keys gate, polarity of arrangement 'hsc'"),
+    (lambda m: m.update(stages=list(m["stages"])), r"stages \['gate', 'polarity'\] is not an object"),
+    (lambda m: m.update(minsup=None), "malformed model: float"),
+    (lambda m: m["tagging"].update(lexicon=5), "tagging.lexicon 5 is not a str"),
+    (lambda m: m["tagging"].update(reversal="no"), "tagging.reversal 'no' is not a bool"),
+], ids=["mode", "default_class", "stage2_default", "tagging",
+        "arrangement_stages", "stage_missing", "stages_list", "minsup_null",
+        "lexicon_int", "reversal_str"])
 def test_load_rejects_out_of_range_manifest_values(tmp_path, edit, key):
     model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
     save_model(model, tmp_path, tagging={"mode": "all", "reversal": False})

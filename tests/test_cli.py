@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -72,6 +73,27 @@ def test_tag_pretagged_malformed_is_data_error(tmp_path, capsys):
     source.write_text("hello world\n")
     rc = main(["tag", "--pretagged", str(source)])
     assert rc == 3
+    assert f"{source}:1: token 1 'hello': missing '_' separator" in capsys.readouterr().err
+
+
+def test_tag_empty_sentence_names_stdin_line(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Turnover fell by 5 %\n\n@neutral\n"))
+    assert main(["tag"]) == 3
+    assert capsys.readouterr().err == "finsent: data error: <stdin>:3: empty sentence\n"
+
+
+def test_predict_bad_line_is_located_data_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir),
+                 "--classifier", "hsc", "--minsup", "16", "--minconf", "60"]) == 0
+    capsys.readouterr()
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Turnover_NN rose_VBD\nSales rose\n")
+    assert main(["predict", "--model-dir", str(model_dir), "--pretagged", str(queries)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"finsent: data error: {queries}:2: token 1 'Sales': missing '_' separator\n"
 
 
 def test_train_writes_sample_rules(tmp_path, capsys):
