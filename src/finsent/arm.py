@@ -1,18 +1,20 @@
 """Apriori frequent-itemset mining and class association rule generation.
 
 Transactions are tag sets with a class label; the label joins the itemset as
-a distinguished item during mining.  Rules have the form ``antecedent -> c``
-where the consequent is a single class item, qualified by support (joint
-frequency over all transactions, in percent) and confidence.  A RuleBase is
-totally ordered: confidence desc, support desc, antecedent length desc, then
-antecedent and consequent ascending as determinism tie-breaks.
+a distinguished item during mining.  Itemsets are generated level-wise as in
+Apriori and counted on vertical tidsets as in Eclat: one int per item whose
+bit i marks row i, so a count is the popcount of an AND.  Rules have the form
+``antecedent -> c`` where the consequent is a single class item, qualified by
+support (joint frequency over all transactions, in percent) and confidence.
+A RuleBase is totally ordered: confidence desc, support desc, antecedent
+length desc, then antecedent and consequent ascending as determinism
+tie-breaks.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from itertools import combinations, groupby
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "MiningError",
@@ -98,51 +100,43 @@ def mine_frequent(
 ) -> Dict[FrozenSet[str], float]:
     """All itemsets over tags plus class items with support >= minsup percent.
 
-    Level-wise Apriori: candidates of size k are joins of frequent (k-1)-sets
-    and are pruned unless every (k-1)-subset is frequent (downward closure).
+    Level-wise Apriori counted on vertical tidsets, as in Eclat: an item's
+    tidset is one int with bit i set when row i's basket holds the item, and
+    an itemset's count is the popcount of its tidset.  Each level maps sorted
+    item tuples, in sorted order, to their tidsets.  Two (k-1)-tuples that
+    share their first k-2 items join into a size-k candidate, which is
+    pruned unless every (k-1)-subset is frequent (downward closure); its
+    tidset is the AND of the two joined tidsets.
     """
     if not transactions:
         raise MiningError("cannot mine an empty transaction list")
     _check_percent(minsup, "minsup")
-    baskets = [t.basket for t in transactions]
-    n = len(baskets)
+    n = len(transactions)
+    tidsets: Dict[str, int] = {}
+    for row, transaction in enumerate(transactions):
+        for item in transaction.basket:
+            tidsets[item] = tidsets.get(item, 0) | (1 << row)
 
-    def support(count: int) -> float:
-        return 100.0 * count / n
-
-    counts = Counter(item for basket in baskets for item in basket)
     frequent: Dict[FrozenSet[str], float] = {}
-    level = []
-    for item, count in counts.items():
-        if support(count) >= minsup:
-            itemset = frozenset({item})
-            frequent[itemset] = support(count)
-            level.append(itemset)
-
-    k = 2
+    level: Dict[Tuple[str, ...], int] = {}
+    for item in sorted(tidsets):
+        support = 100.0 * tidsets[item].bit_count() / n
+        if support >= minsup:
+            frequent[frozenset((item,))] = support
+            level[(item,)] = tidsets[item]
     while level:
-        seen = set(level)
-        candidates = set()
-        ordered = sorted(level, key=lambda s: tuple(sorted(s)))
-        for a, b in combinations(ordered, 2):
-            joined = a | b
-            if len(joined) != k:
-                continue
-            if all(joined - {item} in seen for item in joined):
-                candidates.add(joined)
-        if not candidates:
-            break
-        tallies = {c: 0 for c in candidates}
-        for basket in baskets:
-            for candidate in candidates:
-                if candidate <= basket:
-                    tallies[candidate] += 1
-        level = []
-        for candidate, count in tallies.items():
-            if support(count) >= minsup:
-                frequent[candidate] = support(count)
-                level.append(candidate)
-        k += 1
+        next_level: Dict[Tuple[str, ...], int] = {}
+        for _, joinable in groupby(level.items(), key=lambda entry: entry[0][:-1]):
+            for (a, tids_a), (b, tids_b) in combinations(joinable, 2):
+                candidate = a + b[-1:]
+                if any(candidate[:j] + candidate[j + 1 :] not in level for j in range(len(a) - 1)):
+                    continue
+                tids = tids_a & tids_b
+                support = 100.0 * tids.bit_count() / n
+                if support >= minsup:
+                    frequent[frozenset(candidate)] = support
+                    next_level[candidate] = tids
+        level = next_level
     return frequent
 
 

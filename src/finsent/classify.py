@@ -26,6 +26,7 @@ from .arm import (
     MiningError,
     RuleBase,
     Transaction,
+    _check_percent,
     mine_rules,
     parse_rulebase,
     serialize_rulebase,
@@ -312,15 +313,26 @@ def save_model(model: ClassifierModel, directory: Union[str, Path], tagging: Opt
     return directory
 
 
+def _manifest_percent(manifest: dict, key: str) -> float:
+    try:
+        percent = float(manifest[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} {manifest[key]!r} is not a number") from None
+    _check_percent(percent, key)
+    return percent
+
+
 def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     """Load a model directory; returns (model, manifest).
 
     Raises ModelFormatError for a missing or malformed manifest, including a
     default class outside CLASSES, a ``tagging`` section that is not an
     object or whose ``mode`` is not a Mode, a ``stages`` section that is not
-    an object whose keys are exactly the arrangement's stage names, and a
-    value of the wrong JSON type (``"minsup": null``, a ``tagging.reversal``
-    that is not a bool).
+    an object whose keys are exactly the arrangement's stage names, a stage
+    file that is not a plain file name inside ``directory``, and a value of
+    the wrong JSON type (``"minsup": null``, a ``tagging.reversal`` that is
+    not a bool) or a threshold outside (0, 100].  The message names the
+    offending key.
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
@@ -355,6 +367,9 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
                 f"stages {files!r} is not an object with the keys "
                 f"{', '.join(_STAGES[arrangement])} of arrangement {arrangement.value!r}"
             )
+        for stage, filename in files.items():
+            if not isinstance(filename, str) or filename in ("", "..") or Path(filename).name != filename:
+                raise ValueError(f"stages.{stage} {filename!r} is not a plain file name")
         stages = {
             stage: parse_rulebase((directory / filename).read_text(encoding="utf-8"))
             for stage, filename in files.items()
@@ -362,8 +377,8 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         model = ClassifierModel(
             arrangement=arrangement,
             stages=stages,
-            minsup=float(manifest["minsup"]),
-            minconf=float(manifest["minconf"]),
+            minsup=_manifest_percent(manifest, "minsup"),
+            minconf=_manifest_percent(manifest, "minconf"),
             default_class=manifest["default_class"],
             stage2_default=manifest["stage2_default"],
             match_policy=MatchPolicy(manifest["match_policy"]),

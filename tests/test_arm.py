@@ -168,6 +168,31 @@ def test_matches_bruteforce_on_random_instances():
         assert rule_tuples(rb) == brute_force_rules(baskets, minsup, minconf, classes)
 
 
+_WIDE_TAGS = [f"k{i}" for i in range(10)]
+# labels sort before, between and after the tags
+_WIDE_LABELS = ["a", "k4_", "z"]
+
+
+@st.composite
+def wide_instances(draw):
+    """Up to 120 rows drawn from a few baskets (so duplicates), empty tag sets
+    allowed, and a minsup of exactly 100*c/n for some count c."""
+    items = _WIDE_TAGS[: draw(st.integers(1, len(_WIDE_TAGS)))]
+    labels = draw(st.lists(st.sampled_from(_WIDE_LABELS), min_size=1, max_size=3, unique=True))
+    pool = draw(st.lists(st.builds(Transaction, st.frozensets(st.sampled_from(items)), st.sampled_from(labels)),
+                         min_size=1, max_size=12))
+    n = draw(st.integers(1, 120))
+    transactions = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return transactions, 100.0 * draw(st.integers(1, n)) / n
+
+
+@given(wide_instances())
+@settings(max_examples=60, deadline=None)
+def test_matches_bruteforce_on_wide_instances(instance):
+    transactions, minsup = instance
+    assert mine_frequent(transactions, minsup) == brute_force_frequent([t.basket for t in transactions], minsup)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_raising_minconf_never_adds_rules(seed):

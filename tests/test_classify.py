@@ -239,11 +239,19 @@ def test_load_rejects_unknown_format(tmp_path):
      "keys neutral-positive, negative-positive, negative-neutral of arrangement 'ovo'"),
     (lambda m: m["stages"].pop("polarity"), "keys gate, polarity of arrangement 'hsc'"),
     (lambda m: m.update(stages=list(m["stages"])), r"stages \['gate', 'polarity'\] is not an object"),
-    (lambda m: m.update(minsup=None), "malformed model: float"),
+    (lambda m: m.update(minsup=None), "malformed model: minsup None is not a number"),
+    (lambda m: m.update(minconf="high"), "malformed model: minconf 'high' is not a number"),
+    (lambda m: m.update(minsup=-3), r"malformed model: minsup must be in \(0, 100\], got -3.0"),
+    (lambda m: m.update(minconf=float("nan")), r"minconf must be in \(0, 100\], got nan"),
+    (lambda m: m["stages"].update(gate="../../c.txt"), r"stages.gate '\.\./\.\./c\.txt' is not a plain file name"),
+    (lambda m: m["stages"].update(polarity="/etc/passwd"), "stages.polarity '/etc/passwd' is not a plain file name"),
+    (lambda m: m["stages"].update(gate=".."), r"stages.gate '\.\.' is not a plain file name"),
+    (lambda m: m["stages"].update(gate=5), "stages.gate 5 is not a plain file name"),
     (lambda m: m["tagging"].update(lexicon=5), "tagging.lexicon 5 is not a str"),
     (lambda m: m["tagging"].update(reversal="no"), "tagging.reversal 'no' is not a bool"),
 ], ids=["mode", "default_class", "stage2_default", "tagging",
-        "arrangement_stages", "stage_missing", "stages_list", "minsup_null",
+        "arrangement_stages", "stage_missing", "stages_list", "minsup_null", "minconf_str",
+        "minsup_negative", "minconf_nan", "stage_parent_dir", "stage_absolute", "stage_dotdot", "stage_int",
         "lexicon_int", "reversal_str"])
 def test_load_rejects_out_of_range_manifest_values(tmp_path, edit, key):
     model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
@@ -254,6 +262,17 @@ def test_load_rejects_out_of_range_manifest_values(tmp_path, edit, key):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match=key):
         load_model(tmp_path)
+
+
+def test_load_reads_stage_files_under_any_plain_name(tmp_path):
+    model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
+    save_model(model, tmp_path, tagging={"mode": "all", "reversal": False})
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    (tmp_path / "gate.rules").rename(tmp_path / "stage one..rules")
+    manifest["stages"]["gate"] = "stage one..rules"
+    manifest_path.write_text(json.dumps(manifest))
+    assert load_model(tmp_path)[0] == model
 
 
 def test_load_rejects_manifest_that_is_not_an_object(tmp_path):

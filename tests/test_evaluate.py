@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsent import arm, classify, evaluate
+from finsent.arm import Transaction, dump_transactions
 from finsent.classify import Arrangement
 from finsent.evaluate import (
     Corpus,
@@ -233,6 +235,33 @@ def test_seed_reproducibility(lexicon):
     a = cross_validate(corpus, config, lexicon=lexicon)
     b = cross_validate(corpus, config, lexicon=lexicon)
     assert report_to_json(a) == report_to_json(b)
+
+
+def test_span_contract_guard(monkeypatch):
+    """A 10-fold HSC CV trains once per fold and mines each of its two stages once per fold."""
+    rng = random.Random(11)
+    tags = ["LagInd::UP", "LagInd::DOWN", "POS", "NEG", "LeadInd::UP"]
+    transactions = [
+        Transaction(frozenset(rng.sample(tags, rng.randint(0, 3))), LABELS[i % 3]) for i in range(60)
+    ]
+    corpus = Corpus(tuple(dump_transactions(transactions).splitlines()), tuple(t.label for t in transactions))
+    counts = Counter()
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+
+        def counting(*args, **kwargs):
+            counts[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    # the benchmark's tracer wraps the same attributes
+    count(evaluate, "train")
+    count(classify, "mine_rules")
+    count(arm, "mine_frequent")
+    cross_validate(corpus, PipelineConfig(folds=10, seed=3), transactions=transactions)
+    assert counts == {"train": 10, "mine_rules": 20, "mine_frequent": 20}
 
 
 def test_mode_filter_reaches_transactions(lexicon):
