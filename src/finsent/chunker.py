@@ -21,7 +21,9 @@ The NFA runs as a lazily built DFA: a transition between sets of NFA states
 is computed the first time a match takes it and cached on the rule.
 Sequences are POS tags and chunk labels, so the cache is bounded by the
 grammar, not by the input, and compiling a grammar builds no DFA state beyond
-the start set.
+the start set.  A rule's scan reads the start set's cached step on each
+element's symbol first: when that step is dead, no match can start there and
+the element passes through without a match attempt.
 """
 from __future__ import annotations
 
@@ -395,26 +397,37 @@ class Chunk:
                 yield from child.subchunks()
 
 
-def _apply_rule(rule: ChunkRule, elements: List[object]) -> List[object]:
-    symbols = [el.symbol for el in elements]
+def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str]) -> tuple:
+    """One rule over the elements and their symbols; returns both lists after it."""
+    dfa: dict = rule._dfa  # type: ignore[attr-defined]
+    start = rule._nfa.closure0  # type: ignore[attr-defined]
     out: List[object] = []
+    out_symbols: List[str] = []
     i = 0
     while i < len(elements):
-        length = rule.longest_match(symbols, i)
+        symbol = symbols[i]
+        step = dfa.get((start, symbol))
+        if step is None:
+            step = rule._step(start, symbol)
+        # a dead first step means no match here: most starts end on it
+        length = rule.longest_match(symbols, i) if step[0] is not None else 0
         if length >= 1:
             out.append(Chunk(rule.label, tuple(elements[i : i + length])))
+            out_symbols.append(rule.label)
             i += length
         else:
             out.append(elements[i])
+            out_symbols.append(symbol)
             i += 1
-    return out
+    return out, out_symbols
 
 
 def chunk(grammar: ChunkGrammar, sentence: PosSentence) -> Chunk:
     """Apply the grammar's rules in order; returns the sentence tree."""
     elements: List[object] = [Leaf(tok, i) for i, tok in enumerate(sentence.tokens)]
+    symbols = [tok.pos for tok in sentence.tokens]
     for rule in grammar.rules:
-        elements = _apply_rule(rule, elements)
+        elements, symbols = _apply_rule(rule, elements, symbols)
     return Chunk("S", tuple(elements))
 
 
@@ -450,9 +463,16 @@ class Span:
 
 @dataclass(frozen=True)
 class PairExtraction:
-    """Candidate (indicator, modifier) span pairs."""
+    """Each pair-pattern node's (indicator spans, modifier spans), in pre-order."""
 
-    pairs: tuple
+    nodes: tuple
+
+    @property
+    def pairs(self) -> tuple:
+        """Candidate (indicator, modifier) span pairs: by node, indicator, then modifier."""
+        return tuple(
+            (ind, mod) for indicators, modifiers in self.nodes for ind in indicators for mod in modifiers
+        )
 
 
 def chunk_span(node: Chunk) -> Span:
@@ -466,14 +486,14 @@ def pair_nodes(tree: Chunk) -> List[Chunk]:
 
 
 def extract_pairs(tree: Chunk) -> PairExtraction:
-    """Collect indicator/modifier span pairs from every pair-pattern node.
+    """Collect the indicator and modifier spans of every pair-pattern node.
 
     For each node labelled NPJJ, every (NP-or-NPP, JJ/RB/VB) combination is a
     candidate pair, ordered by indicator position then modifier position.
     """
-    pairs: List[tuple] = []
+    nodes: List[tuple] = []
     for node in pair_nodes(tree):
-        indicators = [chunk_span(c) for c in node.subchunks() if c.label in INDICATOR_LABELS]
-        modifiers = [chunk_span(c) for c in node.subchunks() if c.label in MODIFIER_LABELS]
-        pairs.extend((ind, mod) for ind in indicators for mod in modifiers)
-    return PairExtraction(tuple(pairs))
+        indicators = tuple(chunk_span(c) for c in node.subchunks() if c.label in INDICATOR_LABELS)
+        modifiers = tuple(chunk_span(c) for c in node.subchunks() if c.label in MODIFIER_LABELS)
+        nodes.append((indicators, modifiers))
+    return PairExtraction(tuple(nodes))

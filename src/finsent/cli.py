@@ -61,6 +61,14 @@ def _percent(value: str) -> float:
     return number
 
 
+def _percent_grid(value: str) -> tuple:
+    """Comma-separated percents, each in (0, 100]; empty items are skipped."""
+    grid = tuple(_percent(item) for item in value.split(",") if item.strip())
+    if not grid:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {value!r}")
+    return grid
+
+
 def _fold_count(value: str) -> int:
     number = int(value)
     if number < 2:
@@ -250,8 +258,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args.lexicon, args.reversals)
     corpus = load_phrasebank(args.corpus, encoding=args.encoding, pretagged=args.pretagged)
     config = _config_from_args(args)
-    grid = [float(v) for v in args.grid.split(",") if v.strip()]
-    points = sweep_confidence(corpus, config, grid, lexicon=lexicon)
+    points = sweep_confidence(corpus, config, args.grid, lexicon=lexicon)
     _write_out(sweep_to_csv(points), args.out)
     for point in points:
         print(
@@ -322,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--corpus", required=True)
     p_sweep.add_argument("--folds", type=_fold_count, default=10)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--grid", default="60,70,80,90", help="comma-separated minconf values")
+    p_sweep.add_argument("--grid", type=_percent_grid, default="60,70,80,90",
+                         help="comma-separated minconf values")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_score = sub.add_parser(

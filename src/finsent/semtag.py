@@ -12,8 +12,9 @@ is built in four passes:
    bare tags (spans consumed by an interaction are suppressed);
 4. POS/NEG sentiment words are collected token-wise, independent of chunking.
 
-The lexicon is read once per sentence: every n-gram of up to the longest
-phrase's length is looked up, giving one list of hits.  Passes 1 and 2 take
+The lexicon is read once per sentence into one list of hits: at each token
+whose word starts an entry, the n-grams of up to that word's longest entry
+are looked up (see ``_lexicon_hits``).  Passes 1 and 2 take
 the longest hit inside a chunk span; passes 3 and 4 scan the list left to
 right, longest match first, without overlaps.
 
@@ -31,6 +32,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, 
 from .chunker import (
     Chunk,
     INDICATOR_LABELS,
+    PairExtraction,
     Span,
     bundled_grammar,
     chunk,
@@ -44,6 +46,7 @@ from .lexicon import (
     SENTIMENT_CATEGORIES,
     LexCategory,
     Lexicon,
+    normalize_phrase,
 )
 from .pos_text import PosSentence
 
@@ -172,12 +175,22 @@ class _Hit:
 def _lexicon_hits(lex: Lexicon, surfaces: Sequence[str]) -> Tuple[_Hit, ...]:
     """Every lexicon phrase in the sentence, by start, longest first.
 
-    Each n-gram of up to ``lex.max_phrase_len`` tokens is looked up once.
+    Each surface is normalized once.  When each normalizes to exactly one
+    word, an n-gram's normalized words are its surfaces' words, so it can be
+    an entry only if its first word starts one and it is no longer than the
+    longest entry that word starts (``lex.reach``); only those lengths are
+    looked up.  A sentence with a surface of zero or several words looks up
+    every n-gram of up to ``lex.max_phrase_len`` tokens instead.
     """
-    hits = []
+    words = [normalize_phrase(surface) for surface in surfaces]
     n = len(surfaces)
+    if all(word and " " not in word for word in words):
+        reach = [lex.reach(word) for word in words]
+    else:
+        reach = [lex.max_phrase_len] * n
+    hits = []
     for start in range(n):
-        for end in range(min(n, start + lex.max_phrase_len), start, -1):
+        for end in range(min(n, start + reach[start]), start, -1):
             phrase = surfaces[start:end]
             category = lex.lookup(phrase)
             if category is not None:
@@ -270,6 +283,44 @@ def derive_numeric_direction(
     return found[0] if found else None
 
 
+def _span_hits(find, spans: Sequence[Span], categories) -> List[tuple]:
+    """``((label, start, end), hit)`` of each span with a hit in the categories, in order."""
+    found = []
+    for span in spans:
+        end = span.end
+        hit = find(span.start, end, categories)
+        if hit is not None:
+            found.append(((span.label, span.start, end), hit))
+    return found
+
+
+def _pair_hits(
+    extraction: PairExtraction, find: Callable[[int, int, frozenset], Optional[_Hit]]
+) -> List[Tuple[_Hit, _Hit]]:
+    """(indicator hit, direction hit) of every pair that becomes an interaction.
+
+    Pairs are taken greedily by node, indicator, then modifier, skipping any
+    whose spans an earlier interaction used.  A span without a hit pairs with
+    nothing, so only spans with one are kept.  Spans are keyed by (label,
+    start, end), which within one sentence is Span equality.
+    """
+    found: List[Tuple[_Hit, _Hit]] = []
+    used_spans: Set[tuple] = set()
+    for indicators, modifiers in extraction.nodes:
+        ind_hits = _span_hits(find, indicators, INDICATOR_CATEGORIES)
+        mod_hits = _span_hits(find, modifiers, DIRECTION_CATEGORIES) if ind_hits else ()
+        for ind_key, ind_hit in ind_hits:
+            if ind_key in used_spans:
+                continue
+            for mod_key, mod_hit in mod_hits:
+                if mod_key not in used_spans:
+                    found.append((ind_hit, mod_hit))
+                    used_spans.add(ind_key)
+                    used_spans.add(mod_key)
+                    break
+    return found
+
+
 def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False) -> TaggedSentence:
     """Extract the semantic tag set of one sentence (see module docstring)."""
     surfaces = sentence.surfaces
@@ -282,20 +333,9 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
 
     interactions: List[Tuple[SemTag, _Hit]] = []
     consumed: Set[int] = set()
-    used_spans: Set[Span] = set()
-    for ind_span, mod_span in extraction.pairs:
-        if ind_span in used_spans or mod_span in used_spans:
-            continue
-        ind_hit = find(ind_span.start, ind_span.end, INDICATOR_CATEGORIES)
-        if ind_hit is None:
-            continue
-        mod_hit = find(mod_span.start, mod_span.end, DIRECTION_CATEGORIES)
-        if mod_hit is None:
-            continue
+    for ind_hit, mod_hit in _pair_hits(extraction, find):
         interactions.append((interaction_tag(ind_hit.category, mod_hit.category), ind_hit))
         consumed.update(range(ind_hit.start, ind_hit.end), range(mod_hit.start, mod_hit.end))
-        used_spans.add(ind_span)
-        used_spans.add(mod_span)
 
     if not interactions and (marker := _marker_in(surfaces)):
         found = _numeric_hit(chunk(bundled_grammar("numeric_direction"), sentence), find, marker)

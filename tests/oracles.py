@@ -9,6 +9,9 @@ results compare exactly.
 Lexicon scans, independent of semtag's hit list: every candidate n-gram is
 looked up in the lexicon where the scan reaches it.  A hit is the tuple
 (category, lowercased phrase, start, end) of the tokens [start, end).
+
+Indicator/modifier pairing, independent of semtag's per-node loop: every
+candidate pair is visited in order and resolved on its own.
 """
 from __future__ import annotations
 
@@ -81,3 +84,35 @@ def lookup_find_in_span(lex, surfaces: Sequence[str], start: int, end: int, cate
             if category is not None and category in categories:
                 return (category, " ".join(phrase).lower(), first, first + n)
     return None
+
+
+def lookup_hits(lex, surfaces: Sequence[str]) -> list:
+    """Every n-gram of up to the longest phrase's length that is an entry, by start, longest first."""
+    n = len(surfaces)
+    hits = []
+    for start in range(n):
+        for end in range(min(n, start + lex.max_phrase_len), start, -1):
+            category = lex.lookup(surfaces[start:end])
+            if category is not None:
+                hits.append((category, " ".join(surfaces[start:end]).lower(), start, end))
+    return hits
+
+
+def flat_pair_hits(pairs, find, indicator_categories, direction_categories) -> list:
+    """(indicator hit, direction hit) of each (indicator, modifier) span pair that
+    becomes an interaction: taken greedily in order, each span in at most one."""
+    used_spans = set()
+    found = []
+    for ind_span, mod_span in pairs:
+        if ind_span in used_spans or mod_span in used_spans:
+            continue
+        ind_hit = find(ind_span.start, ind_span.end, indicator_categories)
+        if ind_hit is None:
+            continue
+        mod_hit = find(mod_span.start, mod_span.end, direction_categories)
+        if mod_hit is None:
+            continue
+        found.append((ind_hit, mod_hit))
+        used_spans.add(ind_span)
+        used_spans.add(mod_span)
+    return found

@@ -208,6 +208,17 @@ def test_bad_percent_flag_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["60,abc", "0", "70,nan", ","])
+def test_bad_sweep_grid_is_usage_error(tmp_path, capsys, grid):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    out_file = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--corpus", str(corpus), "--folds", "2", "--grid", grid, "--out", str(out_file)])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_score_external_predictions(tmp_path, capsys):
     corpus = write_corpus(tmp_path, [("a .", "positive"), ("b .", "neutral"), ("c .", "negative")])
     predictions = tmp_path / "preds.tsv"
