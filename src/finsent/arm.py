@@ -3,7 +3,9 @@
 Transactions are tag sets with a class label; the label joins the itemset as
 a distinguished item during mining.  Itemsets are generated level-wise as in
 Apriori and counted on vertical tidsets as in Eclat: one int per item whose
-bit i marks row i, so a count is the popcount of an AND.  Rules have the form
+bit i marks row i, so a count is the popcount of an AND.  The ints are built
+from one flag byte per (item, row), filled in a single pass over the rows and
+converted with one base-2 parse per item.  Rules have the form
 ``antecedent -> c`` where the consequent is a single class item, qualified by
 support (joint frequency over all transactions, in percent) and confidence.
 A RuleBase is totally ordered: confidence desc, support desc, antecedent
@@ -12,7 +14,9 @@ tie-breaks.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, groupby
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -33,6 +37,8 @@ __all__ = [
 
 DEFAULT_MINSUP = 0.5
 DEFAULT_MINCONF = 60.0
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class MiningError(ValueError):
@@ -89,6 +95,14 @@ class RuleBase:
     def __iter__(self):
         return iter(self.rules)
 
+    @cached_property
+    def index(self) -> Dict[FrozenSet[str], Tuple[int, ...]]:
+        """Each antecedent's rule positions, ascending; built on first use."""
+        positions: Dict[FrozenSet[str], List[int]] = defaultdict(list)
+        for position, rule in enumerate(self.rules):
+            positions[rule.antecedent].append(position)
+        return {antecedent: tuple(found) for antecedent, found in positions.items()}
+
 
 def _check_percent(value: float, name: str) -> None:
     if not (0.0 < value <= 100.0):
@@ -102,20 +116,26 @@ def mine_frequent(
 
     Level-wise Apriori counted on vertical tidsets, as in Eclat: an item's
     tidset is one int with bit i set when row i's basket holds the item, and
-    an itemset's count is the popcount of its tidset.  Each level maps sorted
-    item tuples, in sorted order, to their tidsets.  Two (k-1)-tuples that
-    share their first k-2 items join into a size-k candidate, which is
-    pruned unless every (k-1)-subset is frequent (downward closure); its
-    tidset is the AND of the two joined tidsets.
+    an itemset's count is the popcount of its tidset.  One pass over the rows
+    sets byte ``row`` of each of its items' ``bytearray(n)`` flags to 1; each
+    item's flags, mapped to the digits "0"/"1", are then parsed as one base-2
+    int, so no n-bit int is rebuilt per row.  Each level maps sorted item
+    tuples, in sorted order, to their tidsets.  Two (k-1)-tuples that share
+    their first k-2 items join into a size-k candidate, which is pruned
+    unless every (k-1)-subset is frequent (downward closure); its tidset is
+    the AND of the two joined tidsets.
     """
     if not transactions:
         raise MiningError("cannot mine an empty transaction list")
     _check_percent(minsup, "minsup")
     n = len(transactions)
-    tidsets: Dict[str, int] = {}
+    flags: Dict[str, bytearray] = defaultdict(lambda: bytearray(n))
     for row, transaction in enumerate(transactions):
-        for item in transaction.basket:
-            tidsets[item] = tidsets.get(item, 0) | (1 << row)
+        for item in transaction.items:
+            flags[item][row] = 1
+        flags[transaction.label][row] = 1
+    # int() reads the most significant digit first, so row 0's flag goes last
+    tidsets = {item: int(bits[::-1].translate(_BINARY_DIGITS), 2) for item, bits in flags.items()}
 
     frequent: Dict[FrozenSet[str], float] = {}
     level: Dict[Tuple[str, ...], int] = {}

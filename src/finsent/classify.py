@@ -1,11 +1,13 @@
 """Polarity prediction from ordered rule bases.
 
-``predict_flat`` scores a tag set against every rule: a rule whose antecedent
-equals the complete tag set matches, otherwise single-item antecedents match
-each tag individually.  Matched rules contribute their confidence to their
-class; the class with the highest average confidence wins, with ties resolved
-neutral, then negative, then positive.  With no match the default class is
-returned.
+``predict_flat`` scores a tag set against the rules that match it: a rule
+whose antecedent equals the complete tag set matches, and so does a rule
+whose single-item antecedent is one of the tags.  Each rule base indexes its
+rules by antecedent once, so a prediction looks up the tag set and each of
+its tags instead of testing every rule.  Matched rules contribute their
+confidence to their class; the class with the highest average confidence
+wins, with ties resolved neutral, then negative, then positive.  With no
+match the default class is returned.
 
 Three arrangements are supported: a hierarchical classifier (stage one
 separates neutral from polarized, stage two positive from negative), a flat
@@ -14,6 +16,8 @@ three-class rule base, and one-against-one pairwise voting.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -104,19 +108,29 @@ def score_tags(
     rb: RuleBase,
     match_policy: MatchPolicy = MatchPolicy.EXACT,
 ) -> ClassScore:
-    """Accumulate rule confidences per class for one tag set."""
+    """Accumulate rule confidences per class for one tag set.
+
+    Under the exact policy a rule matches when its antecedent is the whole
+    tag set or one tag of it, so the matches are read from ``rb.index``; the
+    subset policy scans every rule.  Matches are added in rule-base order
+    either way, so every float sum keeps its bits.
+    """
     tags = frozenset(tags)
+    if match_policy is MatchPolicy.SUBSET:
+        matched = [rule for rule in rb.rules if rule.antecedent <= tags]
+    else:
+        index = rb.index
+        positions = list(index.get(tags, ()))
+        if len(tags) > 1:
+            for tag in tags:
+                positions += index.get(frozenset((tag,)), ())
+        positions.sort()
+        matched = [rb.rules[position] for position in positions]
     sums: Dict[str, float] = {}
     counts: Dict[str, int] = {}
-    for rule in rb.rules:
-        if match_policy is MatchPolicy.SUBSET:
-            matched = rule.antecedent <= tags
-        else:
-            # the whole tag set, or a one-tag antecedent that is one of the tags
-            matched = rule.antecedent == tags or (len(rule.antecedent) == 1 and rule.antecedent <= tags)
-        if matched:
-            sums[rule.consequent] = sums.get(rule.consequent, 0.0) + rule.confidence
-            counts[rule.consequent] = counts.get(rule.consequent, 0) + 1
+    for rule in matched:
+        sums[rule.consequent] = sums.get(rule.consequent, 0.0) + rule.confidence
+        counts[rule.consequent] = counts.get(rule.consequent, 0) + 1
     return ClassScore(sums, counts)
 
 
@@ -286,10 +300,7 @@ def predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
 _MANIFEST = "manifest.json"
 
 
-def save_model(model: ClassifierModel, directory: Union[str, Path], tagging: Optional[dict] = None) -> Path:
-    """Write a model directory: manifest.json plus one rules file per stage."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def _write_model(model: ClassifierModel, directory: Path, tagging: Optional[dict]) -> None:
     stage_files = {}
     for stage, rb in model.stages.items():
         filename = f"{stage}.rules"
@@ -310,6 +321,48 @@ def save_model(model: ClassifierModel, directory: Union[str, Path], tagging: Opt
     (directory / _MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def _sibling(path: Path) -> Path:
+    """A fresh hidden name beside ``path``."""
+    return path.parent / f".{path.name}.{os.urandom(8).hex()}"
+
+
+def save_model(model: ClassifierModel, directory: Union[str, Path], tagging: Optional[dict] = None) -> Path:
+    """Write a model directory: manifest.json plus one rules file per stage.
+
+    The files are written to a new directory beside ``directory``, which is
+    then renamed into place, so a failed save leaves no partial model and an
+    existing model at ``directory`` intact.  An existing ``directory`` is
+    replaced as a whole; it must be empty or hold a ``manifest.json``, else
+    FileExistsError is raised and nothing is written.
+    """
+    directory = Path(directory)
+    target = Path(os.path.abspath(directory))
+    if target.exists() and not (
+        target.is_dir() and ((target / _MANIFEST).is_file() or not any(target.iterdir()))
+    ):
+        raise FileExistsError(f"{directory}: exists and is not a model directory; not replacing it")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = _sibling(target)
+    staging.mkdir()
+    try:
+        _write_model(model, staging, tagging)
+        if target.exists():
+            # rename(2) replaces only an empty directory: move the old model aside first
+            retired = _sibling(target)
+            target.rename(retired)
+            try:
+                staging.rename(target)
+            except OSError:
+                retired.rename(target)
+                raise
+            shutil.rmtree(retired)
+        else:
+            staging.rename(target)
+    finally:
+        if staging.exists():
+            shutil.rmtree(staging)
     return directory
 
 

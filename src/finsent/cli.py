@@ -50,7 +50,8 @@ from .lexicon import LexiconError, Lexicon, default_lexicon_paths, load_default_
 from .pos_text import PosTextError
 from .semtag import Mode, canonical_order
 
-CONFIG_ERRORS = (LexiconError, GrammarError, ModelFormatError, FileNotFoundError, IsADirectoryError)
+CONFIG_ERRORS = (LexiconError, GrammarError, ModelFormatError, FileNotFoundError, FileExistsError,
+                 IsADirectoryError)
 DATA_ERRORS = (CorpusError, FoldError, MiningError, RuleBaseFormatError, PosTextError)
 
 
@@ -193,12 +194,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+# the baseline classifiers `finsent evaluate --classifier` offers
+_STUBS = {"majority": majority_trainer, "perfect": perfect_trainer}
+
+
 def _trainer_for(args: argparse.Namespace, config: PipelineConfig):
-    if args.classifier == "majority":
-        return majority_trainer
-    if args.classifier == "perfect":
-        return perfect_trainer
-    return pipeline_trainer(config)
+    return _STUBS.get(args.classifier) or pipeline_trainer(config)
 
 
 def _emit_report(report, args: argparse.Namespace) -> None:
@@ -218,9 +219,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = cross_validate(
         corpus, config, folds=folds, lexicon=lexicon, trainer=_trainer_for(args, config)
     )
-    report = dataclasses.replace(
-        report, config={**report.config, "classifier": args.classifier}
-    )
+    config_out = {**report.config, "classifier": args.classifier}
+    if args.classifier in _STUBS:
+        # a stub trains no arrangement; PipelineConfig only holds a placeholder
+        del config_out["arrangement"]
+    report = dataclasses.replace(report, config=config_out)
     _emit_report(report, args)
     return 0
 
@@ -287,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input sentences are pre-tagged surface_TAG sequences")
         p.add_argument("--out", help="output file (default stdout)")
         if classifier:
-            choices = [a.value for a in Arrangement] + (["majority", "perfect"] if stubs else [])
+            choices = [a.value for a in Arrangement] + (list(_STUBS) if stubs else [])
             p.add_argument("--classifier", choices=choices, default="hsc")
             p.add_argument("--minsup", type=_percent, default=0.5, help="minimum support percent")
             p.add_argument("--minconf", type=_percent, default=60.0, help="minimum confidence percent")

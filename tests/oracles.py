@@ -12,11 +12,17 @@ looked up in the lexicon where the scan reaches it.  A hit is the tuple
 
 Indicator/modifier pairing, independent of semtag's per-node loop: every
 candidate pair is visited in order and resolved on its own.
+
+Rule scoring, independent of the rule base's antecedent index: every rule is
+tested against the tag set, in rule-base order.
 """
 from __future__ import annotations
 
 from itertools import chain, combinations
 from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
+
+from finsent.arm import RuleBase
+from finsent.classify import ClassScore, MatchPolicy
 
 
 def brute_force_frequent(
@@ -116,3 +122,24 @@ def flat_pair_hits(pairs, find, indicator_categories, direction_categories) -> l
         used_spans.add(ind_span)
         used_spans.add(mod_span)
     return found
+
+
+def scan_score_tags(
+    tags: FrozenSet[str],
+    rb: RuleBase,
+    match_policy: MatchPolicy = MatchPolicy.EXACT,
+) -> ClassScore:
+    """Accumulate rule confidences per class for one tag set, testing every rule."""
+    tags = frozenset(tags)
+    sums: Dict[str, float] = {}
+    counts: Dict[str, int] = {}
+    for rule in rb.rules:
+        if match_policy is MatchPolicy.SUBSET:
+            matched = rule.antecedent <= tags
+        else:
+            # the whole tag set, or a one-tag antecedent that is one of the tags
+            matched = rule.antecedent == tags or (len(rule.antecedent) == 1 and rule.antecedent <= tags)
+        if matched:
+            sums[rule.consequent] = sums.get(rule.consequent, 0.0) + rule.confidence
+            counts[rule.consequent] = counts.get(rule.consequent, 0) + 1
+    return ClassScore(sums, counts)

@@ -193,6 +193,22 @@ def test_matches_bruteforce_on_wide_instances(instance):
     assert mine_frequent(transactions, minsup) == brute_force_frequent([t.basket for t in transactions], minsup)
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17])
+def test_tidsets_across_byte_boundaries(n):
+    # "first" and "last" occur in one row each, at either end of the flag array
+    rng = random.Random(n)
+    transactions = [
+        Transaction(frozenset(rng.sample(["a", "b", "c"], rng.randint(0, 3))
+                              + ["first"] * (row == 0) + ["last"] * (row == n - 1)),
+                    rng.choice(["neutral", "positive"]))
+        for row in range(n)
+    ]
+    minsup = 100.0 / n
+    frequent = mine_frequent(transactions, minsup)
+    assert frequent == brute_force_frequent([t.basket for t in transactions], minsup)
+    assert frequent[frozenset({"first"})] == frequent[frozenset({"last"})] == minsup
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_raising_minconf_never_adds_rules(seed):

@@ -1,12 +1,16 @@
 import json
 import random
+import struct
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scan_score_tags
 from sample_data import KNOWN_RULES_TEXT, SAMPLE_TRANSACTIONS
-from finsent.arm import MiningError, Rule, RuleBase, parse_rulebase
+from finsent import classify
+from finsent.arm import MiningError, Rule, RuleBase, parse_rulebase, serialize_rulebase
 from finsent.classify import (
     Arrangement,
     MatchPolicy,
@@ -114,6 +118,57 @@ def test_argmax_invariance_under_confidence_scaling(factor):
         assert predict_flat(tags, rb) == predict_flat(tags, scaled)
 
 
+_SCORE_TAGS = ["A", "B", "C", "D"]
+_SCORE_CLASSES = [POSITIVE, NEUTRAL, NEGATIVE, POLARIZED]
+
+
+@st.composite
+def scored_rule_bases(draw):
+    """Rules over four tags in drawn (not sorted) order: antecedents from a
+    small pool, so duplicates and one-tag antecedents are common, and
+    confidences whose sums depend on the order they are added in."""
+    pool = draw(st.lists(st.frozensets(st.sampled_from(_SCORE_TAGS), min_size=1), min_size=1, max_size=6))
+    rules = draw(st.lists(st.builds(
+        Rule, st.sampled_from(pool), st.sampled_from(_SCORE_CLASSES),
+        st.floats(0.1, 100.0), st.floats(0.1, 100.0),
+    ), max_size=30))
+    return RuleBase(tuple(rules), minsup=1.0, minconf=50.0)
+
+
+def _sum_bits(score):
+    return [(cls, struct.pack("<d", total)) for cls, total in score.sums.items()]
+
+
+@given(scored_rule_bases(), st.frozensets(st.sampled_from(_SCORE_TAGS)))
+@settings(max_examples=150, deadline=None)
+def test_indexed_scoring_matches_scan_oracle(rb, drawn_tags):
+    # besides the drawn tag set: the empty set, every one-tag set, and every
+    # antecedent of the rule base as the whole tag set
+    tag_sets = {drawn_tags, frozenset()} | {frozenset((t,)) for t in _SCORE_TAGS} | set(rb.index)
+    for tags in tag_sets:
+        for policy in MatchPolicy:
+            got, want = score_tags(tags, rb, policy), scan_score_tags(tags, rb, policy)
+            assert got.counts == want.counts
+            assert _sum_bits(got) == _sum_bits(want)
+            for scoring in Scoring:
+                winner = predict_flat(tags, rb, match_policy=policy, scoring=scoring)
+                with patch.object(classify, "score_tags", scan_score_tags):
+                    assert winner == predict_flat(tags, rb, match_policy=policy, scoring=scoring)
+
+
+def test_rule_base_index_is_built_once(known_rulebase):
+    rb = parse_rulebase(KNOWN_RULES_TEXT)
+    assert "index" not in vars(rb)
+    score_tags(frozenset({"UP", "POS"}), rb)
+    index = vars(rb)["index"]
+    for tags in (frozenset(), frozenset({"UP"}), frozenset({"UP", "POS", "NEG"})):
+        score_tags(tags, rb)
+        assert vars(rb)["index"] is index
+    assert sorted(p for positions in index.values() for p in positions) == list(range(len(rb)))
+    # the cached index is no field: equality and hashing ignore it
+    assert rb == known_rulebase and hash(rb) == hash(known_rulebase)
+
+
 # ---------------------------------------------------------------------------
 # training arrangements
 # ---------------------------------------------------------------------------
@@ -217,6 +272,48 @@ def test_save_load_round_trip(tmp_path):
     loaded, manifest = load_model(tmp_path / "model")
     assert loaded == model
     assert manifest["tagging"]["mode"] == "all"
+
+
+def test_save_replaces_an_existing_model(tmp_path):
+    ovo = train(SAMPLE_TRANSACTIONS, Arrangement.ONE_VS_ONE, minsup=0.5, minconf=60.0)
+    hsc = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
+    save_model(ovo, tmp_path / "model")
+    save_model(hsc, tmp_path / "model")
+    assert load_model(tmp_path / "model")[0] == hsc
+    # the old model's stage files went with it, and no staging directory is left
+    assert sorted(p.name for p in (tmp_path / "model").iterdir()) == ["gate.rules", "manifest.json", "polarity.rules"]
+    assert [p.name for p in tmp_path.iterdir()] == ["model"]
+
+
+def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
+    old = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
+    save_model(old, tmp_path / "model")
+    calls = []
+
+    def fail_on_second_stage(rb):
+        calls.append(rb)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return serialize_rulebase(rb)
+
+    monkeypatch.setattr(classify, "serialize_rulebase", fail_on_second_stage)
+    new = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=20.0, minconf=60.0)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(new, tmp_path / "model")
+    assert len(calls) == 2
+    assert load_model(tmp_path / "model")[0] == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model"]
+
+
+def test_save_refuses_to_replace_what_is_not_a_model(tmp_path):
+    model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
+    (tmp_path / "notes.txt").write_text("keep me")
+    with pytest.raises(FileExistsError, match="not a model directory"):
+        save_model(model, tmp_path)
+    with pytest.raises(FileExistsError, match="not a model directory"):
+        save_model(model, tmp_path / "notes.txt")
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+    assert (tmp_path / "notes.txt").read_text() == "keep me"
 
 
 def test_load_missing_manifest(tmp_path):

@@ -194,7 +194,23 @@ def test_reports_embed_config_for_replay(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["seed"] == 42
     assert payload["config"]["folds"] == 3
-    assert payload["config"]["arrangement"] == "hsc"
+    assert payload["config"]["classifier"] == "perfect"
+    assert "arrangement" not in payload["config"]
+
+
+@pytest.mark.parametrize("classifier, arrangement", [
+    ("majority", None), ("perfect", None), ("hsc", "hsc"), ("multiclass", "multiclass"), ("ovo", "ovo"),
+])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_only_rule_classifiers_report_an_arrangement(tmp_path, capsys, classifier, arrangement, fmt):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES * 2)
+    assert main(["evaluate", "--corpus", str(corpus), "--classifier", classifier,
+                 "--folds", "2", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["config"].get("arrangement") == arrangement
+    else:
+        assert ("'arrangement'" in out) == (arrangement is not None)
 
 
 def test_bad_percent_flag_is_usage_error(tmp_path, capsys):
