@@ -41,7 +41,6 @@ from .semtag import (
     Mode,
     SemTag,
     TaggedSentence,
-    derive_numeric_direction,
     filter_mode,
     flip_direction,
     tag_sentence,

@@ -14,6 +14,7 @@ tie-breaks.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +40,8 @@ DEFAULT_MINSUP = 0.5
 DEFAULT_MINCONF = 60.0
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# 100 * sup / sup can round one ulp above 100 (11 of 12 rows: 100.00000000000001)
+_MAX_CONFIDENCE = math.nextafter(100.0, math.inf)
 
 
 class MiningError(ValueError):
@@ -121,9 +124,10 @@ def mine_frequent(
     item's flags, mapped to the digits "0"/"1", are then parsed as one base-2
     int, so no n-bit int is rebuilt per row.  Each level maps sorted item
     tuples, in sorted order, to their tidsets.  Two (k-1)-tuples that share
-    their first k-2 items join into a size-k candidate, which is pruned
-    unless every (k-1)-subset is frequent (downward closure); its tidset is
-    the AND of the two joined tidsets.
+    their first k-2 items join into a size-k candidate whose tidset is the
+    AND of the two joined tidsets.  Apriori's (k-1)-subset prune is left out:
+    support is monotone, so a candidate with an infrequent subset fails the
+    support test itself, and the AND and popcount cost less than the check.
     """
     if not transactions:
         raise MiningError("cannot mine an empty transaction list")
@@ -149,8 +153,6 @@ def mine_frequent(
         for _, joinable in groupby(level.items(), key=lambda entry: entry[0][:-1]):
             for (a, tids_a), (b, tids_b) in combinations(joinable, 2):
                 candidate = a + b[-1:]
-                if any(candidate[:j] + candidate[j + 1 :] not in level for j in range(len(a) - 1)):
-                    continue
                 tids = tids_a & tids_b
                 support = 100.0 * tids.bit_count() / n
                 if support >= minsup:
@@ -217,8 +219,11 @@ def serialize_rulebase(rb: RuleBase) -> str:
     Raises RuleBaseFormatError for a rule base parse_rulebase could not read
     back: an empty antecedent; a tag or class that is empty, has surrounding
     whitespace, or holds a line break or a separator; a tag that starts with
-    '#'; a metadata key that holds '=' or names a threshold.
+    '#'; a metadata key that holds '=' or names a threshold; a threshold,
+    support or confidence outside the range parse_rulebase accepts.
     """
+    if not (0.0 < rb.minsup <= 100.0 and 0.0 < rb.minconf <= 100.0):
+        raise RuleBaseFormatError(f"minsup {rb.minsup!r} or minconf {rb.minconf!r} is not in (0, 100]")
     lines = [f"# minsup={rb.minsup!r}", f"# minconf={rb.minconf!r}"]
     for key, value in rb.metadata:
         if _unwritable(f"{key}", ("=",)) or key in ("minsup", "minconf") or _unwritable(f"{value}"):
@@ -227,6 +232,8 @@ def serialize_rulebase(rb: RuleBase) -> str:
     for rule in rb.rules:
         if not rule.antecedent:
             raise RuleBaseFormatError(f"rule -> {rule.consequent!r} has an empty antecedent")
+        if not (0.0 < rule.support <= 100.0 and 0.0 < rule.confidence <= _MAX_CONFIDENCE):
+            raise RuleBaseFormatError(f"{rule!r}: support or confidence is not in (0, 100]")
         for tag in rule.antecedent:
             # a tag ending in " ->" would end the antecedent early
             if not tag or tag.startswith("#") or " -> " in tag + " " or _unwritable(tag, (",", "\t")):
@@ -238,8 +245,20 @@ def serialize_rulebase(rb: RuleBase) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _percent_field(text: str, name: str, upper: float = 100.0) -> float:
+    value = float(text)
+    if not 0.0 < value <= upper:
+        raise ValueError(f"{name} {value!r} is not in (0, 100]")
+    return value
+
+
 def parse_rulebase(text: str) -> RuleBase:
-    """Inverse of serialize_rulebase; raises RuleBaseFormatError with line numbers."""
+    """Inverse of serialize_rulebase; raises RuleBaseFormatError with line numbers.
+
+    The minsup/minconf headers and each rule's support and confidence must be
+    numbers in (0, 100]; a confidence may read one ulp above 100, as
+    ``generate_rules`` can compute it.
+    """
     minsup, minconf = DEFAULT_MINSUP, DEFAULT_MINCONF
     metadata: List[tuple] = []
     rules: List[Rule] = []
@@ -247,19 +266,19 @@ def parse_rulebase(text: str) -> RuleBase:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+        try:
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if not eq:
+                    continue
                 key, value = key.strip(), value.strip()
                 if key == "minsup":
-                    minsup = float(value)
+                    minsup = _percent_field(value, key)
                 elif key == "minconf":
-                    minconf = float(value)
+                    minconf = _percent_field(value, key)
                 else:
                     metadata.append((key, value))
-            continue
-        try:
+                continue
             head, sup_s, conf_s = line.split("\t")
             antecedent_s, _, consequent = head.partition(" -> ")
             if not _ or not consequent or not antecedent_s:
@@ -267,9 +286,11 @@ def parse_rulebase(text: str) -> RuleBase:
             antecedent = frozenset(p.strip() for p in antecedent_s.split(",") if p.strip())
             if not antecedent:
                 raise ValueError("empty antecedent")
-            rules.append(Rule(antecedent, consequent.strip(), float(sup_s), float(conf_s)))
+            support = _percent_field(sup_s, "support")
+            confidence = _percent_field(conf_s, "confidence", _MAX_CONFIDENCE)
+            rules.append(Rule(antecedent, consequent.strip(), support, confidence))
         except ValueError as exc:
-            raise RuleBaseFormatError(f"line {lineno}: cannot parse rule {raw!r}: {exc}") from None
+            raise RuleBaseFormatError(f"line {lineno}: cannot parse {raw!r}: {exc}") from None
     rules.sort(key=Rule.sort_key)
     return RuleBase(tuple(rules), minsup=minsup, minconf=minconf, metadata=tuple(metadata))
 

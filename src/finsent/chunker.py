@@ -41,13 +41,11 @@ __all__ = [
     "ChunkRule",
     "Leaf",
     "Chunk",
-    "Span",
     "PairExtraction",
     "compile_grammar",
     "bundled_grammar_source",
     "bundled_grammar",
     "chunk",
-    "chunk_span",
     "pair_nodes",
     "extract_pairs",
     "to_bracket",
@@ -348,10 +346,6 @@ class Leaf:
     index: int
 
     @property
-    def symbol(self) -> str:
-        return self.token.pos
-
-    @property
     def start(self) -> int:
         return self.index
 
@@ -366,10 +360,6 @@ class Chunk:
 
     label: str
     children: tuple
-
-    @property
-    def symbol(self) -> str:
-        return self.label
 
     @property
     def start(self) -> int:
@@ -449,35 +439,17 @@ MODIFIER_LABELS = frozenset({"JJ", "RB", "VB"})
 
 
 @dataclass(frozen=True)
-class Span:
-    """A chunk's label, absolute start index, and token surfaces."""
-
-    label: str
-    start: int
-    tokens: tuple
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.tokens)
-
-
-@dataclass(frozen=True)
 class PairExtraction:
-    """Each pair-pattern node's (indicator spans, modifier spans), in pre-order."""
+    """Each pair-pattern node's (indicator chunks, modifier chunks), in pre-order."""
 
     nodes: tuple
 
     @property
     def pairs(self) -> tuple:
-        """Candidate (indicator, modifier) span pairs: by node, indicator, then modifier."""
+        """Candidate (indicator, modifier) chunk pairs: by node, indicator, then modifier."""
         return tuple(
             (ind, mod) for indicators, modifiers in self.nodes for ind in indicators for mod in modifiers
         )
-
-
-def chunk_span(node: Chunk) -> Span:
-    """The span a chunk covers."""
-    return Span(node.label, node.start, node.surfaces())
 
 
 def pair_nodes(tree: Chunk) -> List[Chunk]:
@@ -486,14 +458,19 @@ def pair_nodes(tree: Chunk) -> List[Chunk]:
 
 
 def extract_pairs(tree: Chunk) -> PairExtraction:
-    """Collect the indicator and modifier spans of every pair-pattern node.
+    """Collect the indicator and modifier chunks of every pair-pattern node.
 
     For each node labelled NPJJ, every (NP-or-NPP, JJ/RB/VB) combination is a
     candidate pair, ordered by indicator position then modifier position.
     """
     nodes: List[tuple] = []
     for node in pair_nodes(tree):
-        indicators = tuple(chunk_span(c) for c in node.subchunks() if c.label in INDICATOR_LABELS)
-        modifiers = tuple(chunk_span(c) for c in node.subchunks() if c.label in MODIFIER_LABELS)
-        nodes.append((indicators, modifiers))
+        indicators: List[Chunk] = []
+        modifiers: List[Chunk] = []
+        for sub in node.subchunks():
+            if sub.label in INDICATOR_LABELS:
+                indicators.append(sub)
+            elif sub.label in MODIFIER_LABELS:
+                modifiers.append(sub)
+        nodes.append((tuple(indicators), tuple(modifiers)))
     return PairExtraction(tuple(nodes))

@@ -264,7 +264,8 @@ def tag_corpus(
     config: Optional[PipelineConfig] = None,
 ) -> List[Transaction]:
     """Tag every corpus sentence once; returns index-aligned transactions."""
-    lexicon = lexicon or load_default_lexicon()
+    if lexicon is None:  # an empty Lexicon is falsy, and still the one to tag with
+        lexicon = load_default_lexicon()
     config = config or PipelineConfig()
     transactions: List[Transaction] = []
     for text, label in zip(corpus.texts, corpus.labels):

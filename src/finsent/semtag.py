@@ -5,9 +5,10 @@ indicator with a direction (``LagInd::UP`` and friends).  A sentence's tag set
 is built in four passes:
 
 1. indicator/modifier pairs from the pairing grammar become interaction tags
-   (each chunk span participates in at most one interaction);
+   (each chunk participates in at most one interaction);
 2. if no interaction was found and the sentence contains a comparison marker,
-   numeric directionality is derived from the numeric grammar's match;
+   numeric directionality is derived from the numeric grammar's pair-pattern
+   nodes, each read in one walk for its indicator and its numbers;
 3. remaining indicator/direction words anywhere in the sentence contribute
    bare tags (spans consumed by an interaction are suppressed);
 4. POS/NEG sentiment words are collected token-wise, independent of chunking.
@@ -15,7 +16,7 @@ is built in four passes:
 The lexicon is read once per sentence into one list of hits: at each token
 whose word starts an entry, the n-grams of up to that word's longest entry
 are looked up (see ``_lexicon_hits``).  Passes 1 and 2 take
-the longest hit inside a chunk span; passes 3 and 4 scan the list left to
+the longest hit inside a chunk's tokens; passes 3 and 4 scan the list left to
 right, longest match first, without overlaps.
 
 Optional reversal post-processing flips the direction of interaction tags
@@ -33,10 +34,8 @@ from .chunker import (
     Chunk,
     INDICATOR_LABELS,
     PairExtraction,
-    Span,
     bundled_grammar,
     chunk,
-    chunk_span,
     extract_pairs,
     pair_nodes,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Mode",
     "COMPARISON_MARKERS",
     "tag_sentence",
-    "derive_numeric_direction",
     "filter_mode",
     "flip_direction",
     "canonical_order",
@@ -234,23 +232,26 @@ def _parse_value(surface: str) -> Optional[float]:
 def _numeric_hit(
     tree: Chunk, find: Callable[[int, int, frozenset], Optional[_Hit]], marker: Optional[str]
 ) -> Optional[Tuple[SemTag, _Hit]]:
+    """Interaction tag of the first pair-pattern node with an indicator and two numbers.
+
+    ``tree`` comes from the numeric grammar.  In each node, the first
+    indicator chunk with a lexicon hit is the indicator; the first CD value is
+    the current figure and the second the reference: higher means UP, lower
+    DOWN, equal values produce nothing.  "down from"/"up from" markers state
+    the direction outright.
+    """
     for node in pair_nodes(tree):
         indicator = None
+        values: List[float] = []
         for sub in node.subchunks():
             if sub.label in INDICATOR_LABELS:
-                span = chunk_span(sub)
-                indicator = find(span.start, span.end, INDICATOR_CATEGORIES)
-                if indicator is not None:
-                    break
-        if indicator is None:
-            continue
-        values = []
-        for sub in node.subchunks():
-            if sub.label == "CD":
+                if indicator is None:
+                    indicator = find(sub.start, sub.end, INDICATOR_CATEGORIES)
+            elif sub.label == "CD":
                 value = _parse_value(sub.surfaces()[0])
                 if value is not None:
                     values.append(value)
-        if len(values) < 2:
+        if indicator is None or len(values) < 2:
             continue
         current, reference = values[0], values[1]
         if marker == "down from":
@@ -267,30 +268,14 @@ def _numeric_hit(
     return None
 
 
-def derive_numeric_direction(
-    sentence: PosSentence, tree: Chunk, lex: Lexicon
-) -> Optional[SemTag]:
-    """Interaction tag derived from an indicator and two compared numbers.
-
-    ``tree`` must come from the numeric grammar.  The first value is the
-    current figure and the second the reference: higher means UP, lower DOWN,
-    equal values produce nothing.  "down from"/"up from" markers state the
-    direction outright.  Missing values or indicators yield None.
-    """
-    surfaces = sentence.surfaces
-    find = functools.partial(_find_in_span, _lexicon_hits(lex, surfaces))
-    found = _numeric_hit(tree, find, _marker_in(surfaces))
-    return found[0] if found else None
-
-
-def _span_hits(find, spans: Sequence[Span], categories) -> List[tuple]:
-    """``((label, start, end), hit)`` of each span with a hit in the categories, in order."""
+def _span_hits(find, chunks: Sequence[Chunk], categories) -> List[tuple]:
+    """``((label, start, end), hit)`` of each chunk with a hit in the categories, in order."""
     found = []
-    for span in spans:
-        end = span.end
-        hit = find(span.start, end, categories)
+    for sub in chunks:
+        start, end = sub.start, sub.end
+        hit = find(start, end, categories)
         if hit is not None:
-            found.append(((span.label, span.start, end), hit))
+            found.append(((sub.label, start, end), hit))
     return found
 
 
@@ -300,9 +285,9 @@ def _pair_hits(
     """(indicator hit, direction hit) of every pair that becomes an interaction.
 
     Pairs are taken greedily by node, indicator, then modifier, skipping any
-    whose spans an earlier interaction used.  A span without a hit pairs with
-    nothing, so only spans with one are kept.  Spans are keyed by (label,
-    start, end), which within one sentence is Span equality.
+    whose chunks an earlier interaction used.  A chunk without a hit pairs
+    with nothing, so only chunks with one are kept.  Chunks are keyed by
+    (label, start, end), which is cheaper to hash than the chunk itself.
     """
     found: List[Tuple[_Hit, _Hit]] = []
     used_spans: Set[tuple] = set()

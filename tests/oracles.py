@@ -13,6 +13,10 @@ looked up in the lexicon where the scan reaches it.  A hit is the tuple
 Indicator/modifier pairing, independent of semtag's per-node loop: every
 candidate pair is visited in order and resolved on its own.
 
+Numeric directionality, independent of semtag's one walk per pair-pattern
+node: each node is walked once for its first indicator with a hit, then again
+for its CD values.
+
 Rule scoring, independent of the rule base's antecedent index: every rule is
 tested against the tag set, in rule-base order.
 """
@@ -22,7 +26,10 @@ from itertools import chain, combinations
 from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
 
 from finsent.arm import RuleBase
+from finsent.chunker import INDICATOR_LABELS, pair_nodes
 from finsent.classify import ClassScore, MatchPolicy
+from finsent.lexicon import INDICATOR_CATEGORIES, LexCategory
+from finsent.semtag import _parse_value, interaction_tag
 
 
 def brute_force_frequent(
@@ -122,6 +129,42 @@ def flat_pair_hits(pairs, find, indicator_categories, direction_categories) -> l
         used_spans.add(ind_span)
         used_spans.add(mod_span)
     return found
+
+
+def two_walk_numeric_hit(tree, find, marker):
+    """(interaction tag, indicator hit) of the first pair-pattern node with an
+    indicator hit and two CD values that differ or a "down from"/"up from"
+    marker; None if no node has them."""
+    for node in pair_nodes(tree):
+        indicator = None
+        for sub in node.subchunks():
+            if sub.label in INDICATOR_LABELS:
+                indicator = find(sub.start, sub.end, INDICATOR_CATEGORIES)
+                if indicator is not None:
+                    break
+        if indicator is None:
+            continue
+        values = []
+        for sub in node.subchunks():
+            if sub.label == "CD":
+                value = _parse_value(sub.surfaces()[0])
+                if value is not None:
+                    values.append(value)
+        if len(values) < 2:
+            continue
+        current, reference = values[0], values[1]
+        if marker == "down from":
+            direction = LexCategory.DOWN
+        elif marker == "up from":
+            direction = LexCategory.UP
+        elif current > reference:
+            direction = LexCategory.UP
+        elif current < reference:
+            direction = LexCategory.DOWN
+        else:
+            continue
+        return interaction_tag(indicator.category, direction), indicator
+    return None
 
 
 def scan_score_tags(

@@ -299,9 +299,37 @@ def test_parse_known_rules_text():
     assert rb.rules[0].antecedent == frozenset({"LagInd"})
 
 
-def test_parse_error_reports_line_number():
-    with pytest.raises(RuleBaseFormatError, match="line 2"):
-        parse_rulebase("LagInd -> neutral\t33.33\t100.0\nbroken\n")
+@pytest.mark.parametrize("text, line", [
+    pytest.param("LagInd -> neutral\t33.33\t100.0\nbroken\n", 2, id="broken-rule"),
+    pytest.param("# minsup=abc\n", 1, id="minsup-not-a-number"),
+    pytest.param("# minconf=\n", 1, id="minconf-empty"),
+    pytest.param("# stage=gate\n# minsup=500\n", 2, id="minsup-above-100"),
+    pytest.param("# minconf=0\n", 1, id="minconf-zero"),
+    pytest.param("LagInd -> neutral\tnan\t100.0\n", 1, id="support-nan"),
+    pytest.param("LagInd -> neutral\t0\t50\n", 1, id="support-zero"),
+    pytest.param("LagInd -> neutral\t33.33\t100.1\n", 1, id="confidence-above-100"),
+    pytest.param("LagInd -> neutral\t33.33\t-inf\n", 1, id="confidence-negative-infinity"),
+])
+def test_parse_error_reports_line_number(text, line):
+    with pytest.raises(RuleBaseFormatError, match=f"line {line}:"):
+        parse_rulebase(text)
+
+
+def test_confidence_rounded_above_100_round_trips():
+    # every row with A is positive, and 100 * (100 * 11 / 12) / (100 * 11 / 12) rounds up
+    transactions = [Transaction(frozenset({"A"}), "positive")] * 11 + [Transaction(frozenset(), "negative")]
+    rb = mine_rules(transactions, minsup=1.0, minconf=50.0)
+    assert [rule.confidence for rule in rb] == [100.00000000000001]
+    assert parse_rulebase(serialize_rulebase(rb)) == rb
+
+
+@pytest.mark.parametrize("minsup, support, confidence", [
+    (0.0, 10.0, 80.0), (float("nan"), 10.0, 80.0), (0.5, 0.0, 80.0), (0.5, 10.0, 100.1),
+])
+def test_serialize_rejects_percent_out_of_range(minsup, support, confidence):
+    rb = RuleBase((Rule(frozenset({"a"}), "positive", support, confidence),), minsup=minsup)
+    with pytest.raises(RuleBaseFormatError):
+        serialize_rulebase(rb)
 
 
 def test_transactions_dump_round_trip():

@@ -243,7 +243,7 @@ def test_extract_pair_indicator_and_verb():
     tree = chunk(bundled_grammar("indicator_direction"),
                  ingest_pretagged("market_NN share_NN increase_VB"))
     extraction = extract_pairs(tree)
-    assert [(p[0].tokens, p[1].tokens) for p in extraction.pairs] == [
+    assert [(p[0].surfaces(), p[1].surfaces()) for p in extraction.pairs] == [
         (("market", "share"), ("increase",))
     ]
 
@@ -252,7 +252,7 @@ def test_extract_pair_participle():
     tree = chunk(bundled_grammar("indicator_direction"),
                  ingest_pretagged("details_NNS disclosed_VBN"))
     extraction = extract_pairs(tree)
-    assert [(p[0].tokens, p[1].tokens) for p in extraction.pairs] == [
+    assert [(p[0].surfaces(), p[1].surfaces()) for p in extraction.pairs] == [
         (("details",), ("disclosed",))
     ]
 

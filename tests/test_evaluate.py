@@ -26,7 +26,9 @@ from finsent.evaluate import (
     sweep_confidence,
     sweep_to_csv,
     tag_corpus,
+    tag_text,
 )
+from finsent.lexicon import Lexicon
 from finsent.semtag import Mode
 
 LABELS = ("positive", "neutral", "negative")
@@ -273,6 +275,13 @@ def test_mode_filter_reaches_transactions(lexicon):
     lag_mode = tag_corpus(corpus, lexicon, PipelineConfig(mode=Mode.LAG_ONLY))
     assert any(t.items for t in all_mode)
     assert all(not t.items for t in lag_mode)
+
+
+def test_empty_lexicon_is_not_replaced_by_default():
+    corpus = Corpus(("Sales rose strongly",), ("positive",))
+    empty = Lexicon(entries={})
+    assert [t.items for t in tag_corpus(corpus, empty)] == [frozenset()]
+    assert tag_text("Sales rose strongly", empty) == frozenset()
 
 
 # ---------------------------------------------------------------------------

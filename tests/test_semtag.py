@@ -20,14 +20,15 @@ from finsent.semtag import (
     SemTag,
     TaggedSentence,
     canonical_order,
-    derive_numeric_direction,
     filter_mode,
     flip_direction,
     is_interaction,
     tag_sentence,
 )
-from finsent.semtag import _Hit, _find_in_span, _lexicon_hits, _pair_hits, _parse_value, _scan
-from oracles import flat_pair_hits, lookup_find_in_span, lookup_hits, lookup_scan
+from finsent.semtag import (
+    _Hit, _find_in_span, _lexicon_hits, _numeric_hit, _pair_hits, _parse_value, _scan,
+)
+from oracles import flat_pair_hits, lookup_find_in_span, lookup_hits, lookup_scan, two_walk_numeric_hit
 
 
 def mini_lexicon(entries, reversals=()):
@@ -226,6 +227,24 @@ def test_pair_loop_matches_flat_oracle(tags_and_hits):
         )
 
 
+# CD surfaces: distinct, equal and unparsable values
+_CD_SURFACES = ["8.3", "11.8", "5", "5.0", "1,234", "-2", "mn", "1.2.3"]
+
+
+@given(_tags_and_hits(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_numeric_walk_matches_two_walk_oracle(tags_and_hits, data):
+    tags, hits = tags_and_hits
+    cds = data.draw(st.lists(st.sampled_from(_CD_SURFACES), min_size=len(tags), max_size=len(tags)))
+    sentence = PosSentence(tuple(
+        PosToken(cd if tag == "CD" else f"w{i}", tag) for i, (tag, cd) in enumerate(zip(tags, cds))
+    ))
+    tree = chunk(bundled_grammar("numeric_direction"), sentence)
+    find = functools.partial(_find_in_span, hits)
+    for marker in (None, *semtag.COMPARISON_MARKERS):
+        assert _numeric_hit(tree, find, marker) == two_walk_numeric_hit(tree, find, marker)
+
+
 # Work counts of one fixed long sentence (153 tokens, three copies of 51).
 # Only a token whose word starts an entry is looked up, once per length from
 # its longest entry's word count down to 1.  Each copy has 14 such tokens: 12
@@ -290,9 +309,11 @@ def test_work_count_guard(monkeypatch):
 
 
 def numeric_tag(text, lex):
-    sentence = tag_raw(text)
-    tree = chunk(bundled_grammar("numeric_direction"), sentence)
-    return derive_numeric_direction(sentence, tree, lex)
+    """The sentence's one interaction tag, or None; these lexicons hold no
+    direction word, so any interaction comes from the numeric path."""
+    interactions = [tag for tag in tags_of(text, lex) if is_interaction(tag)]
+    assert len(interactions) <= 1, interactions
+    return interactions[0] if interactions else None
 
 
 def test_numeric_lower_current_is_down():
