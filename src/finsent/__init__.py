@@ -20,9 +20,9 @@ from .pos_text import (
     PosSentence,
     PosTextError,
     PosToken,
-    RuleTagger,
     format_pretagged,
     ingest_pretagged,
+    pos_tags,
     tag_raw,
     tokenize,
 )

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 from .arm import (
     DEFAULT_MINCONF,
@@ -97,11 +97,6 @@ class ClassScore:
     sums: Mapping[str, float]
     counts: Mapping[str, int]
 
-    def value(self, cls: str, scoring: Scoring) -> float:
-        if scoring is Scoring.SUM:
-            return self.sums[cls]
-        return self.sums[cls] / self.counts[cls]
-
 
 def score_tags(
     tags: FrozenSet[str],
@@ -134,16 +129,6 @@ def score_tags(
     return ClassScore(sums, counts)
 
 
-def _pick(score: ClassScore, scoring: Scoring) -> Optional[str]:
-    if not score.sums:
-        return None
-
-    def key(cls: str) -> tuple:
-        return (-score.value(cls, scoring), _TIE_RANK.get(cls, len(_TIE_RANK)), cls)
-
-    return min(score.sums, key=key)
-
-
 def predict_flat(
     tags: FrozenSet[str],
     rb: RuleBase,
@@ -152,31 +137,34 @@ def predict_flat(
     scoring: Scoring = Scoring.AVERAGE,
 ) -> str:
     """Predict a class for one tag set against one rule base."""
-    winner = _pick(score_tags(tags, rb, match_policy), Scoring(scoring))
-    return winner if winner is not None else default
+    score = score_tags(tags, rb, match_policy)
+    if not score.sums:
+        return default
+    if Scoring(scoring) is Scoring.SUM:
+        value = score.sums
+    else:
+        value = {cls: total / score.counts[cls] for cls, total in score.sums.items()}
+    return min(value, key=lambda cls: (-value[cls], _TIE_RANK.get(cls, len(_TIE_RANK)), cls))
 
 
 # ---------------------------------------------------------------------------
 # classifier arrangements
 # ---------------------------------------------------------------------------
 
-STAGE_GATE = "gate"  # polarized vs neutral
-STAGE_POLARITY = "polarity"  # positive vs negative
+STAGE_GATE = "gate"
+STAGE_POLARITY = "polarity"
 STAGE_MULTICLASS = "multiclass"
 
-
-_PAIRS = ((POSITIVE, NEUTRAL), (POSITIVE, NEGATIVE), (NEUTRAL, NEGATIVE))
-
-
-def _pair_stage(a: str, b: str) -> str:
-    return "-".join(sorted((a, b)))
-
-
-# the stage rule bases each arrangement trains and predicts with
-_STAGES = {
-    Arrangement.HSC: (STAGE_GATE, STAGE_POLARITY),
-    Arrangement.MULTICLASS: (STAGE_MULTICLASS,),
-    Arrangement.ONE_VS_ONE: tuple(_pair_stage(a, b) for a, b in _PAIRS),
+# the stage rule bases each arrangement trains and predicts with, in order,
+# and the classes each stage separates; the gate's polarized class stands for
+# every class but neutral
+_STAGES: Dict[Arrangement, Dict[str, Tuple[str, ...]]] = {
+    Arrangement.HSC: {STAGE_GATE: (NEUTRAL, POLARIZED), STAGE_POLARITY: (NEGATIVE, POSITIVE)},
+    Arrangement.MULTICLASS: {STAGE_MULTICLASS: CLASSES},
+    Arrangement.ONE_VS_ONE: {
+        "-".join(sorted(pair)): pair
+        for pair in ((POSITIVE, NEUTRAL), (POSITIVE, NEGATIVE), (NEUTRAL, NEGATIVE))
+    },
 }
 
 
@@ -197,24 +185,6 @@ class ClassifierModel:
         return sum(len(rb) for rb in self.stages.values())
 
 
-def _warn_missing_classes(transactions: Sequence[Transaction], expected: Iterable[str]) -> None:
-    present = {t.label for t in transactions}
-    for cls in expected:
-        if cls not in present:
-            warnings.warn(
-                f"class {cls!r} absent from training data; it cannot be predicted",
-                stacklevel=3,
-            )
-
-
-def _mine_or_empty(
-    transactions: Sequence[Transaction], minsup: float, minconf: float, classes, metadata
-) -> RuleBase:
-    if not transactions:
-        return RuleBase((), minsup=minsup, minconf=minconf, metadata=metadata)
-    return mine_rules(transactions, minsup, minconf, classes=classes, metadata=metadata)
-
-
 def train(
     transactions: Sequence[Transaction],
     arrangement: Arrangement = Arrangement.HSC,
@@ -224,39 +194,32 @@ def train(
     scoring: Scoring = Scoring.AVERAGE,
     stage2_default: str = NEGATIVE,
 ) -> ClassifierModel:
-    """Mine the stage rule bases for the chosen arrangement."""
+    """Mine the stage rule bases for the chosen arrangement.
+
+    Raises MiningError for an empty transaction list or a label outside
+    CLASSES; warns for each class the transactions lack.
+    """
     if not transactions:
         raise MiningError("cannot train on an empty transaction list")
     arrangement = Arrangement(arrangement)
-    _warn_missing_classes(transactions, CLASSES)
+    present = {t.label for t in transactions}
+    if not present <= set(CLASSES):
+        unknown = ", ".join(repr(label) for label in sorted(present.difference(CLASSES)))
+        raise MiningError(f"training labels must be one of {', '.join(CLASSES)}; got {unknown}")
+    for cls in CLASSES:
+        if cls not in present:
+            warnings.warn(f"class {cls!r} absent from training data; it cannot be predicted", stacklevel=2)
     stages: Dict[str, RuleBase] = {}
-
-    if arrangement is Arrangement.HSC:
-        gate_transactions = [
-            Transaction(t.items, NEUTRAL if t.label == NEUTRAL else POLARIZED)
-            for t in transactions
-        ]
-        stages[STAGE_GATE] = _mine_or_empty(
-            gate_transactions, minsup, minconf,
-            classes={POLARIZED, NEUTRAL}, metadata=(("stage", STAGE_GATE),),
+    for stage, classes in _STAGES[arrangement].items():
+        if POLARIZED in classes:
+            rows = [Transaction(t.items, NEUTRAL if t.label == NEUTRAL else POLARIZED) for t in transactions]
+        else:
+            rows = [t for t in transactions if t.label in classes]
+        metadata = (("stage", stage),)
+        stages[stage] = (
+            mine_rules(rows, minsup, minconf, classes=classes, metadata=metadata) if rows
+            else RuleBase((), minsup=minsup, minconf=minconf, metadata=metadata)
         )
-        polarized = [t for t in transactions if t.label in (POSITIVE, NEGATIVE)]
-        stages[STAGE_POLARITY] = _mine_or_empty(
-            polarized, minsup, minconf,
-            classes={POSITIVE, NEGATIVE}, metadata=(("stage", STAGE_POLARITY),),
-        )
-    elif arrangement is Arrangement.MULTICLASS:
-        stages[STAGE_MULTICLASS] = _mine_or_empty(
-            transactions, minsup, minconf,
-            classes=set(CLASSES), metadata=(("stage", STAGE_MULTICLASS),),
-        )
-    else:
-        for a, b in _PAIRS:
-            subset = [t for t in transactions if t.label in (a, b)]
-            stages[_pair_stage(a, b)] = _mine_or_empty(
-                subset, minsup, minconf,
-                classes={a, b}, metadata=(("stage", _pair_stage(a, b)),),
-            )
 
     return ClassifierModel(
         arrangement=arrangement,
@@ -272,23 +235,20 @@ def train(
 def predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
     """Predict positive / neutral / negative for one tag set."""
     tags = frozenset(tags)
-    kwargs = dict(match_policy=model.match_policy, scoring=model.scoring)
+    policy, scoring = model.match_policy, model.scoring
 
     if model.arrangement is Arrangement.HSC:
-        gate = predict_flat(tags, model.stages[STAGE_GATE], default=model.default_class, **kwargs)
+        gate = predict_flat(tags, model.stages[STAGE_GATE], model.default_class, policy, scoring)
         if gate != POLARIZED:
             return gate
-        return predict_flat(
-            tags, model.stages[STAGE_POLARITY], default=model.stage2_default, **kwargs
-        )
+        return predict_flat(tags, model.stages[STAGE_POLARITY], model.stage2_default, policy, scoring)
 
     if model.arrangement is Arrangement.MULTICLASS:
-        return predict_flat(tags, model.stages[STAGE_MULTICLASS], default=model.default_class, **kwargs)
+        return predict_flat(tags, model.stages[STAGE_MULTICLASS], model.default_class, policy, scoring)
 
     votes: Dict[str, int] = {}
-    for a, b in _PAIRS:
-        default = NEUTRAL if NEUTRAL in (a, b) else NEGATIVE
-        vote = predict_flat(tags, model.stages[_pair_stage(a, b)], default=default, **kwargs)
+    for stage, pair in _STAGES[Arrangement.ONE_VS_ONE].items():
+        vote = predict_flat(tags, model.stages[stage], min(pair, key=_TIE_RANK.get), policy, scoring)
         votes[vote] = votes.get(vote, 0) + 1
     return min(votes, key=lambda cls: (-votes[cls], _TIE_RANK.get(cls, len(_TIE_RANK))))
 
@@ -382,10 +342,11 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     default class outside CLASSES, a ``tagging`` section that is not an
     object or whose ``mode`` is not a Mode, a ``stages`` section that is not
     an object whose keys are exactly the arrangement's stage names, a stage
-    file that is not a plain file name inside ``directory``, and a value of
-    the wrong JSON type (``"minsup": null``, a ``tagging.reversal`` that is
-    not a bool) or a threshold outside (0, 100].  The message names the
-    offending key.
+    file that is not a plain file name inside ``directory``, a rule whose
+    class is not one of its stage's classes, and a value of the wrong JSON
+    type (``"minsup": null``, a ``tagging.reversal`` that is not a bool) or a
+    threshold outside (0, 100].  The message names the offending key, or the
+    stage file and the class.
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
@@ -420,13 +381,16 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
                 f"stages {files!r} is not an object with the keys "
                 f"{', '.join(_STAGES[arrangement])} of arrangement {arrangement.value!r}"
             )
+        stages = {}
         for stage, filename in files.items():
             if not isinstance(filename, str) or filename in ("", "..") or Path(filename).name != filename:
                 raise ValueError(f"stages.{stage} {filename!r} is not a plain file name")
-        stages = {
-            stage: parse_rulebase((directory / filename).read_text(encoding="utf-8"))
-            for stage, filename in files.items()
-        }
+            stages[stage] = parse_rulebase((directory / filename).read_text(encoding="utf-8"))
+            classes = _STAGES[arrangement][stage]
+            for rule in stages[stage].rules:
+                if rule.consequent not in classes:
+                    raise ValueError(f"{filename}: rule class {rule.consequent!r} is not one of "
+                                     f"{', '.join(classes)} of stage {stage!r}")
         model = ClassifierModel(
             arrangement=arrangement,
             stages=stages,

@@ -8,6 +8,7 @@ configuration so results can be replayed.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import json
 import sys
@@ -75,6 +76,15 @@ def _fold_count(value: str) -> int:
     if number < 2:
         raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
     return number
+
+
+def _encoding(value: str) -> str:
+    """A codec name Python knows, kept as given."""
+    try:
+        codecs.lookup(value)
+    except LookupError:
+        raise argparse.ArgumentTypeError(f"unknown encoding {value!r}") from None
+    return value
 
 
 def _load_lexicon(lexicon_path: Optional[str], reversals_path: Optional[str]) -> Lexicon:
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, classifier: bool = True, stubs: bool = False):
         p.add_argument("--lexicon", help="lexicon file (default: bundled or $FINSENT_LEXICON_DIR)")
         p.add_argument("--reversals", help="reversal-term file")
-        p.add_argument("--encoding", default="utf-8", help="input encoding (default utf-8)")
+        p.add_argument("--encoding", type=_encoding, default="utf-8", help="input encoding (default utf-8)")
         p.add_argument("--mode", choices=[m.value for m in Mode], default="all",
                        help="tag families to keep (lag, lag-lead, all)")
         p.add_argument("--reversal", action="store_true", help="flip direction for reversal indicators")
@@ -313,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--model-dir", dest="model_dir", required=True)
     p_predict.add_argument("--lexicon")
     p_predict.add_argument("--reversals")
-    p_predict.add_argument("--encoding", default="utf-8")
+    p_predict.add_argument("--encoding", type=_encoding, default="utf-8")
     p_predict.add_argument("--pretagged", action="store_true")
     p_predict.add_argument("--out")
     p_predict.add_argument("input", nargs="?")
@@ -340,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "score", help="score an external predictions file against a gold corpus"
     )
     p_score.add_argument("--corpus", required=True, help="sentence@label corpus file")
-    p_score.add_argument("--encoding", default="utf-8")
+    p_score.add_argument("--encoding", type=_encoding, default="utf-8")
     p_score.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_score.add_argument("--out")
     p_score.add_argument("predictions", help="file of 'id<TAB>class' lines, one per corpus row")

@@ -65,7 +65,8 @@ class CorpusError(ValueError):
 
 
 class FoldError(ValueError):
-    """Raised for invalid fold requests (k too small, class too small)."""
+    """Raised for invalid fold requests (k too small, class too small) and for
+    a fold plan or transaction list without one entry per corpus sentence."""
 
 
 @dataclass(frozen=True)
@@ -322,10 +323,17 @@ def cross_validate(
     trainer: Optional[Trainer] = None,
     transactions: Optional[Sequence[Transaction]] = None,
 ) -> EvalReport:
-    """Train on k-1 folds, predict the held-out fold, aggregate the confusion."""
+    """Train on k-1 folds, predict the held-out fold, aggregate the confusion.
+
+    Raises FoldError when ``folds`` or ``transactions`` does not have one
+    entry per corpus sentence.
+    """
     folds = folds or make_folds(corpus, config.folds, config.seed)
     if transactions is None:
         transactions = tag_corpus(corpus, lexicon, config)
+    if not len(folds.assignment) == len(transactions) == len(corpus):
+        raise FoldError(f"{len(folds.assignment)} fold assignments and {len(transactions)} transactions "
+                        f"for {len(corpus)} sentences; expected one of each per sentence")
     trainer = trainer or pipeline_trainer(config)
 
     pairs: List[Tuple[str, str]] = []

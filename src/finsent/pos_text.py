@@ -1,15 +1,15 @@
 """Sentences as POS-tagged token sequences.
 
 Sentences enter the pipeline either pre-tagged (``surface_TAG`` units, one
-sentence per line) or as raw text run through a pluggable tagger.  The bundled
-fallback tagger is a closed-vocabulary plus suffix-heuristic tagger: POS
-quality is not the point of this package, and any external tagger's output can
-be ingested through the pre-tagged format instead.
+sentence per line) or as raw text run through the bundled tagger, a
+closed-vocabulary plus suffix-heuristic tagger: POS quality is not the point
+of this package, and any external tagger's output can be ingested through the
+pre-tagged format instead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence
 
 __all__ = [
     "PENN_TAGS",
@@ -19,7 +19,7 @@ __all__ = [
     "ingest_pretagged",
     "format_pretagged",
     "tokenize",
-    "RuleTagger",
+    "pos_tags",
     "tag_raw",
 ]
 
@@ -36,7 +36,7 @@ PENN_TAGS = frozenset(
 
 
 class PosTextError(ValueError):
-    """Raised for malformed pre-tagged input or tagger failures."""
+    """Raised for malformed pre-tagged input or an empty sentence."""
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,9 @@ class PosToken:
 
 @dataclass(frozen=True)
 class PosSentence:
-    """An ordered, immutable sequence of PosTokens.
-
-    ``raw`` keeps the original text for provenance and is excluded from
-    equality so that pre-tagged round trips compare equal.
-    """
+    """An ordered, immutable, non-empty sequence of PosTokens."""
 
     tokens: tuple
-    raw: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
@@ -85,11 +80,8 @@ class PosSentence:
 
 def ingest_pretagged(line: str) -> PosSentence:
     """Parse one ``surface_TAG surface_TAG ...`` line into a PosSentence."""
-    units = line.split()
-    if not units:
-        raise PosTextError("empty sentence")
     tokens: List[PosToken] = []
-    for i, unit in enumerate(units, start=1):
+    for i, unit in enumerate(line.split(), start=1):
         if "_" not in unit:
             raise PosTextError(f"token {i} {unit!r}: missing '_' separator")
         surface, _, tag = unit.rpartition("_")
@@ -98,7 +90,7 @@ def ingest_pretagged(line: str) -> PosSentence:
         if tag not in PENN_TAGS:
             raise PosTextError(f"token {i} {unit!r}: unknown POS tag {tag!r}")
         tokens.append(PosToken(surface, tag))
-    return PosSentence(tuple(tokens), raw=" ".join(t.surface for t in tokens))
+    return PosSentence(tuple(tokens))
 
 
 def format_pretagged(sentence: PosSentence) -> str:
@@ -215,79 +207,44 @@ def _is_number(tok: str) -> bool:
     return len(tok) > 1 and tok[0] in "+-" and tok[1].isdigit()
 
 
-class RuleTagger:
-    """Closed-vocabulary + suffix-heuristic POS tagger.
+def pos_tags(tokens: Sequence[str]) -> List[str]:
+    """Closed-vocabulary + suffix-heuristic POS tags for ``tokens``.
 
     Deterministic and dependency-free; adequate for the chunk grammars this
-    package ships.  Pass ``extra_vocab`` to pin tags for additional words.
+    package ships.
     """
-
-    def __init__(self, extra_vocab: Optional[dict] = None) -> None:
-        self.vocab = dict(_CLOSED_VOCAB)
-        if extra_vocab:
-            self.vocab.update({k.lower(): v for k, v in extra_vocab.items()})
-
-    def tag(self, tokens: Sequence[str]) -> List[str]:
-        tags: List[str] = []
-        for i, tok in enumerate(tokens):
-            tags.append(self._tag_one(tok, i, tags))
-        return tags
-
-    def _tag_one(self, tok: str, i: int, tags: List[str]) -> str:
-        if tok in _PUNCT_TAGS:
-            return _PUNCT_TAGS[tok]
-        if tok in ("'s", "’s"):
-            return "POS"
-        if _is_number(tok):
-            return "CD"
-        lower = tok.lower()
-        if lower in self.vocab:
-            return self.vocab[lower]
-        if i > 0 and tok[0].isupper():
-            return "NNP"
-        if tags and tags[-1] in ("TO", "MD") and tok.isalpha():
-            return "VB"
-        if lower.endswith("ly"):
-            return "RB"
-        if lower.endswith("ing") and len(lower) > 4:
-            return "VBG"
-        if lower.endswith("ed") and len(lower) > 3:
-            return "VBD"
-        if lower.endswith("s") and not lower.endswith(("ss", "us", "is")) and len(lower) > 2:
-            return "NNS"
-        return "NN"
+    tags: List[str] = []
+    for i, tok in enumerate(tokens):
+        tags.append(_tag_one(tok, i, tags))
+    return tags
 
 
-_DEFAULT_TAGGER: Optional[RuleTagger] = None
+def _tag_one(tok: str, i: int, tags: List[str]) -> str:
+    if tok in _PUNCT_TAGS:
+        return _PUNCT_TAGS[tok]
+    if tok in ("'s", "’s"):
+        return "POS"
+    if _is_number(tok):
+        return "CD"
+    lower = tok.lower()
+    if lower in _CLOSED_VOCAB:
+        return _CLOSED_VOCAB[lower]
+    if i > 0 and tok[0].isupper():
+        return "NNP"
+    if tags and tags[-1] in ("TO", "MD") and tok.isalpha():
+        return "VB"
+    if lower.endswith("ly"):
+        return "RB"
+    if lower.endswith("ing") and len(lower) > 4:
+        return "VBG"
+    if lower.endswith("ed") and len(lower) > 3:
+        return "VBD"
+    if lower.endswith("s") and not lower.endswith(("ss", "us", "is")) and len(lower) > 2:
+        return "NNS"
+    return "NN"
 
 
-def _default_tagger() -> RuleTagger:
-    global _DEFAULT_TAGGER
-    if _DEFAULT_TAGGER is None:
-        _DEFAULT_TAGGER = RuleTagger()
-    return _DEFAULT_TAGGER
-
-
-TaggerLike = Union[RuleTagger, Callable[[Sequence[str]], Sequence[str]]]
-
-
-def tag_raw(text: str, tagger: Optional[TaggerLike] = None) -> PosSentence:
-    """Tokenize raw text and tag it with the given (or bundled) tagger."""
-    if not text or not text.strip():
-        raise PosTextError("empty sentence")
+def tag_raw(text: str) -> PosSentence:
+    """Tokenize raw text and tag it with the bundled tagger."""
     tokens = tokenize(text)
-    tag_fn = tagger.tag if hasattr(tagger, "tag") else tagger
-    if tag_fn is None:
-        tag_fn = _default_tagger().tag
-    try:
-        tags = list(tag_fn(tokens))
-    except PosTextError:
-        raise
-    except Exception as exc:  # a broken pluggable tagger is a caller error
-        raise PosTextError(f"tagger unavailable or failed: {exc}") from exc
-    if len(tags) != len(tokens):
-        raise PosTextError("tagger returned wrong number of tags")
-    return PosSentence(
-        tuple(PosToken(s, t) for s, t in zip(tokens, tags)),
-        raw=text,
-    )
+    return PosSentence(tuple(PosToken(s, t) for s, t in zip(tokens, pos_tags(tokens))))

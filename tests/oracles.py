@@ -19,15 +19,32 @@ for its CD values.
 
 Rule scoring, independent of the rule base's antecedent index: every rule is
 tested against the tag set, in rule-base order.
+
+Training and prediction per arrangement, independent of classify's stage
+table: one hand-written branch per arrangement, each naming its stages and
+their classes itself.
 """
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
+import warnings
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
-from finsent.arm import RuleBase
+from finsent.arm import DEFAULT_MINCONF, DEFAULT_MINSUP, MiningError, RuleBase, Transaction, mine_rules
 from finsent.chunker import INDICATOR_LABELS, pair_nodes
-from finsent.classify import ClassScore, MatchPolicy
+from finsent.classify import (
+    CLASSES,
+    NEGATIVE,
+    NEUTRAL,
+    POLARIZED,
+    POSITIVE,
+    Arrangement,
+    ClassifierModel,
+    ClassScore,
+    MatchPolicy,
+    Scoring,
+    score_tags,
+)
 from finsent.lexicon import INDICATOR_CATEGORIES, LexCategory
 from finsent.semtag import _parse_value, interaction_tag
 
@@ -186,3 +203,136 @@ def scan_score_tags(
             sums[rule.consequent] = sums.get(rule.consequent, 0.0) + rule.confidence
             counts[rule.consequent] = counts.get(rule.consequent, 0) + 1
     return ClassScore(sums, counts)
+
+
+_TIE_RANK = {cls: i for i, cls in enumerate((NEUTRAL, NEGATIVE, POSITIVE, POLARIZED))}
+
+
+def _pick(score: ClassScore, scoring: Scoring) -> Optional[str]:
+    if not score.sums:
+        return None
+
+    def value(cls: str) -> float:
+        if scoring is Scoring.SUM:
+            return score.sums[cls]
+        return score.sums[cls] / score.counts[cls]
+
+    def key(cls: str) -> tuple:
+        return (-value(cls), _TIE_RANK.get(cls, len(_TIE_RANK)), cls)
+
+    return min(score.sums, key=key)
+
+
+def branch_predict_flat(
+    tags: FrozenSet[str],
+    rb: RuleBase,
+    default: str = NEUTRAL,
+    match_policy: MatchPolicy = MatchPolicy.EXACT,
+    scoring: Scoring = Scoring.AVERAGE,
+) -> str:
+    """Predict a class for one tag set against one rule base."""
+    winner = _pick(score_tags(tags, rb, match_policy), Scoring(scoring))
+    return winner if winner is not None else default
+
+
+_PAIRS = ((POSITIVE, NEUTRAL), (POSITIVE, NEGATIVE), (NEUTRAL, NEGATIVE))
+
+
+def _pair_stage(a: str, b: str) -> str:
+    return "-".join(sorted((a, b)))
+
+
+def _warn_missing_classes(transactions: Sequence[Transaction], expected: Iterable[str]) -> None:
+    present = {t.label for t in transactions}
+    for cls in expected:
+        if cls not in present:
+            warnings.warn(
+                f"class {cls!r} absent from training data; it cannot be predicted",
+                stacklevel=3,
+            )
+
+
+def _mine_or_empty(
+    transactions: Sequence[Transaction], minsup: float, minconf: float, classes, metadata
+) -> RuleBase:
+    if not transactions:
+        return RuleBase((), minsup=minsup, minconf=minconf, metadata=metadata)
+    return mine_rules(transactions, minsup, minconf, classes=classes, metadata=metadata)
+
+
+def branch_train(
+    transactions: Sequence[Transaction],
+    arrangement: Arrangement = Arrangement.HSC,
+    minsup: float = DEFAULT_MINSUP,
+    minconf: float = DEFAULT_MINCONF,
+    match_policy: MatchPolicy = MatchPolicy.EXACT,
+    scoring: Scoring = Scoring.AVERAGE,
+    stage2_default: str = NEGATIVE,
+) -> ClassifierModel:
+    """Mine the stage rule bases for the chosen arrangement."""
+    if not transactions:
+        raise MiningError("cannot train on an empty transaction list")
+    arrangement = Arrangement(arrangement)
+    _warn_missing_classes(transactions, CLASSES)
+    stages: Dict[str, RuleBase] = {}
+
+    if arrangement is Arrangement.HSC:
+        gate_transactions = [
+            Transaction(t.items, NEUTRAL if t.label == NEUTRAL else POLARIZED)
+            for t in transactions
+        ]
+        stages["gate"] = _mine_or_empty(
+            gate_transactions, minsup, minconf,
+            classes={POLARIZED, NEUTRAL}, metadata=(("stage", "gate"),),
+        )
+        polarized = [t for t in transactions if t.label in (POSITIVE, NEGATIVE)]
+        stages["polarity"] = _mine_or_empty(
+            polarized, minsup, minconf,
+            classes={POSITIVE, NEGATIVE}, metadata=(("stage", "polarity"),),
+        )
+    elif arrangement is Arrangement.MULTICLASS:
+        stages["multiclass"] = _mine_or_empty(
+            transactions, minsup, minconf,
+            classes=set(CLASSES), metadata=(("stage", "multiclass"),),
+        )
+    else:
+        for a, b in _PAIRS:
+            subset = [t for t in transactions if t.label in (a, b)]
+            stages[_pair_stage(a, b)] = _mine_or_empty(
+                subset, minsup, minconf,
+                classes={a, b}, metadata=(("stage", _pair_stage(a, b)),),
+            )
+
+    return ClassifierModel(
+        arrangement=arrangement,
+        stages=stages,
+        minsup=minsup,
+        minconf=minconf,
+        stage2_default=stage2_default,
+        match_policy=MatchPolicy(match_policy),
+        scoring=Scoring(scoring),
+    )
+
+
+def branch_predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
+    """Predict positive / neutral / negative for one tag set."""
+    tags = frozenset(tags)
+    kwargs = dict(match_policy=model.match_policy, scoring=model.scoring)
+
+    if model.arrangement is Arrangement.HSC:
+        gate = branch_predict_flat(tags, model.stages["gate"], default=model.default_class, **kwargs)
+        if gate != POLARIZED:
+            return gate
+        return branch_predict_flat(
+            tags, model.stages["polarity"], default=model.stage2_default, **kwargs
+        )
+
+    if model.arrangement is Arrangement.MULTICLASS:
+        return branch_predict_flat(tags, model.stages["multiclass"], default=model.default_class, **kwargs)
+
+    votes: Dict[str, int] = {}
+    for a, b in _PAIRS:
+        default = NEUTRAL if NEUTRAL in (a, b) else NEGATIVE
+        vote = branch_predict_flat(tags, model.stages[_pair_stage(a, b)], default=default, **kwargs)
+        votes[vote] = votes.get(vote, 0) + 1
+    return min(votes, key=lambda cls: (-votes[cls], _TIE_RANK.get(cls, len(_TIE_RANK))))

@@ -1,17 +1,19 @@
 import json
 import random
 import struct
+import warnings
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_score_tags
+from oracles import branch_predict, branch_train, scan_score_tags
 from sample_data import KNOWN_RULES_TEXT, SAMPLE_TRANSACTIONS
 from finsent import classify
-from finsent.arm import MiningError, Rule, RuleBase, parse_rulebase, serialize_rulebase
+from finsent.arm import MiningError, Rule, RuleBase, Transaction, parse_rulebase, serialize_rulebase
 from finsent.classify import (
+    CLASSES,
     Arrangement,
     MatchPolicy,
     ModelFormatError,
@@ -231,6 +233,58 @@ def test_empty_training_set_is_error():
         train([], Arrangement.HSC)
 
 
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_label_outside_classes_is_error(arrangement):
+    # a capitalised label is not a class: HSC would otherwise gate it as
+    # polarized and predict `negative` for LagInd::UP
+    transactions = [*SAMPLE_TRANSACTIONS, Transaction(frozenset({"LagInd::UP"}), "Positive")]
+    with pytest.raises(MiningError, match="'Positive'"):
+        train(transactions, arrangement, minsup=0.5, minconf=60.0)
+
+
+_TRAIN_TAGS = ["A", "B", "C", "D", "E"]
+
+
+@st.composite
+def labelled_transactions(draw):
+    """Transactions over five tags with every class of CLASSES or, in about
+    half the draws, of only one or two of them, so that a stage has no rows."""
+    classes = CLASSES if draw(st.booleans()) else draw(
+        st.lists(st.sampled_from(CLASSES), min_size=1, max_size=2, unique=True))
+    items = st.frozensets(st.sampled_from(_TRAIN_TAGS), max_size=3)
+    rows = [Transaction(draw(items), cls) for cls in classes]
+    rows += draw(st.lists(st.builds(Transaction, items, st.sampled_from(classes)), max_size=22))
+    return draw(st.permutations(rows))
+
+
+def _train_recording_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fn(*args)
+    return model, [str(w.message) for w in caught]
+
+
+@given(labelled_transactions(), st.lists(st.frozensets(st.sampled_from(_TRAIN_TAGS)), max_size=6),
+       st.sampled_from([0.5, 10.0, 30.0]), st.sampled_from([30.0, 60.0, 90.0]),
+       st.sampled_from(list(MatchPolicy)), st.sampled_from(list(Scoring)), st.sampled_from(CLASSES))
+@settings(max_examples=150, deadline=None)
+def test_stage_table_matches_branch_oracle(transactions, tag_sets, minsup, minconf, policy, scoring,
+                                           stage2_default):
+    for arrangement in Arrangement:
+        args = (transactions, arrangement, minsup, minconf, policy, scoring, stage2_default)
+        got, got_warnings = _train_recording_warnings(train, *args)
+        want, want_warnings = _train_recording_warnings(branch_train, *args)
+        assert got_warnings == want_warnings
+        assert list(got.stages) == list(want.stages)
+        assert [serialize_rulebase(rb) for rb in got.stages.values()] == \
+            [serialize_rulebase(rb) for rb in want.stages.values()]
+        # besides the drawn tag sets: the empty set, every one-tag set and
+        # every training item set, so that tied class scores come up
+        for tags in {frozenset(), *tag_sets, *(frozenset((t,)) for t in _TRAIN_TAGS),
+                     *(t.items for t in transactions)}:
+            assert predict(got, tags) == branch_predict(want, tags)
+
+
 def test_hierarchy_consistency_random_tag_sets():
     model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
     pool = ["LagInd", "LeadInd", "UP", "DOWN", "POS", "NEG", "LagInd::UP",
@@ -370,6 +424,17 @@ def test_load_reads_stage_files_under_any_plain_name(tmp_path):
     manifest["stages"]["gate"] = "stage one..rules"
     manifest_path.write_text(json.dumps(manifest))
     assert load_model(tmp_path)[0] == model
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_load_rejects_a_rule_class_outside_its_stage(tmp_path, arrangement):
+    model = train(SAMPLE_TRANSACTIONS, arrangement, minsup=0.5, minconf=60.0)
+    save_model(model, tmp_path)
+    stage = next(iter(model.stages))
+    path = tmp_path / f"{stage}.rules"
+    path.write_text(path.read_text().replace(f"-> {model.stages[stage].rules[0].consequent}", "-> foo", 1))
+    with pytest.raises(ModelFormatError, match=f"{stage}.rules: rule class 'foo' is not one of"):
+        load_model(tmp_path)
 
 
 def test_load_rejects_manifest_that_is_not_an_object(tmp_path):

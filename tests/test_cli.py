@@ -224,6 +224,21 @@ def test_bad_percent_flag_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["tag", "{corpus}"], ["tag"], ["train", "--corpus", "{corpus}", "--model-dir", "{tmp}/m"],
+    ["predict", "--model-dir", "{tmp}/m", "{corpus}"], ["evaluate", "--corpus", "{corpus}"],
+    ["sweep", "--corpus", "{corpus}"], ["score", "--corpus", "{corpus}", "{corpus}"],
+], ids=["tag", "tag-stdin", "train", "predict", "evaluate", "sweep", "score"])
+def test_unknown_encoding_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    monkeypatch.setattr("sys.stdin", io.StringIO("Turnover rose .\n"))
+    argv = [arg.format(corpus=corpus, tmp=tmp_path) for arg in command]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--encoding", "bogus", *argv[1:]])
+    assert exc.value.code == 2
+    assert "--encoding: unknown encoding 'bogus'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["60,abc", "0", "70,nan", ","])
 def test_bad_sweep_grid_is_usage_error(tmp_path, capsys, grid):
     corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
@@ -398,6 +413,21 @@ def test_manifest_paths_are_absolute_so_predict_runs_from_anywhere(tmp_path, cap
     capsys.readouterr()
     assert main(["predict", "--model-dir", str(train_dir / "model"), "queries.txt"]) == 0
     assert capsys.readouterr().out == "1\tpositive\n"
+
+
+def test_predict_with_a_foreign_rule_class_is_config_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir)]) == 0
+    gate = model_dir / "gate.rules"
+    gate.write_text(gate.read_text().replace("-> polarized", "-> foo"))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Turnover rose to EUR 21mn from EUR 17mn\n")
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gate.rules: rule class 'foo'" in captured.err
 
 
 def test_predict_bad_manifest_mode_is_config_error(tmp_path, capsys):

@@ -13,6 +13,7 @@ from finsent.evaluate import (
     Corpus,
     CorpusError,
     FoldError,
+    FoldPlan,
     PipelineConfig,
     cross_validate,
     load_phrasebank,
@@ -207,6 +208,16 @@ def test_perfect_stub_scores_ones(lexicon):
     for cls in LABELS:
         m = report.per_class[cls]
         assert (m.precision, m.recall, m.f_measure, m.accuracy) == (1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("folds, rows", [(6, 8), (9, 8), (8, 6)])
+def test_fold_plan_or_transactions_not_covering_the_corpus_is_error(folds, rows):
+    corpus = Corpus(tuple(f"s{i}" for i in range(8)), ("positive", "neutral", "negative", "neutral") * 2)
+    plan = FoldPlan(k=2, assignment=tuple(i % 2 for i in range(folds)), seed=0)
+    transactions = [Transaction(frozenset({f"t{i % 3}"}), corpus.labels[i]) for i in range(rows)]
+    with pytest.raises(FoldError, match="expected one of each per sentence"):
+        cross_validate(corpus, PipelineConfig(folds=2), folds=plan, transactions=transactions,
+                       trainer=majority_trainer)
 
 
 def test_majority_stub_matches_majority_share(lexicon):

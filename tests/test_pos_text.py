@@ -7,9 +7,9 @@ from finsent.pos_text import (
     PosSentence,
     PosTextError,
     PosToken,
-    RuleTagger,
     format_pretagged,
     ingest_pretagged,
+    pos_tags,
     tag_raw,
     tokenize,
 )
@@ -100,33 +100,10 @@ def test_tag_raw_never_drops_characters():
     assert "".join(s.surfaces) == "".join(text.split())
 
 
-def test_pluggable_tagger():
-    fixed = lambda tokens: ["NN"] * len(tokens)
-    s = tag_raw("three word line", tagger=fixed)
-    assert s.pos_tags == ("NN", "NN", "NN")
-
-
-def test_broken_tagger_reports_unavailable():
-    def broken(tokens):
-        raise RuntimeError("no model")
-
-    with pytest.raises(PosTextError, match="tagger"):
-        tag_raw("some text", tagger=broken)
-
-
 def test_tagger_verb_after_to_and_md():
-    tagger = RuleTagger()
-    tags = tagger.tag(["to", "increase"])
-    assert tags == ["TO", "VB"]
-    tags = tagger.tag(["will", "cut", "jobs"])
-    assert tags[:2] == ["MD", "VB"]
+    assert pos_tags(["to", "increase"]) == ["TO", "VB"]
+    assert pos_tags(["will", "cut", "jobs"])[:2] == ["MD", "VB"]
 
 
 def test_tagger_capitalized_mid_sentence_is_proper_noun():
-    tagger = RuleTagger()
-    assert tagger.tag(["from", "EUR"]) == ["IN", "NNP"]
-
-
-def test_extra_vocab_overrides():
-    tagger = RuleTagger(extra_vocab={"widget": "JJ"})
-    assert tagger.tag(["widget"]) == ["JJ"]
+    assert pos_tags(["from", "EUR"]) == ["IN", "NNP"]
