@@ -24,6 +24,9 @@ grammar, not by the input, and compiling a grammar builds no DFA state beyond
 the start set.  A rule's scan reads the start set's cached step on each
 element's symbol first: when that step is dead, no match can start there and
 the element passes through without a match attempt.
+
+Pair extraction walks a chunk tree once (``pair_nodes``) for the chunks inside
+each pair-pattern (NPJJ) node.
 """
 from __future__ import annotations
 
@@ -369,23 +372,6 @@ class Chunk:
     def end(self) -> int:
         return self.children[-1].end
 
-    def leaves(self) -> Iterable[Leaf]:
-        for child in self.children:
-            if isinstance(child, Leaf):
-                yield child
-            else:
-                yield from child.leaves()
-
-    def surfaces(self) -> tuple:
-        return tuple(leaf.token.surface for leaf in self.leaves())
-
-    def subchunks(self) -> Iterable["Chunk"]:
-        """All descendant chunks, pre-order."""
-        for child in self.children:
-            if isinstance(child, Chunk):
-                yield child
-                yield from child.subchunks()
-
 
 def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str]) -> tuple:
     """One rule over the elements and their symbols; returns both lists after it."""
@@ -452,9 +438,27 @@ class PairExtraction:
         )
 
 
-def pair_nodes(tree: Chunk) -> List[Chunk]:
-    """The tree's pair-pattern (NPJJ) nodes, the root included, in pre-order."""
-    return [node for node in (tree, *tree.subchunks()) if node.label == PAIR_NODE_LABEL]
+def pair_nodes(tree: Chunk) -> List[List[Chunk]]:
+    """The chunks inside each pair-pattern (NPJJ) node, the root included.
+
+    Nodes and each node's chunks come in pre-order.  One walk adds each chunk
+    to the list of every NPJJ node that encloses it, nested ones included.
+    """
+    nodes: List[List[Chunk]] = []
+
+    def walk(node: Chunk, enclosing: tuple) -> None:
+        if node.label == PAIR_NODE_LABEL:
+            inside: List[Chunk] = []
+            nodes.append(inside)
+            enclosing = (*enclosing, inside)
+        for child in node.children:
+            if isinstance(child, Chunk):
+                for chunks in enclosing:
+                    chunks.append(child)
+                walk(child, enclosing)
+
+    walk(tree, ())
+    return nodes
 
 
 def extract_pairs(tree: Chunk) -> PairExtraction:
@@ -464,13 +468,8 @@ def extract_pairs(tree: Chunk) -> PairExtraction:
     candidate pair, ordered by indicator position then modifier position.
     """
     nodes: List[tuple] = []
-    for node in pair_nodes(tree):
-        indicators: List[Chunk] = []
-        modifiers: List[Chunk] = []
-        for sub in node.subchunks():
-            if sub.label in INDICATOR_LABELS:
-                indicators.append(sub)
-            elif sub.label in MODIFIER_LABELS:
-                modifiers.append(sub)
-        nodes.append((tuple(indicators), tuple(modifiers)))
+    for chunks in pair_nodes(tree):
+        indicators = tuple(sub for sub in chunks if sub.label in INDICATOR_LABELS)
+        modifiers = tuple(sub for sub in chunks if sub.label in MODIFIER_LABELS)
+        nodes.append((indicators, modifiers))
     return PairExtraction(tuple(nodes))

@@ -101,10 +101,8 @@ def _load_lexicon(lexicon_path: Optional[str], reversals_path: Optional[str]) ->
 
 def _read_lines(source: Optional[str], encoding: str) -> List[Tuple[int, str]]:
     """The non-blank lines of a file (or stdin), each with its line number."""
-    if source in (None, "-"):
-        data = sys.stdin.read()
-    else:
-        data = Path(source).read_bytes().decode(encoding, errors="replace")
+    raw = sys.stdin.buffer.read() if source in (None, "-") else Path(source).read_bytes()
+    data = raw.decode(encoding, errors="replace")
     return [(lineno, line) for lineno, line in enumerate(data.splitlines(), start=1) if line.strip()]
 
 

@@ -30,7 +30,7 @@ from .classify import (
     train,
 )
 from .lexicon import Lexicon, load_default_lexicon
-from .pos_text import ingest_pretagged, tag_raw
+from .pos_text import PosTextError, ingest_pretagged, tag_raw
 from .semtag import Mode, filter_mode, tag_sentence
 
 __all__ = [
@@ -95,7 +95,8 @@ def load_phrasebank(
     """Load a ``sentence@label`` corpus file.
 
     Decoding errors fall back to replacement characters: the public corpus
-    circulates in legacy encodings.
+    circulates in legacy encodings.  A pre-tagged sentence that
+    ``ingest_pretagged`` rejects is a CorpusError naming its line.
     """
     path = Path(path)
     raw = path.read_bytes().decode(encoding, errors="replace")
@@ -113,6 +114,11 @@ def load_phrasebank(
             raise CorpusError(f"{path}:{lineno}: unknown label {label!r}")
         if not text:
             raise CorpusError(f"{path}:{lineno}: empty sentence")
+        if pretagged:
+            try:
+                ingest_pretagged(text)
+            except PosTextError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
         texts.append(text)
         labels.append(label)
     if not texts:

@@ -80,19 +80,12 @@ class Lexicon:
     reversal_terms: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        longest = max((phrase.count(" ") + 1 for phrase in self.entries), default=1)
-        object.__setattr__(self, "_max_phrase_len", longest)
         reach: dict = {}  # first word -> word count of the longest entry it starts
         for phrase in self.entries:
             words = phrase.split()
             if words:
                 reach[words[0]] = max(reach.get(words[0], 0), len(words))
         object.__setattr__(self, "_reach", reach)
-
-    @property
-    def max_phrase_len(self) -> int:
-        """Token length of the longest phrase entry."""
-        return self._max_phrase_len  # type: ignore[attr-defined]
 
     def reach(self, word: str) -> int:
         """Word count of the longest entry whose first word is ``word`` (0 if none)."""

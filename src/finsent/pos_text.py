@@ -41,14 +41,14 @@ class PosTextError(ValueError):
 
 @dataclass(frozen=True)
 class PosToken:
-    """One token: surface form plus Penn Treebank POS tag."""
+    """One token: a one-word surface form plus Penn Treebank POS tag."""
 
     surface: str
     pos: str
 
     def __post_init__(self) -> None:
-        if not self.surface:
-            raise PosTextError("token surface must be non-empty")
+        if self.surface.split() != [self.surface]:
+            raise PosTextError(f"token surface {self.surface!r} is not one word")
         if self.pos not in PENN_TAGS:
             raise PosTextError(f"unknown POS tag {self.pos!r} on token {self.surface!r}")
 

@@ -8,16 +8,17 @@ is built in four passes:
    (each chunk participates in at most one interaction);
 2. if no interaction was found and the sentence contains a comparison marker,
    numeric directionality is derived from the numeric grammar's pair-pattern
-   nodes, each read in one walk for its indicator and its numbers;
+   nodes, each node's chunks read once for its indicator and its numbers;
 3. remaining indicator/direction words anywhere in the sentence contribute
    bare tags (spans consumed by an interaction are suppressed);
 4. POS/NEG sentiment words are collected token-wise, independent of chunking.
 
-The lexicon is read once per sentence into one list of hits: at each token
-whose word starts an entry, the n-grams of up to that word's longest entry
-are looked up (see ``_lexicon_hits``).  Passes 1 and 2 take
-the longest hit inside a chunk's tokens; passes 3 and 4 scan the list left to
-right, longest match first, without overlaps.
+Every token's surface is one word.  The lexicon is read once per sentence
+into one list of hits: at each token whose word starts an entry, the n-grams
+of up to that word's longest entry are looked up (see ``_lexicon_hits``).
+Both grammars' trees are read through ``chunker.pair_nodes``, one walk per
+tree.  Passes 1 and 2 take the longest hit inside a chunk's tokens; passes 3
+and 4 scan the list left to right, longest match first, without overlaps.
 
 Optional reversal post-processing flips the direction of interaction tags
 whose indicator is on the reversal list (costs, expenses, ...).
@@ -45,7 +46,6 @@ from .lexicon import (
     SENTIMENT_CATEGORIES,
     LexCategory,
     Lexicon,
-    normalize_phrase,
 )
 from .pos_text import PosSentence
 
@@ -173,19 +173,13 @@ class _Hit:
 def _lexicon_hits(lex: Lexicon, surfaces: Sequence[str]) -> Tuple[_Hit, ...]:
     """Every lexicon phrase in the sentence, by start, longest first.
 
-    Each surface is normalized once.  When each normalizes to exactly one
-    word, an n-gram's normalized words are its surfaces' words, so it can be
-    an entry only if its first word starts one and it is no longer than the
-    longest entry that word starts (``lex.reach``); only those lengths are
-    looked up.  A sentence with a surface of zero or several words looks up
-    every n-gram of up to ``lex.max_phrase_len`` tokens instead.
+    Each surface is one word (``PosToken`` holds no other), so an n-gram's
+    normalized words are its surfaces, lowercased: it can be an entry only if
+    its first word starts one and it is no longer than the longest entry that
+    word starts (``lex.reach``).  Only those lengths are looked up.
     """
-    words = [normalize_phrase(surface) for surface in surfaces]
+    reach = [lex.reach(surface.lower()) for surface in surfaces]
     n = len(surfaces)
-    if all(word and " " not in word for word in words):
-        reach = [lex.reach(word) for word in words]
-    else:
-        reach = [lex.max_phrase_len] * n
     hits = []
     for start in range(n):
         for end in range(min(n, start + reach[start]), start, -1):
@@ -230,25 +224,26 @@ def _parse_value(surface: str) -> Optional[float]:
 
 
 def _numeric_hit(
-    tree: Chunk, find: Callable[[int, int, frozenset], Optional[_Hit]], marker: Optional[str]
+    tree: Chunk, surfaces: Sequence[str], find: Callable[[int, int, frozenset], Optional[_Hit]],
+    marker: Optional[str],
 ) -> Optional[Tuple[SemTag, _Hit]]:
     """Interaction tag of the first pair-pattern node with an indicator and two numbers.
 
-    ``tree`` comes from the numeric grammar.  In each node, the first
-    indicator chunk with a lexicon hit is the indicator; the first CD value is
-    the current figure and the second the reference: higher means UP, lower
-    DOWN, equal values produce nothing.  "down from"/"up from" markers state
+    ``tree`` is the numeric grammar's tree of the sentence with these
+    ``surfaces``.  In each node, the first indicator chunk with a lexicon hit
+    is the indicator; the first CD value is the current figure and the second
+    the reference: higher means UP, lower DOWN, equal values produce nothing.  "down from"/"up from" markers state
     the direction outright.
     """
-    for node in pair_nodes(tree):
+    for chunks in pair_nodes(tree):
         indicator = None
         values: List[float] = []
-        for sub in node.subchunks():
+        for sub in chunks:
             if sub.label in INDICATOR_LABELS:
                 if indicator is None:
                     indicator = find(sub.start, sub.end, INDICATOR_CATEGORIES)
             elif sub.label == "CD":
-                value = _parse_value(sub.surfaces()[0])
+                value = _parse_value(surfaces[sub.start])
                 if value is not None:
                     values.append(value)
         if indicator is None or len(values) < 2:
@@ -310,8 +305,7 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
     """Extract the semantic tag set of one sentence (see module docstring)."""
     surfaces = sentence.surfaces
     hits = _lexicon_hits(lex, surfaces)
-    # a sentence's spans recur across its indicator/modifier pairs and the numeric path
-    find = functools.lru_cache(maxsize=None)(functools.partial(_find_in_span, hits))
+    find = functools.partial(_find_in_span, hits)
 
     tree = chunk(bundled_grammar("indicator_direction"), sentence)
     extraction = extract_pairs(tree)
@@ -323,7 +317,8 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
         consumed.update(range(ind_hit.start, ind_hit.end), range(mod_hit.start, mod_hit.end))
 
     if not interactions and (marker := _marker_in(surfaces)):
-        found = _numeric_hit(chunk(bundled_grammar("numeric_direction"), sentence), find, marker)
+        tree = chunk(bundled_grammar("numeric_direction"), sentence)
+        found = _numeric_hit(tree, surfaces, find, marker)
         if found is not None:
             tag, ind_hit = found
             interactions.append((tag, ind_hit))

@@ -6,9 +6,13 @@ transaction, with no level-wise pruning.  Float formulas mirror the
 production definitions (percent = 100*count/n, confidence = 100*sup/sup) so
 results compare exactly.
 
-Lexicon scans, independent of semtag's hit list: every candidate n-gram is
-looked up in the lexicon where the scan reaches it.  A hit is the tuple
-(category, lowercased phrase, start, end) of the tokens [start, end).
+Lexicon scans, independent of semtag's hit list: every candidate n-gram of
+up to the longest entry's word count is looked up in the lexicon where the
+scan reaches it.  A hit is the tuple (category, lowercased phrase, start, end)
+of the tokens [start, end).
+
+Pair-pattern nodes, independent of the chunker's one walk: recursive
+generators find the NPJJ nodes, then walk each node again for its chunks.
 
 Indicator/modifier pairing, independent of semtag's per-node loop: every
 candidate pair is visited in order and resolved on its own.
@@ -31,7 +35,7 @@ import warnings
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from finsent.arm import DEFAULT_MINCONF, DEFAULT_MINSUP, MiningError, RuleBase, Transaction, mine_rules
-from finsent.chunker import INDICATOR_LABELS, pair_nodes
+from finsent.chunker import INDICATOR_LABELS, MODIFIER_LABELS, PAIR_NODE_LABEL, Chunk
 from finsent.classify import (
     CLASSES,
     NEGATIVE,
@@ -87,10 +91,15 @@ def brute_force_rules(
     return rules
 
 
+def _longest_entry(lex) -> int:
+    """Word count of the lexicon's longest entry: no longer n-gram can be one."""
+    return max((len(phrase.split()) for phrase in lex.entries), default=1)
+
+
 def lookup_scan(lex, surfaces: Sequence[str], categories) -> Iterator[tuple]:
     """Longest-match, non-overlapping, left-to-right lexicon scan."""
     i, n = 0, len(surfaces)
-    max_len = lex.max_phrase_len
+    max_len = _longest_entry(lex)
     while i < n:
         for length in range(min(max_len, n - i), 0, -1):
             phrase = surfaces[i : i + length]
@@ -106,7 +115,7 @@ def lookup_scan(lex, surfaces: Sequence[str], categories) -> Iterator[tuple]:
 def lookup_find_in_span(lex, surfaces: Sequence[str], start: int, end: int, categories) -> Optional[tuple]:
     """Longest (then leftmost) sub-phrase of tokens [start, end) in the given categories."""
     length = end - start
-    for n in range(min(length, lex.max_phrase_len), 0, -1):
+    for n in range(min(length, _longest_entry(lex)), 0, -1):
         for off in range(0, length - n + 1):
             first = start + off
             phrase = surfaces[first : first + n]
@@ -118,10 +127,10 @@ def lookup_find_in_span(lex, surfaces: Sequence[str], start: int, end: int, cate
 
 def lookup_hits(lex, surfaces: Sequence[str]) -> list:
     """Every n-gram of up to the longest phrase's length that is an entry, by start, longest first."""
-    n = len(surfaces)
+    n, max_len = len(surfaces), _longest_entry(lex)
     hits = []
     for start in range(n):
-        for end in range(min(n, start + lex.max_phrase_len), start, -1):
+        for end in range(min(n, start + max_len), start, -1):
             category = lex.lookup(surfaces[start:end])
             if category is not None:
                 hits.append((category, " ".join(surfaces[start:end]).lower(), start, end))
@@ -148,13 +157,47 @@ def flat_pair_hits(pairs, find, indicator_categories, direction_categories) -> l
     return found
 
 
+def subchunks(node) -> Iterator[Chunk]:
+    """All descendant chunks of a node, pre-order."""
+    for child in node.children:
+        if isinstance(child, Chunk):
+            yield child
+            yield from subchunks(child)
+
+
+def _npjj_nodes(tree) -> list:
+    """The tree's pair-pattern nodes, the root included, in pre-order."""
+    return [node for node in (tree, *subchunks(tree)) if node.label == PAIR_NODE_LABEL]
+
+
+def _first_surface(node) -> str:
+    while isinstance(node, Chunk):
+        node = node.children[0]
+    return node.token.surface
+
+
+def generator_pair_nodes(tree) -> list:
+    """The chunks inside each pair-pattern node, nodes and chunks in pre-order."""
+    return [list(subchunks(node)) for node in _npjj_nodes(tree)]
+
+
+def generator_pairs(tree) -> tuple:
+    """Candidate (indicator, modifier) chunk pairs: by node, indicator, then modifier."""
+    return tuple(
+        (ind, mod)
+        for node in _npjj_nodes(tree)
+        for ind in subchunks(node) if ind.label in INDICATOR_LABELS
+        for mod in subchunks(node) if mod.label in MODIFIER_LABELS
+    )
+
+
 def two_walk_numeric_hit(tree, find, marker):
     """(interaction tag, indicator hit) of the first pair-pattern node with an
     indicator hit and two CD values that differ or a "down from"/"up from"
     marker; None if no node has them."""
-    for node in pair_nodes(tree):
+    for node in _npjj_nodes(tree):
         indicator = None
-        for sub in node.subchunks():
+        for sub in subchunks(node):
             if sub.label in INDICATOR_LABELS:
                 indicator = find(sub.start, sub.end, INDICATOR_CATEGORIES)
                 if indicator is not None:
@@ -162,9 +205,9 @@ def two_walk_numeric_hit(tree, find, marker):
         if indicator is None:
             continue
         values = []
-        for sub in node.subchunks():
+        for sub in subchunks(node):
             if sub.label == "CD":
-                value = _parse_value(sub.surfaces()[0])
+                value = _parse_value(_first_surface(sub))
                 if value is not None:
                     values.append(value)
         if len(values) < 2:

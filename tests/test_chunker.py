@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_chunker as ref
+from oracles import generator_pair_nodes, generator_pairs, subchunks
 from finsent.chunker import (
     Chunk,
     ChunkRule,
@@ -16,6 +17,7 @@ from finsent.chunker import (
     chunk,
     compile_grammar,
     extract_pairs,
+    pair_nodes,
     to_bracket,
 )
 from finsent.pos_text import PosSentence, PosToken, ingest_pretagged
@@ -239,22 +241,20 @@ def test_longest_match_agrees_with_bruteforce(pattern, symbol_lists):
 # ---------------------------------------------------------------------------
 
 
+def pair_surfaces(pretagged):
+    sentence = ingest_pretagged(pretagged)
+    pairs = extract_pairs(chunk(bundled_grammar("indicator_direction"), sentence)).pairs
+    return [tuple(sentence.surfaces[c.start : c.end] for c in pair) for pair in pairs]
+
+
 def test_extract_pair_indicator_and_verb():
-    tree = chunk(bundled_grammar("indicator_direction"),
-                 ingest_pretagged("market_NN share_NN increase_VB"))
-    extraction = extract_pairs(tree)
-    assert [(p[0].surfaces(), p[1].surfaces()) for p in extraction.pairs] == [
+    assert pair_surfaces("market_NN share_NN increase_VB") == [
         (("market", "share"), ("increase",))
     ]
 
 
 def test_extract_pair_participle():
-    tree = chunk(bundled_grammar("indicator_direction"),
-                 ingest_pretagged("details_NNS disclosed_VBN"))
-    extraction = extract_pairs(tree)
-    assert [(p[0].surfaces(), p[1].surfaces()) for p in extraction.pairs] == [
-        (("details",), ("disclosed",))
-    ]
+    assert pair_surfaces("details_NNS disclosed_VBN") == [(("details",), ("disclosed",))]
 
 
 def test_extract_pairs_empty_without_pair_node():
@@ -266,10 +266,45 @@ def test_extract_pairs_empty_without_pair_node():
 def test_pair_node_contains_required_children():
     for golden in GOLDENS:
         tree = chunk(bundled_grammar(golden["grammar"]), ingest_pretagged(golden["pretagged"]))
-        for node in tree.subchunks():
+        for node in subchunks(tree):
             if node.label == "NPJJ":
-                labels = {c.label for c in node.subchunks()}
+                labels = {c.label for c in subchunks(node)}
                 assert labels & {"NP", "NPP", "JJ", "RB", "VB"}
+
+
+# The pair grammar with NPJJ nodes nested up to three deep: the later rules
+# wrap earlier NPJJ nodes, with the tokens around them, in new ones.
+_NESTED_GRAMMAR = compile_grammar(
+    bundled_grammar_source("indicator_direction")
+    + "NPJJ: { <DT|IN>* <NPJJ> (<,|CC> <.*>)? }\n"
+    + "NPJJ: { <NPJJ> <.*> <NPJJ>? }\n"
+)
+_PAIR_GRAMMARS = {
+    "indicator_direction": bundled_grammar("indicator_direction"),
+    "numeric_direction": bundled_grammar("numeric_direction"),
+    "nested": _NESTED_GRAMMAR,
+}
+
+
+@given(st.lists(st.sampled_from(_TAGS), min_size=1, max_size=40), st.sampled_from(sorted(_PAIR_GRAMMARS)))
+@settings(max_examples=300, deadline=None)
+def test_pair_walk_matches_generator_walk(tags, grammar_name):
+    tree = chunk(_PAIR_GRAMMARS[grammar_name], sentence_from_tags(tags))
+    assert pair_nodes(tree) == generator_pair_nodes(tree)
+    assert extract_pairs(tree).pairs == generator_pairs(tree)
+
+
+def test_nested_pair_nodes_share_their_chunks():
+    tree = chunk(_NESTED_GRAMMAR, ingest_pretagged("the_DT sales_NNS rose_VBD ._."))
+    assert to_bracket(tree) == (
+        "(S (NPJJ (NPJJ the_DT (NPJJ (NP sales_NNS) (VB rose_VBD))) ._.))"
+    )
+    nodes = pair_nodes(tree)
+    assert [[c.label for c in chunks] for chunks in nodes] == [
+        ["NPJJ", "NPJJ", "NP", "VB"], ["NPJJ", "NP", "VB"], ["NP", "VB"],
+    ]
+    # the one (NP, VB) pair is a candidate in each of the three nodes
+    assert extract_pairs(tree).pairs == ((nodes[2][0], nodes[2][1]),) * 3
 
 
 # ---------------------------------------------------------------------------

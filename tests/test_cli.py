@@ -76,10 +76,41 @@ def test_tag_pretagged_malformed_is_data_error(tmp_path, capsys):
     assert f"{source}:1: token 1 'hello': missing '_' separator" in capsys.readouterr().err
 
 
+def stdin_of(data: bytes):
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 def test_tag_empty_sentence_names_stdin_line(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("Turnover fell by 5 %\n\n@neutral\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(b"Turnover fell by 5 %\n\n@neutral\n"))
     assert main(["tag"]) == 3
     assert capsys.readouterr().err == "finsent: data error: <stdin>:3: empty sentence\n"
+
+
+def test_tag_stdin_honours_encoding(tmp_path, monkeypatch, capsys):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("turnover,LagInd\ndéclin,DOWN\n", encoding="utf-8")
+    data = "Turnover déclin .@negative\n".encode("latin-1")
+    source = tmp_path / "in.txt"
+    source.write_bytes(data)
+    flags = ["tag", "--encoding", "latin-1", "--lexicon", str(lexicon)]
+    assert main([*flags, str(source)]) == 0
+    from_path = capsys.readouterr().out
+    assert from_path == "LagInd DOWN\tnegative\n"
+    monkeypatch.setattr("sys.stdin", stdin_of(data))
+    assert main(flags) == 0
+    assert capsys.readouterr().out == from_path
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--model-dir", "{tmp}/m"], ["evaluate"], ["sweep"],
+])
+def test_malformed_pretagged_corpus_line_is_located(tmp_path, capsys, command):
+    corpus = write_corpus(tmp_path, [("Turnover_NN rose_VBD", "positive"), ("bad token", "neutral")])
+    argv = [arg.format(tmp=tmp_path) for arg in command]
+    assert main([*argv, "--corpus", str(corpus), "--pretagged"]) == 3
+    assert capsys.readouterr().err == (
+        f"finsent: data error: {corpus}:2: token 1 'bad': missing '_' separator\n"
+    )
 
 
 def test_predict_bad_line_is_located_data_error(tmp_path, capsys):
@@ -231,7 +262,7 @@ def test_bad_percent_flag_is_usage_error(tmp_path, capsys):
 ], ids=["tag", "tag-stdin", "train", "predict", "evaluate", "sweep", "score"])
 def test_unknown_encoding_is_usage_error(tmp_path, capsys, monkeypatch, command):
     corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
-    monkeypatch.setattr("sys.stdin", io.StringIO("Turnover rose .\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(b"Turnover rose .\n"))
     argv = [arg.format(corpus=corpus, tmp=tmp_path) for arg in command]
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--encoding", "bogus", *argv[1:]])

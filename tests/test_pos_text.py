@@ -39,23 +39,38 @@ def test_ingest_unknown_tag():
 
 def test_token_validation():
     with pytest.raises(PosTextError):
-        PosToken("", "NN")
-    with pytest.raises(PosTextError):
         PosToken("x", "NOPE")
 
 
+@pytest.mark.parametrize("surface", ["", "  ", "net sales", " rose ", "fell\tshort"])
+def test_token_surface_must_be_one_word(surface):
+    with pytest.raises(PosTextError, match="not one word"):
+        PosToken(surface, "NN")
+
+
+# every character class, with whitespace (which splits a surface) made common
 _surface = st.text(
-    alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cf")),
-    min_size=1,
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=()),
+        st.sampled_from(" \t\n\x0b\x1c\x85\xa0\u2003\u2028"),
+    ),
     max_size=8,
 )
 
 
 @given(st.lists(st.tuples(_surface, st.sampled_from(sorted(PENN_TAGS))), min_size=1, max_size=10))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_pretagged_round_trip(pairs):
-    sentence = PosSentence(tuple(PosToken(s, t) for s, t in pairs))
-    assert ingest_pretagged(format_pretagged(sentence)) == sentence
+    tokens = []
+    for surface, tag in pairs:
+        if surface and not any(ch.isspace() for ch in surface):
+            tokens.append(PosToken(surface, tag))
+        else:
+            with pytest.raises(PosTextError):
+                PosToken(surface, tag)
+    if tokens:
+        sentence = PosSentence(tuple(tokens))
+        assert ingest_pretagged(format_pretagged(sentence)) == sentence
 
 
 def test_tokenize_splits_punct_percent_possessive():
