@@ -30,17 +30,16 @@ from .chunker import (
     Chunk,
     ChunkGrammar,
     GrammarError,
-    Leaf,
     bundled_grammar,
     chunk,
     compile_grammar,
-    extract_pairs,
     to_bracket,
 )
 from .semtag import (
     Mode,
     SemTag,
     TaggedSentence,
+    extract_pairs,
     filter_mode,
     flip_direction,
     tag_sentence,

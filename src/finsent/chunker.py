@@ -3,9 +3,12 @@
 A grammar is an ordered list of ``LABEL: { pattern }`` rules.  Patterns are
 regular expressions whose alphabet is ``<TAG>`` atoms; an atom's body is
 itself a small regex over tag names (``<NNS|NN>``, ``<JJ.*>``, ``<.*>``).
-Rules apply in declaration order to the current sequence of elements (token
-leaves and chunks built by earlier rules), so later rules can reference
-earlier labels as single symbols.
+Rules apply in declaration order to the current sequence of elements (the
+sentence's own tokens and the chunks built by earlier rules), so later rules
+can reference earlier labels as single symbols.  A tree's leaves are its
+sentence's ``PosToken`` objects, and each chunk records the token range
+``[start, end)`` it covers.  The chunker gives no label a meaning:
+``semtag`` decides which labels are pair nodes, indicators and modifiers.
 
 Matching policy per rule: scan left to right; at each position take the
 longest possible match (independent of alternative order); a match of at
@@ -24,9 +27,6 @@ grammar, not by the input, and compiling a grammar builds no DFA state beyond
 the start set.  A rule's scan reads the start set's cached step on each
 element's symbol first: when that step is dead, no match can start there and
 the element passes through without a match attempt.
-
-Pair extraction walks a chunk tree once (``pair_nodes``) for the chunks inside
-each pair-pattern (NPJJ) node.
 """
 from __future__ import annotations
 
@@ -42,18 +42,12 @@ __all__ = [
     "GrammarError",
     "ChunkGrammar",
     "ChunkRule",
-    "Leaf",
     "Chunk",
-    "PairExtraction",
     "compile_grammar",
     "bundled_grammar_source",
     "bundled_grammar",
     "chunk",
-    "pair_nodes",
-    "extract_pairs",
     "to_bracket",
-    "INDICATOR_LABELS",
-    "MODIFIER_LABELS",
 ]
 
 
@@ -342,43 +336,27 @@ def bundled_grammar(name: str) -> ChunkGrammar:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    """An unchunked token at its position in the sentence."""
-
-    token: PosToken
-    index: int
-
-    @property
-    def start(self) -> int:
-        return self.index
-
-    @property
-    def end(self) -> int:
-        return self.index + 1
-
-
-@dataclass(frozen=True)
 class Chunk:
-    """A labelled chunk spanning a contiguous run of elements."""
+    """A labelled chunk over the sentence's tokens ``[start, end)``."""
 
     label: str
     children: tuple
-
-    @property
-    def start(self) -> int:
-        return self.children[0].start
-
-    @property
-    def end(self) -> int:
-        return self.children[-1].end
+    start: int
+    end: int
 
 
-def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str]) -> tuple:
-    """One rule over the elements and their symbols; returns both lists after it."""
+def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str], starts: List[int]) -> tuple:
+    """One rule over the elements, their symbols and their first tokens' positions.
+
+    Returns the three lists after the rule.  ``starts`` has one more entry
+    than ``elements``, the sentence length, so element i covers the tokens
+    ``[starts[i], starts[i + 1])``.
+    """
     dfa: dict = rule._dfa  # type: ignore[attr-defined]
     start = rule._nfa.closure0  # type: ignore[attr-defined]
     out: List[object] = []
     out_symbols: List[str] = []
+    out_starts: List[int] = []
     i = 0
     while i < len(elements):
         symbol = symbols[i]
@@ -387,89 +365,32 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str]) -> 
             step = rule._step(start, symbol)
         # a dead first step means no match here: most starts end on it
         length = rule.longest_match(symbols, i) if step[0] is not None else 0
+        out_starts.append(starts[i])
         if length >= 1:
-            out.append(Chunk(rule.label, tuple(elements[i : i + length])))
+            out.append(Chunk(rule.label, tuple(elements[i : i + length]), starts[i], starts[i + length]))
             out_symbols.append(rule.label)
             i += length
         else:
             out.append(elements[i])
             out_symbols.append(symbol)
             i += 1
-    return out, out_symbols
+    out_starts.append(starts[-1])
+    return out, out_symbols, out_starts
 
 
 def chunk(grammar: ChunkGrammar, sentence: PosSentence) -> Chunk:
     """Apply the grammar's rules in order; returns the sentence tree."""
-    elements: List[object] = [Leaf(tok, i) for i, tok in enumerate(sentence.tokens)]
+    elements: List[object] = list(sentence.tokens)
     symbols = [tok.pos for tok in sentence.tokens]
+    starts = list(range(len(elements) + 1))
     for rule in grammar.rules:
-        elements, symbols = _apply_rule(rule, elements, symbols)
-    return Chunk("S", tuple(elements))
+        elements, symbols, starts = _apply_rule(rule, elements, symbols, starts)
+    return Chunk("S", tuple(elements), 0, len(sentence))
 
 
-def to_bracket(node: Union[Chunk, Leaf]) -> str:
+def to_bracket(node: Union[Chunk, PosToken]) -> str:
     """Bracketed rendering, e.g. ``(S (NP market_NN share_NN) (VB rose_VBD))``."""
-    if isinstance(node, Leaf):
-        return f"{node.token.surface}_{node.token.pos}"
+    if isinstance(node, PosToken):
+        return f"{node.surface}_{node.pos}"
     inner = " ".join(to_bracket(child) for child in node.children)
     return f"({node.label} {inner})"
-
-
-# ---------------------------------------------------------------------------
-# indicator/modifier pair extraction
-# ---------------------------------------------------------------------------
-
-PAIR_NODE_LABEL = "NPJJ"
-INDICATOR_LABELS = frozenset({"NP", "NPP"})
-MODIFIER_LABELS = frozenset({"JJ", "RB", "VB"})
-
-
-@dataclass(frozen=True)
-class PairExtraction:
-    """Each pair-pattern node's (indicator chunks, modifier chunks), in pre-order."""
-
-    nodes: tuple
-
-    @property
-    def pairs(self) -> tuple:
-        """Candidate (indicator, modifier) chunk pairs: by node, indicator, then modifier."""
-        return tuple(
-            (ind, mod) for indicators, modifiers in self.nodes for ind in indicators for mod in modifiers
-        )
-
-
-def pair_nodes(tree: Chunk) -> List[List[Chunk]]:
-    """The chunks inside each pair-pattern (NPJJ) node, the root included.
-
-    Nodes and each node's chunks come in pre-order.  One walk adds each chunk
-    to the list of every NPJJ node that encloses it, nested ones included.
-    """
-    nodes: List[List[Chunk]] = []
-
-    def walk(node: Chunk, enclosing: tuple) -> None:
-        if node.label == PAIR_NODE_LABEL:
-            inside: List[Chunk] = []
-            nodes.append(inside)
-            enclosing = (*enclosing, inside)
-        for child in node.children:
-            if isinstance(child, Chunk):
-                for chunks in enclosing:
-                    chunks.append(child)
-                walk(child, enclosing)
-
-    walk(tree, ())
-    return nodes
-
-
-def extract_pairs(tree: Chunk) -> PairExtraction:
-    """Collect the indicator and modifier chunks of every pair-pattern node.
-
-    For each node labelled NPJJ, every (NP-or-NPP, JJ/RB/VB) combination is a
-    candidate pair, ordered by indicator position then modifier position.
-    """
-    nodes: List[tuple] = []
-    for chunks in pair_nodes(tree):
-        indicators = tuple(sub for sub in chunks if sub.label in INDICATOR_LABELS)
-        modifiers = tuple(sub for sub in chunks if sub.label in MODIFIER_LABELS)
-        nodes.append((indicators, modifiers))
-    return PairExtraction(tuple(nodes))

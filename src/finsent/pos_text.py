@@ -103,18 +103,17 @@ _CLOSERS = ".,;:!?)]}\"'%»”’"
 
 
 def _split_unit(unit: str) -> List[str]:
-    lead: List[str] = []
-    while len(unit) > 1 and unit[0] in _OPENERS:
-        lead.append(unit[0])
-        unit = unit[1:]
-    trail: List[str] = []
-    while len(unit) > 1 and unit[-1] in _CLOSERS:
-        trail.append(unit[-1])
-        unit = unit[:-1]
-    core = [unit]
-    if len(unit) > 2 and unit[-2:].lower() in ("'s", "’s"):
-        core = [unit[:-2], unit[-2:]]
-    return lead + core + list(reversed(trail))
+    """A unit's leading openers and trailing closers, one token each, around its word.
+
+    A possessive 's is split off the word.  Neither strip takes the unit's
+    last character, so a unit of punctuation alone keeps one as its word.
+    """
+    rest = unit.lstrip(_OPENERS) or unit[-1]
+    word = rest.rstrip(_CLOSERS) or rest[0]
+    core = [word]
+    if len(word) > 2 and word[-2:].lower() in ("'s", "’s"):
+        core = [word[:-2], word[-2:]]
+    return [*unit[: len(unit) - len(rest)], *core, *rest[len(word) :]]
 
 
 def tokenize(text: str) -> List[str]:
@@ -124,7 +123,7 @@ def tokenize(text: str) -> List[str]:
     """
     out: List[str] = []
     for unit in text.split():
-        out.extend(tok for tok in _split_unit(unit) if tok)
+        out.extend(_split_unit(unit))
     return out
 
 

@@ -16,9 +16,13 @@ is built in four passes:
 Every token's surface is one word.  The lexicon is read once per sentence
 into one list of hits: at each token whose word starts an entry, the n-grams
 of up to that word's longest entry are looked up (see ``_lexicon_hits``).
-Both grammars' trees are read through ``chunker.pair_nodes``, one walk per
-tree.  Passes 1 and 2 take the longest hit inside a chunk's tokens; passes 3
-and 4 scan the list left to right, longest match first, without overlaps.
+Both grammars' trees are read through ``pair_nodes``, one walk per tree.
+Passes 1 and 2 take the longest hit inside a chunk's tokens (the hits that
+start in it, found by bisection); passes 3 and 4 scan the list left to right,
+longest match first, without overlaps.
+
+This module gives the grammars' labels their meaning: NPJJ nodes hold pairs,
+NP/NPP chunks are indicators, JJ/RB/VB chunks modifiers and CD chunks numbers.
 
 Optional reversal post-processing flips the direction of interaction tags
 whose indicator is on the reversal list (costs, expenses, ...).
@@ -27,19 +31,13 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .chunker import (
-    Chunk,
-    INDICATOR_LABELS,
-    PairExtraction,
-    bundled_grammar,
-    chunk,
-    extract_pairs,
-    pair_nodes,
-)
+from .chunker import Chunk, bundled_grammar, chunk
 from .lexicon import (
     DIRECTION_CATEGORIES,
     INDICATOR_CATEGORIES,
@@ -60,6 +58,11 @@ __all__ = [
     "canonical_order",
     "interaction_tag",
     "is_interaction",
+    "INDICATOR_LABELS",
+    "MODIFIER_LABELS",
+    "PairExtraction",
+    "pair_nodes",
+    "extract_pairs",
 ]
 
 
@@ -199,10 +202,23 @@ def _scan(hits: Sequence[_Hit], categories) -> Iterator[_Hit]:
             yield hit
 
 
+_HIT_START = attrgetter("start")
+
+
 def _find_in_span(hits: Sequence[_Hit], start: int, end: int, categories) -> Optional[_Hit]:
-    """Longest (then leftmost) hit inside tokens [start, end) in the given categories."""
-    inside = [h for h in hits if start <= h.start and h.end <= end and h.category in categories]
-    return min(inside, key=lambda h: (h.start - h.end, h.start), default=None)
+    """Longest (then leftmost) hit inside tokens [start, end) in the given categories.
+
+    ``hits`` is ordered by start, so the hits that start in the span are one
+    slice of it, found by bisection.
+    """
+    lo = bisect_left(hits, start, key=_HIT_START)
+    best = None
+    for hit in hits[lo : bisect_left(hits, end, lo, key=_HIT_START)]:
+        if hit.end <= end and hit.category in categories and (
+            best is None or hit.end - hit.start > best.end - best.start
+        ):
+            best = hit
+    return best
 
 
 def _marker_in(surfaces: Sequence[str]) -> Optional[str]:
@@ -221,6 +237,63 @@ def _parse_value(surface: str) -> Optional[float]:
         return float(_THOUSANDS_COMMA_RE.sub("", m.group(0)).replace(",", "."))
     except ValueError:  # more than one decimal point, e.g. "1.2.3"
         return None
+
+
+PAIR_NODE_LABEL = "NPJJ"
+INDICATOR_LABELS = frozenset({"NP", "NPP"})
+MODIFIER_LABELS = frozenset({"JJ", "RB", "VB"})
+NUMBER_LABEL = "CD"
+
+
+@dataclass(frozen=True)
+class PairExtraction:
+    """Each pair-pattern node's (indicator chunks, modifier chunks), in pre-order."""
+
+    nodes: tuple
+
+    @property
+    def pairs(self) -> tuple:
+        """Candidate (indicator, modifier) chunk pairs: by node, indicator, then modifier."""
+        return tuple(
+            (ind, mod) for indicators, modifiers in self.nodes for ind in indicators for mod in modifiers
+        )
+
+
+def pair_nodes(tree: Chunk) -> List[List[Chunk]]:
+    """The chunks inside each pair-pattern (NPJJ) node, the root included.
+
+    Nodes and each node's chunks come in pre-order.  One walk adds each chunk
+    to the list of every NPJJ node that encloses it, nested ones included.
+    """
+    nodes: List[List[Chunk]] = []
+
+    def walk(node: Chunk, enclosing: tuple) -> None:
+        if node.label == PAIR_NODE_LABEL:
+            inside: List[Chunk] = []
+            nodes.append(inside)
+            enclosing = (*enclosing, inside)
+        for child in node.children:
+            if isinstance(child, Chunk):
+                for chunks in enclosing:
+                    chunks.append(child)
+                walk(child, enclosing)
+
+    walk(tree, ())
+    return nodes
+
+
+def extract_pairs(tree: Chunk) -> PairExtraction:
+    """Collect the indicator and modifier chunks of every pair-pattern node.
+
+    For each node labelled NPJJ, every (NP-or-NPP, JJ/RB/VB) combination is a
+    candidate pair, ordered by indicator position then modifier position.
+    """
+    nodes: List[tuple] = []
+    for chunks in pair_nodes(tree):
+        indicators = tuple(sub for sub in chunks if sub.label in INDICATOR_LABELS)
+        modifiers = tuple(sub for sub in chunks if sub.label in MODIFIER_LABELS)
+        nodes.append((indicators, modifiers))
+    return PairExtraction(tuple(nodes))
 
 
 def _numeric_hit(
@@ -242,7 +315,7 @@ def _numeric_hit(
             if sub.label in INDICATOR_LABELS:
                 if indicator is None:
                     indicator = find(sub.start, sub.end, INDICATOR_CATEGORIES)
-            elif sub.label == "CD":
+            elif sub.label == NUMBER_LABEL:
                 value = _parse_value(surfaces[sub.start])
                 if value is not None:
                     values.append(value)
@@ -289,15 +362,19 @@ def _pair_hits(
     for indicators, modifiers in extraction.nodes:
         ind_hits = _span_hits(find, indicators, INDICATOR_CATEGORIES)
         mod_hits = _span_hits(find, modifiers, DIRECTION_CATEGORIES) if ind_hits else ()
+        m = 0  # a used chunk stays used, so the first unused modifier only moves forward
         for ind_key, ind_hit in ind_hits:
             if ind_key in used_spans:
                 continue
-            for mod_key, mod_hit in mod_hits:
-                if mod_key not in used_spans:
-                    found.append((ind_hit, mod_hit))
-                    used_spans.add(ind_key)
-                    used_spans.add(mod_key)
-                    break
+            while m < len(mod_hits) and mod_hits[m][0] in used_spans:
+                m += 1
+            if m == len(mod_hits):
+                break
+            mod_key, mod_hit = mod_hits[m]
+            found.append((ind_hit, mod_hit))
+            used_spans.add(ind_key)
+            used_spans.add(mod_key)
+            m += 1
     return found
 
 

@@ -11,8 +11,8 @@ up to the longest entry's word count is looked up in the lexicon where the
 scan reaches it.  A hit is the tuple (category, lowercased phrase, start, end)
 of the tokens [start, end).
 
-Pair-pattern nodes, independent of the chunker's one walk: recursive
-generators find the NPJJ nodes, then walk each node again for its chunks.
+Pair-pattern nodes, independent of semtag's one walk: recursive generators
+find the NPJJ nodes, then walk each node again for its chunks.
 
 Indicator/modifier pairing, independent of semtag's per-node loop: every
 candidate pair is visited in order and resolved on its own.
@@ -24,6 +24,9 @@ for its CD values.
 Rule scoring, independent of the rule base's antecedent index: every rule is
 tested against the tag set, in rule-base order.
 
+Tokenization, independent of pos_text's string strips: a unit's openers and
+closers are peeled off one character at a time.
+
 Training and prediction per arrangement, independent of classify's stage
 table: one hand-written branch per arrangement, each naming its stages and
 their classes itself.
@@ -32,10 +35,10 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 import warnings
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from finsent.arm import DEFAULT_MINCONF, DEFAULT_MINSUP, MiningError, RuleBase, Transaction, mine_rules
-from finsent.chunker import INDICATOR_LABELS, MODIFIER_LABELS, PAIR_NODE_LABEL, Chunk
+from finsent.chunker import Chunk
 from finsent.classify import (
     CLASSES,
     NEGATIVE,
@@ -50,7 +53,8 @@ from finsent.classify import (
     score_tags,
 )
 from finsent.lexicon import INDICATOR_CATEGORIES, LexCategory
-from finsent.semtag import _parse_value, interaction_tag
+from finsent.pos_text import _CLOSERS, _OPENERS
+from finsent.semtag import INDICATOR_LABELS, MODIFIER_LABELS, PAIR_NODE_LABEL, _parse_value, interaction_tag
 
 
 def brute_force_frequent(
@@ -173,7 +177,7 @@ def _npjj_nodes(tree) -> list:
 def _first_surface(node) -> str:
     while isinstance(node, Chunk):
         node = node.children[0]
-    return node.token.surface
+    return node.surface
 
 
 def generator_pair_nodes(tree) -> list:
@@ -225,6 +229,22 @@ def two_walk_numeric_hit(tree, find, marker):
             continue
         return interaction_tag(indicator.category, direction), indicator
     return None
+
+
+def loop_split_unit(unit: str) -> List[str]:
+    """Openers, the word (possessive 's split off) and closers of one unit."""
+    lead: List[str] = []
+    while len(unit) > 1 and unit[0] in _OPENERS:
+        lead.append(unit[0])
+        unit = unit[1:]
+    trail: List[str] = []
+    while len(unit) > 1 and unit[-1] in _CLOSERS:
+        trail.append(unit[-1])
+        unit = unit[:-1]
+    core = [unit]
+    if len(unit) > 2 and unit[-2:].lower() in ("'s", "’s"):
+        core = [unit[:-2], unit[-2:]]
+    return lead + core + list(reversed(trail))
 
 
 def scan_score_tags(

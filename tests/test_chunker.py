@@ -11,16 +11,14 @@ from finsent.chunker import (
     Chunk,
     ChunkRule,
     GrammarError,
-    Leaf,
     bundled_grammar,
     bundled_grammar_source,
     chunk,
     compile_grammar,
-    extract_pairs,
-    pair_nodes,
     to_bracket,
 )
 from finsent.pos_text import PosSentence, PosToken, ingest_pretagged
+from finsent.semtag import extract_pairs, pair_nodes
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "chunk_goldens.json").read_text())
 
@@ -144,24 +142,31 @@ def test_chunk_is_deterministic():
     assert to_bracket(chunk(g, s)) == to_bracket(chunk(g, s))
 
 
-def _spans_sound(node, sentence):
-    # spans are in order, disjoint, and cover exactly the token sequence
+def _spans_sound(tree, sentence):
+    # every chunk's stored span is that of its first and last token, the
+    # leaves are the sentence's own tokens in order, and the root's children
+    # tile the sentence
     leaves = []
 
-    def walk(el):
-        if isinstance(el, Leaf):
-            leaves.append(el)
-        else:
-            for child in el.children:
+    def walk(node):
+        first = len(leaves)
+        for child in node.children:
+            if isinstance(child, Chunk):
                 walk(child)
+            else:
+                leaves.append(child)
+        assert (node.start, node.end) == (first, len(leaves))
 
-    walk(node)
-    assert [l.index for l in leaves] == list(range(len(sentence)))
-    assert [l.token for l in leaves] == list(sentence.tokens)
+    walk(tree)
+    assert len(leaves) == len(sentence.tokens)
+    assert all(leaf is token for leaf, token in zip(leaves, sentence.tokens))
     cursor = 0
-    for el in node.children:
-        assert el.start == cursor
-        cursor = el.end
+    for el in tree.children:
+        if isinstance(el, Chunk):
+            assert el.start == cursor
+            cursor = el.end
+        else:
+            cursor += 1
     assert cursor == len(sentence)
 
 

@@ -2,7 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loop_split_unit
+
 from finsent.pos_text import (
+    _CLOSERS,
+    _OPENERS,
     PENN_TAGS,
     PosSentence,
     PosTextError,
@@ -86,6 +90,23 @@ def test_tokenize_splits_punct_percent_possessive():
 @settings(max_examples=300, deadline=None)
 def test_tokenize_is_lossless(text):
     assert "".join(tokenize(text)) == "".join(text.split())
+
+
+# text made of the characters the tokenizer treats specially, possessives,
+# letters, digits and whitespace
+_TOKENIZER_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from([*_OPENERS, *_CLOSERS, "'s", "’s", "'S", " ", "  ", "\t", "\n"]),
+        st.sampled_from("aBsS09"),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@given(_TOKENIZER_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_character_loop_oracle(text):
+    assert tokenize(text) == [tok for unit in text.split() for tok in loop_split_unit(unit)]
 
 
 def test_tag_raw_sentence_final_period():

@@ -1,4 +1,6 @@
 import functools
+import math
+from collections.abc import Sequence
 from dataclasses import astuple
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsent import semtag
-from finsent.chunker import PairExtraction, _Nfa, bundled_grammar, chunk, extract_pairs
+from finsent.chunker import _Nfa, bundled_grammar, chunk
 from finsent.lexicon import (
     DIRECTION_CATEGORIES,
     INDICATOR_CATEGORIES,
@@ -17,9 +19,11 @@ from finsent.lexicon import (
 from finsent.pos_text import PosSentence, PosTextError, PosToken, tag_raw
 from finsent.semtag import (
     Mode,
+    PairExtraction,
     SemTag,
     TaggedSentence,
     canonical_order,
+    extract_pairs,
     filter_mode,
     flip_direction,
     is_interaction,
@@ -240,6 +244,38 @@ def test_numeric_walk_matches_two_walk_oracle(tags_and_hits, data):
         assert _numeric_hit(tree, sentence.surfaces, find, marker) == two_walk_numeric_hit(
             tree, find, marker
         )
+
+
+class _CountingHits(Sequence):
+    """A hit list that counts every hit read from it."""
+
+    def __init__(self, hits):
+        self.hits, self.reads = hits, 0
+
+    def __len__(self):
+        return len(self.hits)
+
+    def __getitem__(self, key):
+        got = self.hits[key]
+        self.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+    def __iter__(self):
+        for hit in self.hits:
+            self.reads += 1
+            yield hit
+
+
+def test_span_query_reads_only_its_span():
+    # 1,001 tokens; at each start but the last, a two-token hit, then a one-token one
+    hits = []
+    for start in range(1000):
+        hits += [_Hit(LexCategory.LAGIND, f"p{start}", start, start + 2),
+                 _Hit(LexCategory.LAGIND, f"p{start}", start, start + 1)]
+    counting = _CountingHits(tuple(hits))
+    assert _find_in_span(counting, 500, 501, INDICATOR_CATEGORIES) == hits[1001]
+    # the two hits that start in the span, plus two bisections' probes
+    assert counting.reads <= 2 + 2 * math.ceil(math.log2(len(hits) + 1))
 
 
 # Work counts of one fixed long sentence (153 tokens, three copies of 51).
