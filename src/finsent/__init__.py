@@ -28,7 +28,6 @@ from .pos_text import (
 )
 from .chunker import (
     Chunk,
-    ChunkGrammar,
     GrammarError,
     bundled_grammar,
     chunk,

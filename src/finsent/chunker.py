@@ -1,6 +1,6 @@
 """Cascaded regular-expression chunking over POS tag sequences.
 
-A grammar is an ordered list of ``LABEL: { pattern }`` rules.  Patterns are
+A grammar is the tuple of its ``LABEL: { pattern }`` rules.  Patterns are
 regular expressions whose alphabet is ``<TAG>`` atoms; an atom's body is
 itself a small regex over tag names (``<NNS|NN>``, ``<JJ.*>``, ``<.*>``).
 Rules apply in declaration order to the current sequence of elements (the
@@ -24,9 +24,11 @@ The NFA runs as a lazily built DFA: a transition between sets of NFA states
 is computed the first time a match takes it and cached on the rule.
 Sequences are POS tags and chunk labels, so the cache is bounded by the
 grammar, not by the input, and compiling a grammar builds no DFA state beyond
-the start set.  A rule's scan reads the start set's cached step on each
-element's symbol first: when that step is dead, no match can start there and
-the element passes through without a match attempt.
+the start set.  A rule's pass is one loop.  At each element it first takes
+the start set's cached step on the element's symbol: when that step is dead,
+no match can start there.  Otherwise the step begins the longest-match scan,
+which stops at any (state set, position) pair an earlier scan of the pass
+reached, so a pass is linear in the sentence length.
 """
 from __future__ import annotations
 
@@ -34,13 +36,12 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Tuple, Union
 
 from .pos_text import PENN_TAGS, PosSentence, PosToken
 
 __all__ = [
     "GrammarError",
-    "ChunkGrammar",
     "ChunkRule",
     "Chunk",
     "compile_grammar",
@@ -233,34 +234,6 @@ class ChunkRule:
         self._dfa[(states, symbol)] = step  # type: ignore[attr-defined]
         return step
 
-    def longest_match(self, symbols: Sequence[str], start: int) -> int:
-        """Length of the longest match beginning at ``start`` (0 if none)."""
-        dfa: dict = self._dfa  # type: ignore[attr-defined]
-        states = self._nfa.closure0  # type: ignore[attr-defined]
-        best = 0
-        for j in range(start, len(symbols)):
-            symbol = symbols[j]
-            step = dfa.get((states, symbol))
-            if step is None:
-                step = self._step(states, symbol)
-            states, accepting = step
-            if states is None:
-                break
-            if accepting:
-                best = j + 1 - start
-        return best
-
-
-@dataclass(frozen=True)
-class ChunkGrammar:
-    """An ordered, immutable list of compiled chunk rules."""
-
-    rules: tuple
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(rule.label for rule in self.rules)
-
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$.-]*")
 _SPACE_RE = re.compile(r"\s*")
@@ -279,8 +252,8 @@ def _outside_atoms(text: str, char: str, start: int = 0) -> int:
     return len(text)
 
 
-def compile_grammar(source: str) -> ChunkGrammar:
-    """Compile ``LABEL: { pattern }`` rules, in order, into a ChunkGrammar."""
+def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
+    """Compile ``LABEL: { pattern }`` rules into a grammar: the tuple of its rules, in order."""
     # '#' starts a comment unless it appears inside an <...> atom
     text = "\n".join(line[: _outside_atoms(line, "#")] for line in source.splitlines())
     rules: List[ChunkRule] = []
@@ -312,7 +285,7 @@ def compile_grammar(source: str) -> ChunkGrammar:
         i = _SPACE_RE.match(text, j + 1).end()
     if not rules:
         raise GrammarError("grammar contains no rules")
-    return ChunkGrammar(tuple(rules))
+    return tuple(rules)
 
 
 _BUNDLED = ("indicator_direction", "numeric_direction")
@@ -325,7 +298,7 @@ def bundled_grammar_source(name: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def bundled_grammar(name: str) -> ChunkGrammar:
+def bundled_grammar(name: str) -> Tuple[ChunkRule, ...]:
     """Load and compile one of the two bundled grammars by name."""
     return compile_grammar(bundled_grammar_source(name))
 
@@ -354,19 +327,43 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str], sta
     """
     dfa: dict = rule._dfa  # type: ignore[attr-defined]
     start = rule._nfa.closure0  # type: ignore[attr-defined]
+    # every (state set, position) pair a scan reached.  Those up to its last
+    # accept lie inside the chunk it makes, where no later scan of the pass
+    # looks; the rest have no accept ahead.  The DFA is deterministic and the
+    # symbols are fixed, so a later scan that reaches one stops there.
+    dead: set = set()
+    n = len(elements)
     out: List[object] = []
     out_symbols: List[str] = []
     out_starts: List[int] = []
     i = 0
-    while i < len(elements):
+    while i < n:
         symbol = symbols[i]
         step = dfa.get((start, symbol))
         if step is None:
             step = rule._step(start, symbol)
-        # a dead first step means no match here: most starts end on it
-        length = rule.longest_match(symbols, i) if step[0] is not None else 0
+        # the first step is the dead-start test: most starts end on it
+        states, accepting = step
+        length = 1 if accepting else 0
+        if states is not None:
+            j = i + 1
+            while j < n:
+                pair = (states, j)
+                if pair in dead:
+                    break
+                dead.add(pair)
+                ahead = symbols[j]
+                step = dfa.get((states, ahead))
+                if step is None:
+                    step = rule._step(states, ahead)
+                states, accepting = step
+                if states is None:
+                    break
+                j += 1
+                if accepting:
+                    length = j - i
         out_starts.append(starts[i])
-        if length >= 1:
+        if length:
             out.append(Chunk(rule.label, tuple(elements[i : i + length]), starts[i], starts[i + length]))
             out_symbols.append(rule.label)
             i += length
@@ -378,12 +375,12 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str], sta
     return out, out_symbols, out_starts
 
 
-def chunk(grammar: ChunkGrammar, sentence: PosSentence) -> Chunk:
+def chunk(grammar: Tuple[ChunkRule, ...], sentence: PosSentence) -> Chunk:
     """Apply the grammar's rules in order; returns the sentence tree."""
     elements: List[object] = list(sentence.tokens)
     symbols = [tok.pos for tok in sentence.tokens]
     starts = list(range(len(elements) + 1))
-    for rule in grammar.rules:
+    for rule in grammar:
         elements, symbols, starts = _apply_rule(rule, elements, symbols, starts)
     return Chunk("S", tuple(elements), 0, len(sentence))
 

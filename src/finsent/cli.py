@@ -34,7 +34,6 @@ from .evaluate import (
     cross_validate,
     load_phrasebank,
     majority_trainer,
-    make_folds,
     perfect_trainer,
     pipeline_trainer,
     report_to_csv,
@@ -223,10 +222,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args.lexicon, args.reversals)
     corpus = load_phrasebank(args.corpus, encoding=args.encoding, pretagged=args.pretagged)
     config = _config_from_args(args)
-    folds = make_folds(corpus, config.folds, config.seed)
-    report = cross_validate(
-        corpus, config, folds=folds, lexicon=lexicon, trainer=_trainer_for(args, config)
-    )
+    report = cross_validate(corpus, config, lexicon=lexicon, trainer=_trainer_for(args, config))
     config_out = {**report.config, "classifier": args.classifier}
     if args.classifier in _STUBS:
         # a stub trains no arrangement; PipelineConfig only holds a placeholder

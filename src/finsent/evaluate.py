@@ -332,7 +332,8 @@ def cross_validate(
     """Train on k-1 folds, predict the held-out fold, aggregate the confusion.
 
     Raises FoldError when ``folds`` or ``transactions`` does not have one
-    entry per corpus sentence.
+    entry per corpus sentence, or ``folds`` assigns a sentence to no fold
+    in ``0..k-1``.
     """
     folds = folds or make_folds(corpus, config.folds, config.seed)
     if transactions is None:
@@ -340,6 +341,9 @@ def cross_validate(
     if not len(folds.assignment) == len(transactions) == len(corpus):
         raise FoldError(f"{len(folds.assignment)} fold assignments and {len(transactions)} transactions "
                         f"for {len(corpus)} sentences; expected one of each per sentence")
+    for i, fold in enumerate(folds.assignment):
+        if not 0 <= fold < folds.k:
+            raise FoldError(f"sentence {i} is assigned fold {fold}; folds run from 0 to {folds.k - 1}")
     trainer = trainer or pipeline_trainer(config)
 
     pairs: List[Tuple[str, str]] = []

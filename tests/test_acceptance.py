@@ -119,8 +119,8 @@ def test_criterion_4_bruteforce_miner_equivalence():
 def test_criterion_5_grammar_golden_suite():
     """Both bundled grammars compile; the frozen golden corpus matches the
     production chunker and the independent reference implementation."""
-    assert bundled_grammar("indicator_direction").labels[-1] == "NPJJ"
-    assert "CD" in bundled_grammar("numeric_direction").labels
+    assert bundled_grammar("indicator_direction")[-1].label == "NPJJ"
+    assert "CD" in tuple(rule.label for rule in bundled_grammar("numeric_direction"))
     assert len(GOLDENS) >= 30
     for golden in GOLDENS:
         sentence = ingest_pretagged(golden["pretagged"])

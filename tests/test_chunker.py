@@ -11,6 +11,7 @@ from finsent.chunker import (
     Chunk,
     ChunkRule,
     GrammarError,
+    _apply_rule,
     bundled_grammar,
     bundled_grammar_source,
     chunk,
@@ -34,7 +35,7 @@ def sentence_from_tags(tags):
 
 def test_compile_single_rule():
     g = compile_grammar("NP: {(<NNS|NN>)*}")
-    assert g.labels == ("NP",)
+    assert tuple(rule.label for rule in g) == ("NP",)
     tree = chunk(g, sentence_from_tags(["NNS", "NN", "VBD"]))
     assert to_bracket(tree) == "(S (NP w0_NNS w1_NN) w2_VBD)"
 
@@ -98,14 +99,14 @@ def test_grammar_error_text(source, message):
 
 @pytest.mark.parametrize("source, labels", [("X: {<#>}", ("X",)), ("X:{<NN>}Y:{<X>}", ("X", "Y"))])
 def test_edge_case_grammars_compile(source, labels):
-    assert compile_grammar(source).labels == labels
+    assert tuple(rule.label for rule in compile_grammar(source)) == labels
 
 
 def test_bundled_grammars_compile():
     ga = bundled_grammar("indicator_direction")
     gb = bundled_grammar("numeric_direction")
-    assert ga.labels == ("JJ", "VB", "NP", "NPP", "RB", "NPJJ")
-    assert "CD" in gb.labels
+    assert tuple(rule.label for rule in ga) == ("JJ", "VB", "NP", "NPP", "RB", "NPJJ")
+    assert "CD" in tuple(rule.label for rule in gb)
 
 
 def test_unknown_bundled_grammar():
@@ -235,10 +236,52 @@ def test_longest_match_agrees_with_bruteforce(pattern, symbol_lists):
     rule = ChunkRule("X", pattern)
     node = ref.parse_pattern(pattern)
     for symbols in symbol_lists:
-        for start in range(len(symbols) + 1):
-            assert rule.longest_match(symbols, start) == ref.longest_match(node, symbols, start), (
-                pattern, symbols, start,
-            )
+        for start in range(len(symbols)):
+            rest = symbols[start:]
+            first = _apply_rule(rule, list(range(len(rest))), rest, list(range(len(rest) + 1)))[0][0]
+            length = first.end if isinstance(first, Chunk) else 0
+            assert length == ref.longest_match(node, symbols, start), (pattern, symbols, start)
+
+
+# <.*>* loops keep scans alive past their last accept, so later scans of a
+# pass reach (state set, position) pairs that earlier ones recorded; the
+# alternations and fixed-period loops reach one position in different states
+_long_run_pattern = st.sampled_from([
+    "<NN><.*>*<VB>", "<.*>*<DT>", "<NN>*<.*>*<NN><DT>", "<DT>(<.*>*<NN>)?",
+    "<DT><.*>*<VB>|<NN><.*>*<DT>", "<VB><.*>*<DT><DT>|<NN><.*>*<VB><VB>",
+    "<DT><NN>*<VB>|<NN>+<DT>", "(<NN><.*><NN>)*", "(<NN><.*>)*<VB><VB>",
+])
+
+
+@given(st.lists(_long_run_pattern, min_size=1, max_size=2),
+       st.lists(st.sampled_from(["NN", "VB", "DT"]), min_size=2, max_size=3, unique=True).flatmap(
+           lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=40, max_size=200)))
+@settings(max_examples=60, deadline=None)
+def test_long_runs_match_reference_implementation(patterns, tags):
+    source = "\n".join(f"R{k}: {{{pattern}}}" for k, pattern in enumerate(patterns))
+    want = ref.to_bracket(ref.chunk_sentence(ref.parse_grammar(source),
+                                             [(f"w{i}", t) for i, t in enumerate(tags)]))
+    assert to_bracket(chunk(compile_grammar(source), sentence_from_tags(tags))) == want
+
+
+class _CountingSymbols(list):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _npjj_reads(n):
+    symbols = _CountingSymbols(["DT"] + ["NPP"] * n + ["."])
+    _apply_rule(bundled_grammar("indicator_direction")[-1], list(symbols), symbols, list(range(n + 3)))
+    return symbols.reads
+
+
+def test_rule_pass_reads_are_linear():
+    # from every NPP start, NPJJ's <.*>* keeps the DFA alive to the end of the
+    # sentence with no accept ahead; without a failure memo the reads grow as n²
+    assert _npjj_reads(2000) <= 2.2 * _npjj_reads(1000)
 
 
 # ---------------------------------------------------------------------------

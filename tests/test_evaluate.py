@@ -220,6 +220,17 @@ def test_fold_plan_or_transactions_not_covering_the_corpus_is_error(folds, rows)
                        trainer=majority_trainer)
 
 
+@pytest.mark.parametrize("bad", [7, 2, -1])
+def test_fold_plan_naming_no_fold_is_error(bad):
+    # a sentence outside every fold would be trained on in each fold and never scored
+    corpus = Corpus(tuple(f"s{i}" for i in range(12)), ("positive", "neutral", "negative") * 4)
+    plan = FoldPlan(k=2, assignment=(0, 1) * 5 + (bad, bad), seed=0)
+    transactions = [Transaction(frozenset({f"t{i % 3}"}), label) for i, label in enumerate(corpus.labels)]
+    with pytest.raises(FoldError, match=f"sentence 10 is assigned fold {bad}; folds run from 0 to 1"):
+        cross_validate(corpus, PipelineConfig(folds=2), folds=plan, transactions=transactions,
+                       trainer=majority_trainer)
+
+
 def test_majority_stub_matches_majority_share(lexicon):
     corpus = small_corpus(6, 10, 4)
     config = PipelineConfig(folds=2, seed=1)

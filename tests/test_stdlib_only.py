@@ -1,11 +1,13 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and the reference
+chunker, an oracle for ``finsent.chunker``, imports nothing from the package."""
 import ast
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "finsent"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "finsent"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -28,3 +30,9 @@ def test_imports_only_the_standard_library(path):
         if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "finsent"
     })
     assert not foreign, f"{path.name} imports {', '.join(foreign)}"
+
+
+def test_reference_chunker_shares_no_code_with_the_package():
+    shared = sorted(name for name in _absolute_imports(TESTS / "reference_chunker.py")
+                    if name.partition(".")[0] == "finsent")
+    assert not shared, f"reference_chunker.py imports {', '.join(shared)}"
