@@ -15,14 +15,15 @@ longest possible match (independent of alternative order); a match of at
 least one element becomes a chunk and scanning resumes after it.
 
 Each pattern is read once: its tokens go to a recursive-descent parser that
-emits Thompson NFA fragments as it goes, with no syntax tree in between.  The
-parser collects the distinct atom bodies, which are then compiled as regexes
-(a malformed one, such as ``<*>``, is a GrammarError naming the rule, the atom
-and its position) and checked against the Penn tags and the earlier labels.
+builds the pattern's position (Glushkov) automaton as it goes, with no syntax
+tree in between and no ε-transitions.  The parser collects the distinct atom
+bodies, which are then compiled as regexes (a malformed one, such as ``<*>``,
+is a GrammarError naming the rule, the atom and its position) and checked
+against the Penn tags and the earlier labels.
 
-The NFA runs as a lazily built DFA: a transition between sets of NFA states
-is computed the first time a match takes it and cached on the rule.
-Sequences are POS tags and chunk labels, so the cache is bounded by the
+The position automaton runs as a lazily built DFA: a transition between sets
+of positions is computed the first time a match takes it and cached on the
+rule.  Sequences are POS tags and chunk labels, so the cache is bounded by the
 grammar, not by the input, and compiling a grammar builds no DFA state beyond
 the start set.  A rule's pass is one loop.  At each element it first takes
 the start set's cached step on the element's symbol: when that step is dead,
@@ -36,7 +37,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from .pos_text import PENN_TAGS, PosSentence, PosToken
 
@@ -57,35 +58,8 @@ class GrammarError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# NFA construction (Thompson) and lazy-DFA longest match
+# position automaton (Glushkov) and lazy-DFA longest match
 # ---------------------------------------------------------------------------
-
-
-class _Nfa:
-    __slots__ = ("eps", "sym", "start", "accept", "closure0")
-
-    def __init__(self) -> None:
-        self.eps: List[List[int]] = []
-        self.sym: List[List[tuple]] = []  # per state: [(matcher_index, dest)]
-        self.start = 0
-        self.accept = 0
-        self.closure0: frozenset = frozenset()
-
-    def new_state(self) -> int:
-        self.eps.append([])
-        self.sym.append([])
-        return len(self.eps) - 1
-
-    def closure(self, states: Iterable[int]) -> frozenset:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            s = stack.pop()
-            for t in self.eps[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
 
 
 # an atom (closed or not), an operator, or any other non-space character
@@ -103,10 +77,13 @@ def _atom_regex(body: str, label: str, at: int) -> "re.Pattern[str]":
 
 
 def _compile_pattern(pattern: str, label: str) -> tuple:
-    """Parse a rule pattern by recursive descent, building its Thompson NFA as it goes.
+    """Parse a rule pattern by recursive descent, building its position automaton as it goes.
 
-    Each parse function returns the ``(start, end)`` states of the fragment it
-    read.  Returns the NFA, one matcher per distinct atom body, and those
+    Each atom occurrence is a position; position 0 stands before the first
+    atom.  Each parse function returns the ``(first, last, nullable)`` of the
+    fragment it read and adds to ``follow`` the positions that may come next.
+    Returns ``follow``, the pattern's ``last`` (its accepting positions), each
+    position's matcher index, one matcher per distinct atom body, and those
     bodies in order of first use.
     """
     tokens: List[tuple] = []  # (kind, text, position); kind is "atom" or the operator
@@ -124,47 +101,45 @@ def _compile_pattern(pattern: str, label: str) -> tuple:
         else:
             tokens.append(("atom", body.strip(), at))
     tokens.append((None, None, len(pattern)))
-    nfa = _Nfa()
+    follow: List[set] = [set()]  # per position: the positions that may come next
+    position_atoms: List[int] = [-1]  # per position: its matcher index
     atoms: dict = {}  # body -> (matcher index, position of first use)
     pos = 0
 
     def alternation() -> tuple:
         nonlocal pos
-        options = [sequence()]
+        first, last, nullable = sequence()
         while tokens[pos][0] == "|":
             pos += 1
-            options.append(sequence())
-        if len(options) == 1:
-            return options[0]
-        s, e = nfa.new_state(), nfa.new_state()
-        for option_start, option_end in options:
-            nfa.eps[s].append(option_start)
-            nfa.eps[option_end].append(e)
-        return s, e
+            more = sequence()
+            first, last, nullable = first | more[0], last | more[1], nullable or more[2]
+        return first, last, nullable
 
     def sequence() -> tuple:
-        s = cur = nfa.new_state()
+        first: set = set()
+        last: set = set()
+        nullable = True
         while tokens[pos][0] not in ("|", ")", None):
-            part_start, part_end = repeat()
-            nfa.eps[cur].append(part_start)
-            cur = part_end
-        return s, cur
+            part_first, part_last, part_nullable = repeat()
+            for p in last:
+                follow[p] |= part_first
+            if nullable:
+                first = first | part_first
+            last = last | part_last if part_nullable else part_last
+            nullable = nullable and part_nullable
+        return first, last, nullable
 
     def repeat() -> tuple:
         nonlocal pos
-        child_start, child_end = primary()
+        first, last, nullable = primary()
         op = tokens[pos][0]
         if op not in ("*", "+", "?"):
-            return child_start, child_end
+            return first, last, nullable
         pos += 1
-        s, e = nfa.new_state(), nfa.new_state()
-        nfa.eps[s].append(child_start)
-        nfa.eps[child_end].append(e)
-        if op != "+":  # may match zero times
-            nfa.eps[s].append(e)
         if op != "?":  # may match more than once
-            nfa.eps[child_end].append(child_start)
-        return s, e
+            for p in last:
+                follow[p] |= first
+        return first, last, nullable or op != "+"
 
     def primary() -> tuple:
         nonlocal pos
@@ -172,9 +147,9 @@ def _compile_pattern(pattern: str, label: str) -> tuple:
         pos += 1
         if kind == "atom":
             index, _ = atoms.setdefault(text, (len(atoms), at))
-            s, e = nfa.new_state(), nfa.new_state()
-            nfa.sym[s].append((index, e))
-            return s, e
+            follow.append(set())
+            position_atoms.append(index)
+            return {len(follow) - 1}, {len(follow) - 1}, False
         if kind == "(":
             fragment = alternation()
             if tokens[pos][0] != ")":
@@ -183,52 +158,58 @@ def _compile_pattern(pattern: str, label: str) -> tuple:
             return fragment
         raise GrammarError(f"rule {label}: unexpected {text!r} at position {at}")
 
-    nfa.start, nfa.accept = alternation()
+    first, last, _ = alternation()
     kind, _, at = tokens[pos]
     if kind is not None:
         raise GrammarError(f"rule {label}: unexpected {kind!r} at position {at}")
+    follow[0] = first
     # compiled after the parse, so a syntax error anywhere is reported first
     matchers = [_atom_regex(body, label, at) for body, (_, at) in atoms.items()]
-    nfa.closure0 = nfa.closure({nfa.start})
-    return nfa, matchers, tuple(atoms)
+    return follow, frozenset(last), position_atoms, matchers, tuple(atoms)
+
+
+_START = frozenset({0})
 
 
 @dataclass(frozen=True)
 class ChunkRule:
     """One compiled grammar rule.
 
-    Matching runs the rule's NFA as a lazily built DFA: each DFA state is an
-    ε-closed set of NFA states, and ``_dfa`` maps ``(state set, symbol)`` to
-    ``(next state set or None, accepting)``.  An entry is computed the first
-    time a match takes that transition.  ``_sets`` interns the state sets, so
-    the cache holds one object per DFA state instead of one per transition.
+    Matching runs the rule's position automaton as a lazily built DFA: each
+    DFA state is a set of positions, the start state is ``{0}``, and ``_dfa``
+    maps ``(state, symbol)`` to ``(next state or None, accepting)``.  An entry
+    is computed the first time a match takes that transition.  ``_sets``
+    interns the states, so the cache holds one object per DFA state instead of
+    one per transition.
     """
 
     label: str
     pattern: str
 
     def __post_init__(self) -> None:
-        nfa, matchers, atoms = _compile_pattern(self.pattern, self.label)
-        object.__setattr__(self, "_nfa", nfa)
+        follow, last, position_atoms, matchers, atoms = _compile_pattern(self.pattern, self.label)
+        object.__setattr__(self, "_follow", follow)
+        object.__setattr__(self, "_last", last)
+        object.__setattr__(self, "_position_atoms", position_atoms)
         object.__setattr__(self, "_matchers", matchers)
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_dfa", {})
-        object.__setattr__(self, "_sets", {nfa.closure0: nfa.closure0})
+        object.__setattr__(self, "_sets", {_START: _START})
 
     def _step(self, states: frozenset, symbol: str) -> tuple:
         """Compute and cache the DFA transition from ``states`` on ``symbol``."""
-        nfa: _Nfa = self._nfa  # type: ignore[attr-defined]
+        follow = self._follow  # type: ignore[attr-defined]
+        position_atoms = self._position_atoms  # type: ignore[attr-defined]
         matchers = self._matchers  # type: ignore[attr-defined]
-        moved = {
-            dest
-            for state in states
-            for matcher, dest in nfa.sym[state]
-            if matchers[matcher].fullmatch(symbol) is not None
-        }
+        moved = frozenset(
+            q
+            for p in states
+            for q in follow[p]
+            if matchers[position_atoms[q]].fullmatch(symbol) is not None
+        )
         if moved:
-            closed = nfa.closure(moved)
-            closed = self._sets.setdefault(closed, closed)  # type: ignore[attr-defined]
-            step = (closed, nfa.accept in closed)
+            moved = self._sets.setdefault(moved, moved)  # type: ignore[attr-defined]
+            step = (moved, not moved.isdisjoint(self._last))  # type: ignore[attr-defined]
         else:
             step = (None, False)
         self._dfa[(states, symbol)] = step  # type: ignore[attr-defined]
@@ -326,7 +307,7 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str], sta
     ``[starts[i], starts[i + 1])``.
     """
     dfa: dict = rule._dfa  # type: ignore[attr-defined]
-    start = rule._nfa.closure0  # type: ignore[attr-defined]
+    start = _START
     # every (state set, position) pair a scan reached.  Those up to its last
     # accept lie inside the chunk it makes, where no later scan of the pass
     # looks; the rest have no accept ahead.  The DFA is deterministic and the

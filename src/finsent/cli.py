@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -99,10 +100,14 @@ def _load_lexicon(lexicon_path: Optional[str], reversals_path: Optional[str]) ->
 
 
 def _read_lines(source: Optional[str], encoding: str) -> List[Tuple[int, str]]:
-    """The non-blank lines of a file (or stdin), each with its line number."""
+    """The non-blank lines of a file (or stdin), each with its line number.
+
+    Lines break as in a text-mode ``open()``, not at U+0085 or U+2028 as
+    ``str.splitlines`` does, so each output line answers one input line.
+    """
     raw = sys.stdin.buffer.read() if source in (None, "-") else Path(source).read_bytes()
-    data = raw.decode(encoding, errors="replace")
-    return [(lineno, line) for lineno, line in enumerate(data.splitlines(), start=1) if line.strip()]
+    lines = io.StringIO(raw.decode(encoding, errors="replace"), newline=None)
+    return [(lineno, line.rstrip("\n")) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _write_out(text: str, out: Optional[str]) -> None:

@@ -95,14 +95,15 @@ def load_phrasebank(
     """Load a ``sentence@label`` corpus file.
 
     Decoding errors fall back to replacement characters: the public corpus
-    circulates in legacy encodings.  A pre-tagged sentence that
-    ``ingest_pretagged`` rejects is a CorpusError naming its line.
+    circulates in legacy encodings.  Lines break as in a text-mode ``open()``,
+    not at U+0085 or U+2028 as ``str.splitlines`` does.  A pre-tagged
+    sentence that ``ingest_pretagged`` rejects is a CorpusError naming its line.
     """
     path = Path(path)
     raw = path.read_bytes().decode(encoding, errors="replace")
     texts: List[str] = []
     labels: List[str] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(raw, newline=None), start=1):
         line = line.strip()
         if not line:
             continue
@@ -361,16 +362,8 @@ def cross_validate(
             FoldResult(fold, hits / len(fold_pairs) if fold_pairs else 0.0, len(fold_pairs), rule_count)
         )
 
-    confusion = _confusion(pairs)
-    per_class, overall = _metrics(confusion)
-    return EvalReport(
-        per_class=per_class,
-        overall_accuracy=overall,
-        confusion=confusion,
-        folds=tuple(fold_results),
-        config={**config.as_dict(), "corpus": corpus.name, "examples": len(corpus)},
-        rule_count=total_rules,
-    )
+    report = score_predictions(pairs, {**config.as_dict(), "corpus": corpus.name, "examples": len(corpus)})
+    return replace(report, folds=tuple(fold_results), rule_count=total_rules)
 
 
 @dataclass(frozen=True)

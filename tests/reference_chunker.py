@@ -2,7 +2,10 @@
 
 Deliberately shares no code with finsent.chunker: its own pattern parser
 (producing nested tuples) and a brute-force matcher that enumerates, for every
-AST node and start position, the full set of reachable end positions.  The
+AST node and start position, the full set of reachable end positions.  Its
+repeats take an ε-closure over end positions, a construction the package no
+longer uses (finsent.chunker builds position automata), so the two share no
+construction either.  The
 chunking discipline is the same contract: rules in declaration order, and per
 rule a left-to-right scan taking the longest match at each position (matches
 must consume at least one element).

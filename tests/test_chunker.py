@@ -109,6 +109,16 @@ def test_bundled_grammars_compile():
     assert "CD" in tuple(rule.label for rule in gb)
 
 
+@pytest.mark.parametrize("name", ["indicator_direction", "numeric_direction"])
+def test_compiling_builds_no_dfa_state(name):
+    # DFA states are built lazily, the first time a match takes a transition:
+    # determinizing NPJJ eagerly over the Penn tags and the earlier labels
+    # would build hundreds of states at grammar compile time
+    for rule in compile_grammar(bundled_grammar_source(name)):
+        assert rule._dfa == {}, rule.label
+        assert len(rule._sets) == 1, rule.label  # the start state
+
+
 def test_unknown_bundled_grammar():
     with pytest.raises(GrammarError):
         bundled_grammar_source("missing")
@@ -211,7 +221,8 @@ def test_long_sequences_match_reference_implementation(tags, grammar_name):
 
 
 # random small patterns, both engines agree on longest-match lengths
-_pattern_atom = st.sampled_from(["<A>", "<B>", "<A|B>", "<.*>", "<A.*>", "<C>"])
+# "()" and "(p|)" are the empty and nullable fragments a parser's first/last bookkeeping can get wrong
+_pattern_atom = st.sampled_from(["<A>", "<B>", "<A|B>", "<.*>", "<A.*>", "<C>", "()"])
 
 
 def _patterns(depth):
@@ -225,6 +236,7 @@ def _patterns(depth):
         sub.map(lambda p: f"({p})*"),
         sub.map(lambda p: f"({p})+"),
         sub.map(lambda p: f"({p})?"),
+        sub.map(lambda p: f"({p}|)"),
     )
 
 

@@ -161,6 +161,22 @@ def test_train_then_predict(tmp_path, capsys):
     assert out.splitlines() == ["1\tpositive", "2\tneutral", "3\tneutral"]
 
 
+@pytest.mark.parametrize("inside", ["\u0085", "\u2028", "\x0c"])
+def test_tag_and_predict_answer_each_input_line_once(tmp_path, capsys, inside):
+    # str.splitlines would break the first line in two
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir),
+                 "--classifier", "hsc", "--minsup", "16", "--minconf", "60"]) == 0
+    capsys.readouterr()
+    queries = tmp_path / "queries.txt"
+    queries.write_bytes(f"Turnover fell{inside} by 5 %\r\nNothing relevant here\n".encode("utf-8"))
+    assert main(["tag", str(queries)]) == 0
+    assert capsys.readouterr().out == "LagInd::DOWN\n\n"
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.split("\n")] == ["1", "2", ""]
+
+
 def test_predict_bad_model_dir_is_config_error(tmp_path, capsys):
     queries = tmp_path / "q.txt"
     queries.write_text("hello\n")

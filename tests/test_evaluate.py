@@ -104,6 +104,24 @@ def test_legacy_encoding_replacement(tmp_path):
     assert len(corpus) == 1
 
 
+@pytest.mark.parametrize("data, encoding", [
+    ("Sales rose\u0085 strongly", "utf-8"),
+    ("Sales rose\u2028 strongly", "utf-8"),
+    ("Sales rose\x0c strongly", "utf-8"),
+    (b"Sales rose\x85 strongly".decode("latin-1"), "latin-1"),
+])
+def test_only_line_ends_split_corpus_lines(tmp_path, data, encoding):
+    # str.splitlines would also break at these characters
+    path = tmp_path / "c.txt"
+    path.write_bytes(f"{data}@positive\r\nProfit fell@negative\rno delimiter\n".encode(encoding))
+    with pytest.raises(CorpusError, match=r"c\.txt:3: missing '@' delimiter"):
+        load_phrasebank(path, encoding=encoding)
+    path.write_bytes(f"{data}@positive\r\nProfit fell@negative\rDetails@neutral\n".encode(encoding))
+    corpus = load_phrasebank(path, encoding=encoding)
+    assert corpus.texts == (data, "Profit fell", "Details")
+    assert corpus.labels == ("positive", "negative", "neutral")
+
+
 # ---------------------------------------------------------------------------
 # folds
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsent import semtag
-from finsent.chunker import _Nfa, bundled_grammar, chunk
+from finsent.chunker import ChunkRule, bundled_grammar, chunk
 from finsent.lexicon import (
     DIRECTION_CATEGORIES,
     INDICATOR_CATEGORIES,
@@ -302,8 +302,8 @@ def test_work_count_guard(monkeypatch):
         "rose": "UP", "increased": "UP", "fell": "DOWN", "lower": "DOWN",
         "strong": "POS", "lawsuit": "NEG",
     })
-    counts = {"lookup": 0, "closure": 0, "chunk": 0, "pairs": 0, "find": 0}
-    lookup, closure = Lexicon.lookup, _Nfa.closure
+    counts = {"lookup": 0, "step": 0, "chunk": 0, "pairs": 0, "find": 0}
+    lookup, step = Lexicon.lookup, ChunkRule._step
     semtag_chunk, semtag_extract_pairs = semtag.chunk, semtag.extract_pairs
     find_in_span = semtag._find_in_span
 
@@ -311,9 +311,9 @@ def test_work_count_guard(monkeypatch):
         counts["lookup"] += 1
         return lookup(self, phrase)
 
-    def counting_closure(self, states):
-        counts["closure"] += 1
-        return closure(self, states)
+    def counting_step(self, states, symbol):
+        counts["step"] += 1
+        return step(self, states, symbol)
 
     def counting_chunk(grammar, sentence):
         counts["chunk"] += 1
@@ -330,7 +330,7 @@ def test_work_count_guard(monkeypatch):
 
     # the benchmark's tracer wraps the same attributes
     monkeypatch.setattr(Lexicon, "lookup", counting_lookup)
-    monkeypatch.setattr(_Nfa, "closure", counting_closure)
+    monkeypatch.setattr(ChunkRule, "_step", counting_step)
     monkeypatch.setattr(semtag, "chunk", counting_chunk)
     monkeypatch.setattr(semtag, "extract_pairs", counting_extract_pairs)
     monkeypatch.setattr(semtag, "_find_in_span", counting_find_in_span)
@@ -344,9 +344,9 @@ def test_work_count_guard(monkeypatch):
 
     for name in ("indicator_direction", "numeric_direction"):
         chunk(bundled_grammar(name), sentence)
-        computed = counts["closure"]
+        computed = counts["step"]
         chunk(bundled_grammar(name), sentence)
-        assert counts["closure"] == computed, f"{name}: a warm chunk computed new DFA states"
+        assert counts["step"] == computed, f"{name}: a warm chunk computed new DFA states"
 
 
 # ---------------------------------------------------------------------------
