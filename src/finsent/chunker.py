@@ -14,30 +14,31 @@ Matching policy per rule: scan left to right; at each position take the
 longest possible match (independent of alternative order); a match of at
 least one element becomes a chunk and scanning resumes after it.
 
-Each pattern is read once: its tokens go to a recursive-descent parser that
-builds the pattern's position (Glushkov) automaton as it goes, with no syntax
-tree in between and no ε-transitions.  The parser collects the distinct atom
-bodies, which are then compiled as regexes (a malformed one, such as ``<*>``,
-is a GrammarError naming the rule, the atom and its position) and checked
-against the Penn tags and the earlier labels.
+Each pattern is read once by a recursive-descent parser that builds its
+position (Glushkov) automaton as it goes, with no syntax tree and no
+ε-transitions.  The distinct atom bodies are then compiled as regexes (a
+malformed one, such as ``<*>``, is a GrammarError naming the rule, the atom
+and its position) and checked against the Penn tags and the earlier labels.
 
-The position automaton runs as a lazily built DFA: a transition between sets
-of positions is computed the first time a match takes it and cached on the
-rule.  Sequences are POS tags and chunk labels, so the cache is bounded by the
-grammar, not by the input, and compiling a grammar builds no DFA state beyond
-the start set.  A rule's pass is one loop.  At each element it first takes
-the start set's cached step on the element's symbol: when that step is dead,
-no match can start there.  Otherwise the step begins the longest-match scan,
-which stops at any (state set, position) pair an earlier scan of the pass
-reached, so a pass is linear in the sentence length.
+Each symbol name (a Penn tag or a label, one namespace) has a one-character
+code, and a sentence's symbols are one string of codes.  A run rule, whose
+automaton has one position, accepts a run of one class of symbols (``<JJ.*>*``,
+``<VB.*>``).  Run rules in a row whose classes cannot interact share one pass,
+a ``re.finditer`` over the string; for a run, greedy leftmost is longest.
+Other rules run their automaton as a lazily built DFA over the codes, whose
+transitions are cached on the rule when a match first takes them: compiling
+builds no DFA state.  A dead first step skips a start; otherwise the scan for
+the longest match stops at any (state set, position) pair an earlier scan of
+the pass reached, so a pass is linear in the sentence length.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .pos_text import PENN_TAGS, PosSentence, PosToken
 
@@ -55,6 +56,23 @@ __all__ = [
 
 class GrammarError(ValueError):
     """Raised for grammar syntax errors or references to undefined labels."""
+
+
+# One code point per symbol name (the label JJ and the tag JJ share one).  Penn
+# tags come first, so the bundled grammars' codes stay below U+0100, where CPython
+# shares one object per one-character string and indexing a code allocates nothing.
+_CODES: Dict[str, str] = {tag: chr(k) for k, tag in enumerate(sorted(PENN_TAGS))}
+_NAMES: Dict[str, str] = {code: name for name, code in _CODES.items()}
+_NEXT_CODE = itertools.count(len(_CODES))
+
+
+def _code(name: str) -> str:
+    """The code of a symbol name, assigned on first use (threads that race may skip a code)."""
+    if name not in _CODES:
+        code = chr(next(_NEXT_CODE))
+        _NAMES[code] = name  # before the code is published
+        _CODES.setdefault(name, code)
+    return _CODES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +198,9 @@ class ChunkRule:
     maps ``(state, symbol)`` to ``(next state or None, accepting)``.  An entry
     is computed the first time a match takes that transition.  ``_sets``
     interns the states, so the cache holds one object per DFA state instead of
-    one per transition.
+    one per transition.  ``_run`` is ``"+"`` or ``""`` for a run rule, whose
+    automaton has one position that may repeat or not, else None; ``_runs`` is
+    the regex pass that ``compile_grammar`` records on a pass's first rule.
     """
 
     label: str
@@ -195,9 +215,13 @@ class ChunkRule:
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_dfa", {})
         object.__setattr__(self, "_sets", {_START: _START})
+        single = len(follow) == 2 and follow[0] == last == {1}
+        object.__setattr__(self, "_run", ("+" if 1 in follow[1] else "") if single else None)
+        object.__setattr__(self, "_runs", None)
+        object.__setattr__(self, "_code", _code(self.label))
 
     def _step(self, states: frozenset, symbol: str) -> tuple:
-        """Compute and cache the DFA transition from ``states`` on ``symbol``."""
+        """Compute and cache the DFA transition from ``states`` on the code ``symbol``."""
         follow = self._follow  # type: ignore[attr-defined]
         position_atoms = self._position_atoms  # type: ignore[attr-defined]
         matchers = self._matchers  # type: ignore[attr-defined]
@@ -205,7 +229,7 @@ class ChunkRule:
             q
             for p in states
             for q in follow[p]
-            if matchers[position_atoms[q]].fullmatch(symbol) is not None
+            if matchers[position_atoms[q]].fullmatch(_NAMES[symbol]) is not None
         )
         if moved:
             moved = self._sets.setdefault(moved, moved)  # type: ignore[attr-defined]
@@ -238,7 +262,12 @@ def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
     # '#' starts a comment unless it appears inside an <...> atom
     text = "\n".join(line[: _outside_atoms(line, "#")] for line in source.splitlines())
     rules: List[ChunkRule] = []
-    known: set = set()
+    names = set(PENN_TAGS)  # the Penn tags and the labels so far
+    # A run rule's class is the codes of the names its atom matches.  Run rules
+    # in a row share one regex pass while none can chunk what an earlier one of
+    # the pass chunked or made: their classes are disjoint and miss its labels.
+    passes: list = [[]]  # per pass, its (run rule, class, end) triples
+    blocked: set = set()  # the codes the last pass's rules accept or make
     i = _SPACE_RE.match(text).end()
     while i < len(text):
         m = _LABEL_RE.match(text, i)
@@ -259,14 +288,27 @@ def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
             for name in body.split("|"):
                 name = name.strip()
                 plain = name and not any(ch in ".*+?" for ch in name)
-                if plain and name not in PENN_TAGS and name not in known:
+                if plain and name not in names:
                     raise GrammarError(f"rule {label}: reference to undefined label <{name}>")
+        codes = None if rule._run is None else {  # type: ignore[attr-defined]
+            _code(n) for n in names if rule._matchers[0].fullmatch(n)}  # type: ignore[attr-defined]
+        if codes is None or not codes.isdisjoint(blocked):
+            blocked = set()
+            passes.append([])
+        if codes:  # an empty class never matches
+            passes[-1].append((rule, codes, len(rules) + 1))
+            blocked |= codes | {rule._code}  # type: ignore[attr-defined]
         rules.append(rule)
-        known.add(label)
+        names.add(label)
         i = _SPACE_RE.match(text, j + 1).end()
     if not rules:
         raise GrammarError("grammar contains no rules")
-    return tuple(rules)
+    grammar = tuple(rules)
+    for group in filter(None, passes):  # recorded on the pass's first rule
+        regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{r._run})" for r, c, _ in group)
+        labels = (None,) + tuple((r.label, r._code) for r, _, _ in group)  # by regex group number
+        object.__setattr__(group[0][0], "_runs", (grammar[: group[-1][2]], re.compile(regex), labels))
+    return grammar
 
 
 _BUNDLED = ("indicator_direction", "numeric_direction")
@@ -299,13 +341,27 @@ class Chunk:
     end: int
 
 
-def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str], starts: List[int]) -> tuple:
-    """One rule over the elements, their symbols and their first tokens' positions.
+def _rebuild(matches: list, elements: List[object], symbols: str, starts: List[int]) -> tuple:
+    """The elements, symbol codes and starts after a pass's ``(i, j, label, code)`` matches;
+    element i covers the tokens ``[starts[i], starts[i + 1])``."""
+    out: List[object] = []
+    out_symbols: List[str] = []
+    out_starts: List[int] = []
+    done = 0
+    for i, j, label, code in matches:
+        out += elements[done:i]
+        out.append(Chunk(label, tuple(elements[i:j]), starts[i], starts[j]))
+        out_symbols += symbols[done:i], code
+        out_starts += starts[done : i + 1]
+        done = j
+    out += elements[done:]
+    out_symbols.append(symbols[done:])
+    out_starts += starts[done:]
+    return out, "".join(out_symbols), out_starts
 
-    Returns the three lists after the rule.  ``starts`` has one more entry
-    than ``elements``, the sentence length, so element i covers the tokens
-    ``[starts[i], starts[i + 1])``.
-    """
+
+def _apply_rule(rule: ChunkRule, elements: List[object], symbols: str, starts: List[int]) -> tuple:
+    """One rule's DFA pass over the elements, their symbol codes and their first tokens' positions."""
     dfa: dict = rule._dfa  # type: ignore[attr-defined]
     start = _START
     # every (state set, position) pair a scan reached.  Those up to its last
@@ -314,9 +370,7 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str], sta
     # symbols are fixed, so a later scan that reaches one stops there.
     dead: set = set()
     n = len(elements)
-    out: List[object] = []
-    out_symbols: List[str] = []
-    out_starts: List[int] = []
+    matches: list = []
     i = 0
     while i < n:
         symbol = symbols[i]
@@ -343,26 +397,32 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: List[str], sta
                 j += 1
                 if accepting:
                     length = j - i
-        out_starts.append(starts[i])
         if length:
-            out.append(Chunk(rule.label, tuple(elements[i : i + length]), starts[i], starts[i + length]))
-            out_symbols.append(rule.label)
+            matches.append((i, i + length, rule.label, rule._code))  # type: ignore[attr-defined]
             i += length
         else:
-            out.append(elements[i])
-            out_symbols.append(symbol)
             i += 1
-    out_starts.append(starts[-1])
-    return out, out_symbols, out_starts
+    return _rebuild(matches, elements, symbols, starts)
 
 
 def chunk(grammar: Tuple[ChunkRule, ...], sentence: PosSentence) -> Chunk:
     """Apply the grammar's rules in order; returns the sentence tree."""
     elements: List[object] = list(sentence.tokens)
-    symbols = [tok.pos for tok in sentence.tokens]
+    symbols = "".join([_CODES[tok.pos] for tok in sentence.tokens])
     starts = list(range(len(elements) + 1))
-    for rule in grammar:
-        elements, symbols, starts = _apply_rule(rule, elements, symbols, starts)
+    i = 0
+    while i < len(grammar):
+        runs = grammar[i]._runs  # type: ignore[attr-defined]
+        # a pass holds in the grammar it was compiled in: it applies the rules up
+        # to its end, and its classes depend on the labels before it
+        if runs is not None and grammar[: len(runs[0])] == runs[0]:
+            prefix, regex, labels = runs  # the matched regex group names the rule
+            matches = [(*m.span(), *labels[m.lastindex]) for m in regex.finditer(symbols)]
+            elements, symbols, starts = _rebuild(matches, elements, symbols, starts)
+            i = len(prefix)
+        else:
+            elements, symbols, starts = _apply_rule(grammar[i], elements, symbols, starts)
+            i += 1
     return Chunk("S", tuple(elements), 0, len(sentence))
 
 

@@ -8,6 +8,7 @@ for which downward movement is a good outcome (costs, expenses, losses).
 """
 from __future__ import annotations
 
+import io
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -111,7 +112,10 @@ class Lexicon:
 
 
 def _iter_data_lines(text: str) -> Iterable[tuple]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """Numbered non-blank lines, comments cut.  Lines break as in a text-mode
+    ``open()``, not at U+0085, U+2028 or form feeds as ``str.splitlines`` does,
+    so an error names a line the file has."""
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

@@ -12,6 +12,7 @@ from finsent.chunker import (
     ChunkRule,
     GrammarError,
     _apply_rule,
+    _code,
     bundled_grammar,
     bundled_grammar_source,
     chunk,
@@ -248,11 +249,18 @@ def test_longest_match_agrees_with_bruteforce(pattern, symbol_lists):
     rule = ChunkRule("X", pattern)
     node = ref.parse_pattern(pattern)
     for symbols in symbol_lists:
+        codes = "".join(map(_code, symbols))
         for start in range(len(symbols)):
-            rest = symbols[start:]
+            rest = codes[start:]
             first = _apply_rule(rule, list(range(len(rest))), rest, list(range(len(rest) + 1)))[0][0]
             length = first.end if isinstance(first, Chunk) else 0
             assert length == ref.longest_match(node, symbols, start), (pattern, symbols, start)
+
+
+def _assert_source_matches_reference(source, tags):
+    want = ref.to_bracket(ref.chunk_sentence(ref.parse_grammar(source),
+                                             [(f"w{i}", t) for i, t in enumerate(tags)]))
+    assert to_bracket(chunk(compile_grammar(source), sentence_from_tags(tags))) == want
 
 
 # <.*>* loops keep scans alive past their last accept, so later scans of a
@@ -270,13 +278,75 @@ _long_run_pattern = st.sampled_from([
            lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=40, max_size=200)))
 @settings(max_examples=60, deadline=None)
 def test_long_runs_match_reference_implementation(patterns, tags):
-    source = "\n".join(f"R{k}: {{{pattern}}}" for k, pattern in enumerate(patterns))
-    want = ref.to_bracket(ref.chunk_sentence(ref.parse_grammar(source),
-                                             [(f"w{i}", t) for i, t in enumerate(tags)]))
-    assert to_bracket(chunk(compile_grammar(source), sentence_from_tags(tags))) == want
+    _assert_source_matches_reference("\n".join(f"R{k}: {{{pattern}}}" for k, pattern in enumerate(patterns)), tags)
 
 
-class _CountingSymbols(list):
+# Run rules of Penn-tag classes, labels that equal Penn tags, references to
+# earlier labels and <.*>, so consecutive rules sometimes share a regex pass
+# and sometimes must not (overlapping classes, a class holding an earlier
+# label); a trailing rule sometimes runs on the DFA after them.
+_RUN_BODIES = ["NN", "NNS|NN", "NN.*", "VB.*", "JJ.*", "JJ|RB", "CD", "DT", "RB.*", ".*"]
+
+
+@st.composite
+def _run_grammars(draw):
+    rules, labels = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        body = draw(st.sampled_from(_RUN_BODIES + labels))
+        atom = draw(st.sampled_from(["<{}>", "(<{}>)"])).format(body)
+        labels.append(draw(st.sampled_from(["JJ", "VB", "CD", "NN", "X", "Y"])))
+        rules.append(f"{labels[-1]}: {{{atom}{draw(st.sampled_from(['', '*', '+', '?']))}}}")
+    if draw(st.booleans()):
+        first, last = draw(st.sampled_from(labels + ["DT"])), draw(st.sampled_from(labels + ["VB"]))
+        rules.append(f"T: {{<{first}><.*>*<{last}>}}")
+    return "\n".join(rules)
+
+
+@given(_run_grammars(), st.lists(st.sampled_from(["NN", "NNS", "VB", "VBD", "JJ", "RB", "CD", "DT", "IN"]),
+                                 min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_run_passes_match_reference_implementation(source, tags):
+    _assert_source_matches_reference(source, tags)
+
+
+@pytest.mark.parametrize("pattern, run", [
+    ("<VB.*>", ""), ("(<NNS|NN>)*", "+"), ("<JJ.*>*", "+"), ("<CD>?", ""),
+    ("<NN><NN>*", None), ("(<NN>|<NNS>)+", None), ("<NN>+<VB>", None),
+])
+def test_run_rules_are_read_off_the_automaton(pattern, run):
+    (rule,) = compile_grammar(f"X: {{{pattern}}}")
+    assert rule._run == run
+    assert (rule._runs is None) == (run is None)
+
+
+@pytest.mark.parametrize("name, merged", [("indicator_direction", 5), ("numeric_direction", 6)])
+def test_bundled_run_rules_share_one_pass(name, merged):
+    grammar = bundled_grammar(name)
+    prefix, regex, _ = grammar[0]._runs
+    assert prefix == grammar[:merged] and regex.groups == merged
+    assert all(rule._runs is None for rule in grammar[1:])
+
+
+def test_a_pass_holds_only_in_its_own_grammar():
+    # a slice of a grammar drops rules a pass applies, or labels its classes were built from
+    grammar = bundled_grammar("indicator_direction")
+    tags = ["JJ", "NN", "NNS", "VBD", "RB", "DT", "NNP", "JJ", "NN", "VBZ", "."]
+    for part in (grammar[:2], grammar[1:], grammar[:1] + grammar[3:], grammar[2:3] + grammar):
+        source = "\n".join(f"{rule.label}: {{{rule.pattern}}}" for rule in part)
+        want = ref.to_bracket(ref.chunk_sentence(ref.parse_grammar(source),
+                                                 [(f"w{i}", t) for i, t in enumerate(tags)]))
+        assert to_bracket(chunk(part, sentence_from_tags(tags))) == want, source
+
+
+def test_codes_past_latin1_chunk_as_the_reference():
+    # each label's class holds the label before it, so each rule is a pass of
+    # its own, and the chain takes the table past U+00FF
+    source = "L0: {<NN>}\n" + "".join(f"L{k}: {{<L{k - 1}>+}}\n" for k in range(1, 250))
+    assert ord(compile_grammar(source)[-1]._code) > 0xFF
+    _assert_source_matches_reference(source, ["NN", "DT", "NN", "NN", "VB", "NN"])
+
+
+class _CountingSymbols(str):
     reads = 0
 
     def __getitem__(self, key):
@@ -285,7 +355,7 @@ class _CountingSymbols(list):
 
 
 def _npjj_reads(n):
-    symbols = _CountingSymbols(["DT"] + ["NPP"] * n + ["."])
+    symbols = _CountingSymbols("".join(map(_code, ["DT"] + ["NPP"] * n + ["."])))
     _apply_rule(bundled_grammar("indicator_direction")[-1], list(symbols), symbols, list(range(n + 3)))
     return symbols.reads
 

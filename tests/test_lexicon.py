@@ -45,6 +45,17 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_lexicon(path)
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"])
+def test_error_line_numbers_ignore_unicode_line_separators(tmp_path, separator):
+    # a text-mode open() breaks lines at \n, \r and \r\n only, so the separator stays inside line 2
+    path = write(tmp_path, "lex2.txt", f"ok,UP\nrose,UP{separator}fell DOWN\n")
+    with pytest.raises(LexiconError, match=r"lex2\.txt:2: unknown category 'UP\\"):
+        load_lexicon(path)
+    path = write(tmp_path, "rev.txt", f"# reversals{separator}sales\nrose\n")
+    with pytest.raises(LexiconError, match=r"rev\.txt:2: reversal term 'rose'"):
+        load_lexicon(write(tmp_path, "lex.txt", "sales,LagInd\nrose,UP\n"), path)
+
+
 def test_unknown_category(tmp_path):
     path = write(tmp_path, "lex.txt", "word,SIDEWAYS\n")
     with pytest.raises(LexiconError, match="SIDEWAYS"):
