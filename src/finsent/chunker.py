@@ -198,9 +198,9 @@ class ChunkRule:
     maps ``(state, symbol)`` to ``(next state or None, accepting)``.  An entry
     is computed the first time a match takes that transition.  ``_sets``
     interns the states, so the cache holds one object per DFA state instead of
-    one per transition.  ``_run`` is ``"+"`` or ``""`` for a run rule, whose
-    automaton has one position that may repeat or not, else None; ``_runs`` is
-    the regex pass that ``compile_grammar`` records on a pass's first rule.
+    one per transition.  ``_run`` is ``"+"`` or ``""`` for a run rule (its one
+    position may repeat or not), else None.  ``compile_grammar`` records each
+    rule's ``_place`` (compilation, index) and, on a pass's first rule, ``_runs``.
     """
 
     label: str
@@ -218,6 +218,7 @@ class ChunkRule:
         single = len(follow) == 2 and follow[0] == last == {1}
         object.__setattr__(self, "_run", ("+" if 1 in follow[1] else "") if single else None)
         object.__setattr__(self, "_runs", None)
+        object.__setattr__(self, "_place", None)
         object.__setattr__(self, "_code", _code(self.label))
 
     def _step(self, states: frozenset, symbol: str) -> tuple:
@@ -268,6 +269,7 @@ def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
     # the pass chunked or made: their classes are disjoint and miss its labels.
     passes: list = [[]]  # per pass, its (run rule, class, end) triples
     blocked: set = set()  # the codes the last pass's rules accept or make
+    key = object()  # this compilation, the only one its rules are in
     i = _SPACE_RE.match(text).end()
     while i < len(text):
         m = _LABEL_RE.match(text, i)
@@ -298,17 +300,17 @@ def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
         if codes:  # an empty class never matches
             passes[-1].append((rule, codes, len(rules) + 1))
             blocked |= codes | {rule._code}  # type: ignore[attr-defined]
+        object.__setattr__(rule, "_place", (key, len(rules)))
         rules.append(rule)
         names.add(label)
         i = _SPACE_RE.match(text, j + 1).end()
     if not rules:
         raise GrammarError("grammar contains no rules")
-    grammar = tuple(rules)
     for group in filter(None, passes):  # recorded on the pass's first rule
         regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{r._run})" for r, c, _ in group)
         labels = (None,) + tuple((r.label, r._code) for r, _, _ in group)  # by regex group number
-        object.__setattr__(group[0][0], "_runs", (grammar[: group[-1][2]], re.compile(regex), labels))
-    return grammar
+        object.__setattr__(group[0][0], "_runs", (key, group[-1][2], re.compile(regex), labels))
+    return tuple(rules)
 
 
 _BUNDLED = ("indicator_direction", "numeric_direction")
@@ -399,9 +401,7 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: str, starts: L
                     length = j - i
         if length:
             matches.append((i, i + length, rule.label, rule._code))  # type: ignore[attr-defined]
-            i += length
-        else:
-            i += 1
+        i += length or 1
     return _rebuild(matches, elements, symbols, starts)
 
 
@@ -413,13 +413,13 @@ def chunk(grammar: Tuple[ChunkRule, ...], sentence: PosSentence) -> Chunk:
     i = 0
     while i < len(grammar):
         runs = grammar[i]._runs  # type: ignore[attr-defined]
-        # a pass holds in the grammar it was compiled in: it applies the rules up
-        # to its end, and its classes depend on the labels before it
-        if runs is not None and grammar[: len(runs[0])] == runs[0]:
-            prefix, regex, labels = runs  # the matched regex group names the rule
+        # a pass applies the rules up to its end, with classes built from the labels
+        # before it: it holds where rules 0 to its end are its compilation's, in place
+        if runs is not None and i < runs[1] <= len(grammar) and all(
+                grammar[k]._place == (runs[0], k) for k in range(runs[1])):  # type: ignore[attr-defined]
+            _, i, regex, labels = runs  # the matched regex group names the rule
             matches = [(*m.span(), *labels[m.lastindex]) for m in regex.finditer(symbols)]
             elements, symbols, starts = _rebuild(matches, elements, symbols, starts)
-            i = len(prefix)
         else:
             elements, symbols, starts = _apply_rule(grammar[i], elements, symbols, starts)
             i += 1

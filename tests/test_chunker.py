@@ -322,16 +322,20 @@ def test_run_rules_are_read_off_the_automaton(pattern, run):
 @pytest.mark.parametrize("name, merged", [("indicator_direction", 5), ("numeric_direction", 6)])
 def test_bundled_run_rules_share_one_pass(name, merged):
     grammar = bundled_grammar(name)
-    prefix, regex, _ = grammar[0]._runs
-    assert prefix == grammar[:merged] and regex.groups == merged
+    _, end, regex, _ = grammar[0]._runs
+    assert end == merged and regex.groups == merged
     assert all(rule._runs is None for rule in grammar[1:])
 
 
 def test_a_pass_holds_only_in_its_own_grammar():
-    # a slice of a grammar drops rules a pass applies, or labels its classes were built from
+    # a slice of a grammar drops rules a pass applies, or labels its classes were
+    # built from; a repeat or reordering puts a pass's rule, or an equal one, elsewhere
     grammar = bundled_grammar("indicator_direction")
+    one = compile_grammar("X: {<NN>}")
+    dup = compile_grammar("X: {<NN>}\nY: {<VB.*>}\nX: {<NN>}\nZ: {<JJ>}")
     tags = ["JJ", "NN", "NNS", "VBD", "RB", "DT", "NNP", "JJ", "NN", "VBZ", "."]
-    for part in (grammar[:2], grammar[1:], grammar[:1] + grammar[3:], grammar[2:3] + grammar):
+    for part in (grammar[:2], grammar[1:], grammar[:1] + grammar[3:], grammar[2:3] + grammar,
+                 grammar + grammar, one + one, dup, dup[2::-1] + dup[3:], dup[2:] + dup[:2]):
         source = "\n".join(f"{rule.label}: {{{rule.pattern}}}" for rule in part)
         want = ref.to_bracket(ref.chunk_sentence(ref.parse_grammar(source),
                                                  [(f"w{i}", t) for i, t in enumerate(tags)]))
