@@ -23,13 +23,15 @@ and its position) and checked against the Penn tags and the earlier labels.
 Each symbol name (a Penn tag or a label, one namespace) has a one-character
 code, and a sentence's symbols are one string of codes.  A run rule, whose
 automaton has one position, accepts a run of one class of symbols (``<JJ.*>*``,
-``<VB.*>``).  Run rules in a row whose classes cannot interact share one pass,
-a ``re.finditer`` over the string; for a run, greedy leftmost is longest.
-Other rules run their automaton as a lazily built DFA over the codes, whose
-transitions are cached on the rule when a match first takes them: compiling
-builds no DFA state.  A dead first step skips a start; otherwise the scan for
-the longest match stops at any (state set, position) pair an earlier scan of
-the pass reached, so a pass is linear in the sentence length.
+``<VB.*>``).  Run rules in a row share one pass, a ``re.finditer`` over the
+string, while their classes are disjoint and hold no label of the pass; for a
+run, greedy leftmost is longest.  A grammar's first ``chunk`` plans its passes,
+cached by the grammar's value.  Other rules run their automaton as a lazily
+built DFA over the codes, whose transitions are cached on the rule when a match
+first takes them: compiling builds no DFA state.  A dead first step skips a
+start; otherwise the scan for the longest match stops at any (state set,
+position) pair an earlier scan of the pass reached, so a pass is linear in the
+sentence length.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .pos_text import PENN_TAGS, PosSentence, PosToken
 
@@ -199,8 +201,7 @@ class ChunkRule:
     is computed the first time a match takes that transition.  ``_sets``
     interns the states, so the cache holds one object per DFA state instead of
     one per transition.  ``_run`` is ``"+"`` or ``""`` for a run rule (its one
-    position may repeat or not), else None.  ``compile_grammar`` records each
-    rule's ``_place`` (compilation, index) and, on a pass's first rule, ``_runs``.
+    position may repeat or not), else None.
     """
 
     label: str
@@ -217,8 +218,6 @@ class ChunkRule:
         object.__setattr__(self, "_sets", {_START: _START})
         single = len(follow) == 2 and follow[0] == last == {1}
         object.__setattr__(self, "_run", ("+" if 1 in follow[1] else "") if single else None)
-        object.__setattr__(self, "_runs", None)
-        object.__setattr__(self, "_place", None)
         object.__setattr__(self, "_code", _code(self.label))
 
     def _step(self, states: frozenset, symbol: str) -> tuple:
@@ -264,12 +263,6 @@ def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
     text = "\n".join(line[: _outside_atoms(line, "#")] for line in source.splitlines())
     rules: List[ChunkRule] = []
     names = set(PENN_TAGS)  # the Penn tags and the labels so far
-    # A run rule's class is the codes of the names its atom matches.  Run rules
-    # in a row share one regex pass while none can chunk what an earlier one of
-    # the pass chunked or made: their classes are disjoint and miss its labels.
-    passes: list = [[]]  # per pass, its (run rule, class, end) triples
-    blocked: set = set()  # the codes the last pass's rules accept or make
-    key = object()  # this compilation, the only one its rules are in
     i = _SPACE_RE.match(text).end()
     while i < len(text):
         m = _LABEL_RE.match(text, i)
@@ -292,24 +285,11 @@ def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
                 plain = name and not any(ch in ".*+?" for ch in name)
                 if plain and name not in names:
                     raise GrammarError(f"rule {label}: reference to undefined label <{name}>")
-        codes = None if rule._run is None else {  # type: ignore[attr-defined]
-            _code(n) for n in names if rule._matchers[0].fullmatch(n)}  # type: ignore[attr-defined]
-        if codes is None or not codes.isdisjoint(blocked):
-            blocked = set()
-            passes.append([])
-        if codes:  # an empty class never matches
-            passes[-1].append((rule, codes, len(rules) + 1))
-            blocked |= codes | {rule._code}  # type: ignore[attr-defined]
-        object.__setattr__(rule, "_place", (key, len(rules)))
         rules.append(rule)
         names.add(label)
         i = _SPACE_RE.match(text, j + 1).end()
     if not rules:
         raise GrammarError("grammar contains no rules")
-    for group in filter(None, passes):  # recorded on the pass's first rule
-        regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{r._run})" for r, c, _ in group)
-        labels = (None,) + tuple((r.label, r._code) for r, _, _ in group)  # by regex group number
-        object.__setattr__(group[0][0], "_runs", (key, group[-1][2], re.compile(regex), labels))
     return tuple(rules)
 
 
@@ -405,24 +385,43 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: str, starts: L
     return _rebuild(matches, elements, symbols, starts)
 
 
-def chunk(grammar: Tuple[ChunkRule, ...], sentence: PosSentence) -> Chunk:
+@lru_cache(maxsize=64)
+def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
+    """The grammar's steps: a rule to run on its lazy DFA, or a run pass ``(regex, labels)``."""
+    steps: list = []  # rules, and per run pass the list of its (run rule, class) pairs
+    blocked: set = set()  # the codes the last pass's rules accept or make
+    names = set(PENN_TAGS)  # the Penn tags and the labels so far
+    for rule in grammar:
+        codes = None if rule._run is None else {  # type: ignore[attr-defined]
+            _code(n) for n in names if rule._matchers[0].fullmatch(n)}  # type: ignore[attr-defined]
+        names.add(rule.label)
+        if codes is None:
+            steps.append(rule)
+        elif codes:  # an empty class never matches
+            if not steps or isinstance(steps[-1], ChunkRule) or not codes.isdisjoint(blocked):
+                steps.append([])  # a new pass
+                blocked = set()
+            steps[-1].append((rule, codes))
+            blocked |= codes | {rule._code}  # type: ignore[attr-defined]
+    for k, step in enumerate(steps):
+        if isinstance(step, list):  # a pass: its regex, and by group number its rule's (label, code)
+            regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{r._run})" for r, c in step)
+            steps[k] = (re.compile(regex), (None,) + tuple((r.label, r._code) for r, _ in step))
+    return tuple(steps)
+
+
+def chunk(grammar: Sequence[ChunkRule], sentence: PosSentence) -> Chunk:
     """Apply the grammar's rules in order; returns the sentence tree."""
     elements: List[object] = list(sentence.tokens)
     symbols = "".join([_CODES[tok.pos] for tok in sentence.tokens])
     starts = list(range(len(elements) + 1))
-    i = 0
-    while i < len(grammar):
-        runs = grammar[i]._runs  # type: ignore[attr-defined]
-        # a pass applies the rules up to its end, with classes built from the labels
-        # before it: it holds where rules 0 to its end are its compilation's, in place
-        if runs is not None and i < runs[1] <= len(grammar) and all(
-                grammar[k]._place == (runs[0], k) for k in range(runs[1])):  # type: ignore[attr-defined]
-            _, i, regex, labels = runs  # the matched regex group names the rule
+    for step in _plan(tuple(grammar)):
+        if isinstance(step, ChunkRule):
+            elements, symbols, starts = _apply_rule(step, elements, symbols, starts)
+        else:  # a run pass: the matched regex group names the rule
+            regex, labels = step
             matches = [(*m.span(), *labels[m.lastindex]) for m in regex.finditer(symbols)]
             elements, symbols, starts = _rebuild(matches, elements, symbols, starts)
-        else:
-            elements, symbols, starts = _apply_rule(grammar[i], elements, symbols, starts)
-            i += 1
     return Chunk("S", tuple(elements), 0, len(sentence))
 
 

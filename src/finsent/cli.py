@@ -133,8 +133,9 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _split_labeled(line: str) -> tuple:
-    if "@" in line:
-        text, _, label = line.rpartition("@")
+    """The sentence, and the tail after its last ``@`` if that names a class (else None)."""
+    text, at, label = line.rpartition("@")
+    if at and label.strip().lower() in CLASSES:
         return text.strip(), label.strip()
     return line.strip(), None
 

@@ -13,6 +13,7 @@ from finsent.chunker import (
     GrammarError,
     _apply_rule,
     _code,
+    _plan,
     bundled_grammar,
     bundled_grammar_source,
     chunk,
@@ -114,10 +115,13 @@ def test_bundled_grammars_compile():
 def test_compiling_builds_no_dfa_state(name):
     # DFA states are built lazily, the first time a match takes a transition:
     # determinizing NPJJ eagerly over the Penn tags and the earlier labels
-    # would build hundreds of states at grammar compile time
+    # would build hundreds of states at grammar compile time.  Passes are
+    # planned on a grammar's first chunk, not when it is compiled
+    planned = _plan.cache_info()
     for rule in compile_grammar(bundled_grammar_source(name)):
         assert rule._dfa == {}, rule.label
         assert len(rule._sets) == 1, rule.label  # the start state
+    assert _plan.cache_info() == planned
 
 
 def test_unknown_bundled_grammar():
@@ -257,10 +261,16 @@ def test_longest_match_agrees_with_bruteforce(pattern, symbol_lists):
             assert length == ref.longest_match(node, symbols, start), (pattern, symbols, start)
 
 
-def _assert_source_matches_reference(source, tags):
+def _assert_rules_match_reference(grammar, tags):
+    # the reference reads the rules' own source, so a part of a grammar is checked as itself
+    source = "\n".join(f"{rule.label}: {{{rule.pattern}}}" for rule in grammar)
     want = ref.to_bracket(ref.chunk_sentence(ref.parse_grammar(source),
                                              [(f"w{i}", t) for i, t in enumerate(tags)]))
-    assert to_bracket(chunk(compile_grammar(source), sentence_from_tags(tags))) == want
+    assert to_bracket(chunk(grammar, sentence_from_tags(tags))) == want, source
+
+
+def _assert_source_matches_reference(source, tags):
+    _assert_rules_match_reference(compile_grammar(source), tags)
 
 
 # <.*>* loops keep scans alive past their last accept, so later scans of a
@@ -303,10 +313,16 @@ def _run_grammars(draw):
 
 
 @given(_run_grammars(), st.lists(st.sampled_from(["NN", "NNS", "VB", "VBD", "JJ", "RB", "CD", "DT", "IN"]),
-                                 min_size=1, max_size=30))
+                                 min_size=1, max_size=30), st.data())
 @settings(max_examples=300, deadline=None)
-def test_run_passes_match_reference_implementation(source, tags):
-    _assert_source_matches_reference(source, tags)
+def test_run_passes_match_reference_implementation(source, tags, data):
+    # a slice, a repeat or a permutation is planned for its own rule order; a
+    # permutation may name a label before its rule, where no such chunk exists yet
+    grammar = compile_grammar(source)
+    start = data.draw(st.integers(0, len(grammar) - 1))
+    end = data.draw(st.integers(start + 1, len(grammar)))
+    for part in (grammar, grammar[start:end], grammar + grammar, tuple(data.draw(st.permutations(grammar)))):
+        _assert_rules_match_reference(part, tags)
 
 
 @pytest.mark.parametrize("pattern, run", [
@@ -314,17 +330,26 @@ def test_run_passes_match_reference_implementation(source, tags):
     ("<NN><NN>*", None), ("(<NN>|<NNS>)+", None), ("<NN>+<VB>", None),
 ])
 def test_run_rules_are_read_off_the_automaton(pattern, run):
-    (rule,) = compile_grammar(f"X: {{{pattern}}}")
+    grammar = compile_grammar(f"X: {{{pattern}}}")
+    (rule,) = grammar
     assert rule._run == run
-    assert (rule._runs is None) == (run is None)
+    (step,) = _plan(grammar)
+    assert isinstance(step, ChunkRule) == (run is None)  # else a run pass
 
 
 @pytest.mark.parametrize("name, merged", [("indicator_direction", 5), ("numeric_direction", 6)])
 def test_bundled_run_rules_share_one_pass(name, merged):
     grammar = bundled_grammar(name)
-    _, end, regex, _ = grammar[0]._runs
-    assert end == merged and regex.groups == merged
-    assert all(rule._runs is None for rule in grammar[1:])
+    (regex, labels), *rest = _plan(grammar)
+    assert regex.groups == merged and len(labels) == merged + 1
+    assert rest == list(grammar[merged:])  # the rules after the pass run on the DFA
+    # planned by the grammar's value: any compilation of its source shares the
+    # plan, a prefix plans as its own pass, and a list of the rules chunks alike
+    assert _plan(compile_grammar(bundled_grammar_source(name))) is _plan(grammar)
+    ((prefix, _),) = _plan(grammar[:merged])
+    assert prefix.groups == merged
+    sentence = sentence_from_tags(["JJ", "NN", "NNS", "VBD", "RB", "CD", "NNP", "IN", "CD", "NN", "VBZ", "."])
+    assert to_bracket(chunk(list(grammar), sentence)) == to_bracket(chunk(grammar, sentence))
 
 
 def test_a_pass_holds_only_in_its_own_grammar():
@@ -336,10 +361,7 @@ def test_a_pass_holds_only_in_its_own_grammar():
     tags = ["JJ", "NN", "NNS", "VBD", "RB", "DT", "NNP", "JJ", "NN", "VBZ", "."]
     for part in (grammar[:2], grammar[1:], grammar[:1] + grammar[3:], grammar[2:3] + grammar,
                  grammar + grammar, one + one, dup, dup[2::-1] + dup[3:], dup[2:] + dup[:2]):
-        source = "\n".join(f"{rule.label}: {{{rule.pattern}}}" for rule in part)
-        want = ref.to_bracket(ref.chunk_sentence(ref.parse_grammar(source),
-                                                 [(f"w{i}", t) for i, t in enumerate(tags)]))
-        assert to_bracket(chunk(part, sentence_from_tags(tags))) == want, source
+        _assert_rules_match_reference(part, tags)
 
 
 def test_codes_past_latin1_chunk_as_the_reference():

@@ -49,6 +49,15 @@ def test_tag_unlabeled_and_empty_input(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_tag_takes_only_a_class_name_after_the_last_at_as_label(tmp_path, capsys):
+    # an address in an unlabelled sentence is text, and the tail after it is tagged too
+    source = tmp_path / "in.txt"
+    source.write_text("Operating profit fell , said ir@company ; net sales rose strongly\n"
+                      "Operating profit fell@ Negative \n")
+    assert main(["tag", str(source)]) == 0
+    assert capsys.readouterr().out == "LagInd::UP LagInd::DOWN\nLagInd::DOWN\tNegative\n"
+
+
 def test_tag_missing_lexicon_is_config_error(tmp_path, capsys):
     source = tmp_path / "in.txt"
     source.write_text("anything\n")
@@ -159,6 +168,19 @@ def test_train_then_predict(tmp_path, capsys):
     assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["1\tpositive", "2\tneutral", "3\tneutral"]
+
+
+def test_predict_reads_a_tail_that_is_no_class_name_as_sentence(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir),
+                 "--classifier", "hsc", "--minsup", "16", "--minconf", "60"]) == 0
+    capsys.readouterr()
+    queries = tmp_path / "queries.txt"
+    # the part before the '@' alone tags LagInd::UP, which this model calls positive
+    queries.write_text("Turnover rose , said ir@company ; unit costs fell\n")
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tnegative\n"
 
 
 @pytest.mark.parametrize("inside", ["\u0085", "\u2028", "\x0c"])
