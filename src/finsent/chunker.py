@@ -387,18 +387,18 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: str, starts: L
 
 @lru_cache(maxsize=64)
 def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
-    """The grammar's steps: a rule to run on its lazy DFA, or a run pass ``(regex, labels)``."""
-    steps: list = []  # rules, and per run pass the list of its (run rule, class) pairs
+    """The grammar's steps: a rule's index, to run on its lazy DFA, or a run pass ``(regex, labels)``."""
+    steps: list = []  # indices, so equal grammars' rules keep their own DFA caches; lists per pass
     blocked: set = set()  # the codes the last pass's rules accept or make
     names = set(PENN_TAGS)  # the Penn tags and the labels so far
-    for rule in grammar:
+    for k, rule in enumerate(grammar):
         codes = None if rule._run is None else {  # type: ignore[attr-defined]
             _code(n) for n in names if rule._matchers[0].fullmatch(n)}  # type: ignore[attr-defined]
         names.add(rule.label)
         if codes is None:
-            steps.append(rule)
+            steps.append(k)
         elif codes:  # an empty class never matches
-            if not steps or isinstance(steps[-1], ChunkRule) or not codes.isdisjoint(blocked):
+            if not steps or isinstance(steps[-1], int) or not codes.isdisjoint(blocked):
                 steps.append([])  # a new pass
                 blocked = set()
             steps[-1].append((rule, codes))
@@ -416,8 +416,8 @@ def chunk(grammar: Sequence[ChunkRule], sentence: PosSentence) -> Chunk:
     symbols = "".join([_CODES[tok.pos] for tok in sentence.tokens])
     starts = list(range(len(elements) + 1))
     for step in _plan(tuple(grammar)):
-        if isinstance(step, ChunkRule):
-            elements, symbols, starts = _apply_rule(step, elements, symbols, starts)
+        if isinstance(step, int):
+            elements, symbols, starts = _apply_rule(grammar[step], elements, symbols, starts)
         else:  # a run pass: the matched regex group names the rule
             regex, labels = step
             matches = [(*m.span(), *labels[m.lastindex]) for m in regex.finditer(symbols)]

@@ -118,10 +118,19 @@ def test_compiling_builds_no_dfa_state(name):
     # would build hundreds of states at grammar compile time.  Passes are
     # planned on a grammar's first chunk, not when it is compiled
     planned = _plan.cache_info()
-    for rule in compile_grammar(bundled_grammar_source(name)):
+    first, second = (compile_grammar(bundled_grammar_source(name)) for _ in range(2))
+    for rule in first:
         assert rule._dfa == {}, rule.label
         assert len(rule._sets) == 1, rule.label  # the start state
     assert _plan.cache_info() == planned
+    # equal grammars share a plan, but it names rules by index: chunk steps the
+    # caller's own rules, so a fresh compilation starts on empty DFA caches
+    sentence = sentence_from_tags(["JJ", "NN", "NNS", "VBD", "RB", "CD", "NNP", "IN", "CD", "NN", "VBZ", "."])
+    tree = to_bracket(chunk(first, sentence))
+    dfa_rules = [k for k, rule in enumerate(first) if rule._run is None]
+    assert dfa_rules and all(first[k]._dfa and second[k]._dfa == {} for k in dfa_rules)
+    assert to_bracket(chunk(second, sentence)) == tree
+    assert all(second[k]._dfa for k in dfa_rules)
 
 
 def test_unknown_bundled_grammar():
@@ -334,7 +343,7 @@ def test_run_rules_are_read_off_the_automaton(pattern, run):
     (rule,) = grammar
     assert rule._run == run
     (step,) = _plan(grammar)
-    assert isinstance(step, ChunkRule) == (run is None)  # else a run pass
+    assert (step == 0) == (run is None)  # rule 0 on its DFA, else a run pass
 
 
 @pytest.mark.parametrize("name, merged", [("indicator_direction", 5), ("numeric_direction", 6)])
@@ -342,7 +351,7 @@ def test_bundled_run_rules_share_one_pass(name, merged):
     grammar = bundled_grammar(name)
     (regex, labels), *rest = _plan(grammar)
     assert regex.groups == merged and len(labels) == merged + 1
-    assert rest == list(grammar[merged:])  # the rules after the pass run on the DFA
+    assert rest == list(range(merged, len(grammar)))  # the rules after the pass run on the DFA
     # planned by the grammar's value: any compilation of its source shares the
     # plan, a prefix plans as its own pass, and a list of the rules chunks alike
     assert _plan(compile_grammar(bundled_grammar_source(name))) is _plan(grammar)
