@@ -21,6 +21,11 @@ Numeric directionality, independent of semtag's one walk per pair-pattern
 node: each node is walked once for its first indicator with a hit, then again
 for its CD values.
 
+End-to-end semantic tagging, independent of semtag and the chunker: the
+reference chunker's trees (as Chunks over the sentence's own tokens), the
+lookup scans, the generator pair walk with flat pairing and the two-walk
+numeric path, assembled by the four passes of the semtag module docstring.
+
 Rule scoring, independent of the rule base's antecedent index: every rule is
 tested against the tag set, in rule-base order.
 
@@ -33,12 +38,15 @@ their classes itself.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations
 import warnings
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+import reference_chunker as ref
 
 from finsent.arm import DEFAULT_MINCONF, DEFAULT_MINSUP, MiningError, RuleBase, Transaction, mine_rules
-from finsent.chunker import Chunk
+from finsent.chunker import Chunk, bundled_grammar_source
 from finsent.classify import (
     CLASSES,
     NEGATIVE,
@@ -52,9 +60,12 @@ from finsent.classify import (
     Scoring,
     score_tags,
 )
-from finsent.lexicon import INDICATOR_CATEGORIES, LexCategory
+from finsent.lexicon import DIRECTION_CATEGORIES, INDICATOR_CATEGORIES, SENTIMENT_CATEGORIES, LexCategory
 from finsent.pos_text import _CLOSERS, _OPENERS
-from finsent.semtag import INDICATOR_LABELS, MODIFIER_LABELS, PAIR_NODE_LABEL, _parse_value, interaction_tag
+from finsent.semtag import (
+    COMPARISON_MARKERS, INDICATOR_LABELS, MODIFIER_LABELS, PAIR_NODE_LABEL, SemTag, _parse_value,
+    flip_direction, interaction_tag,
+)
 
 
 def brute_force_frequent(
@@ -229,6 +240,80 @@ def two_walk_numeric_hit(tree, find, marker):
             continue
         return interaction_tag(indicator.category, direction), indicator
     return None
+
+
+_REF_GRAMMARS = {name: ref.parse_grammar(bundled_grammar_source(name))
+                 for name in ("indicator_direction", "numeric_direction")}
+
+
+class RefHit(NamedTuple):
+    """A lookup oracle's hit, readable by attribute."""
+
+    category: LexCategory
+    phrase: str
+    start: int
+    end: int
+
+
+def reference_tree(grammar_name: str, sentence) -> Chunk:
+    """The reference chunker's tree of a sentence, as Chunks over its own tokens."""
+    tokens = sentence.tokens
+    tree = ref.chunk_sentence(_REF_GRAMMARS[grammar_name], [(t.surface, t.pos) for t in tokens])
+    at = 0
+
+    def convert(node):
+        nonlocal at
+        if node[0] == "leaf":
+            at += 1
+            return tokens[at - 1]
+        start = at
+        children = tuple(convert(child) for child in node[2])
+        return Chunk(node[1], children, start, at)
+
+    return convert(tree)
+
+
+def _first_marker(surfaces: Sequence[str]) -> Optional[str]:
+    """The first comparison marker, in COMPARISON_MARKERS order, whose words are consecutive tokens."""
+    words = [s.lower() for s in surfaces]
+    for marker in COMPARISON_MARKERS:
+        parts = marker.split()
+        if any(words[i : i + len(parts)] == parts for i in range(len(words))):
+            return marker
+    return None
+
+
+def reference_tag(sentence, lex, reversal: bool = False) -> FrozenSet[SemTag]:
+    """The semantic tag set of one sentence."""
+    surfaces = [t.surface for t in sentence.tokens]
+
+    @lru_cache(maxsize=None)  # the pairing asks for each chunk's hit once per pair it is in
+    def find(start, end, categories):
+        hit = lookup_find_in_span(lex, surfaces, start, end, categories)
+        return hit and RefHit(*hit)
+
+    pairs = generator_pairs(reference_tree("indicator_direction", sentence))
+    interactions = []
+    consumed: Set[int] = set()
+    for ind_hit, mod_hit in flat_pair_hits(pairs, find, INDICATOR_CATEGORIES, DIRECTION_CATEGORIES):
+        interactions.append((interaction_tag(ind_hit.category, mod_hit.category), ind_hit))
+        consumed.update(range(ind_hit.start, ind_hit.end), range(mod_hit.start, mod_hit.end))
+    marker = _first_marker(surfaces)
+    if not interactions and marker is not None:
+        found = two_walk_numeric_hit(reference_tree("numeric_direction", sentence), find, marker)
+        if found is not None:
+            interactions.append(found)
+            consumed.update(range(found[1].start, found[1].end))
+
+    tags = set()
+    for category, _, start, end in lookup_scan(lex, surfaces, INDICATOR_CATEGORIES | DIRECTION_CATEGORIES):
+        if consumed.isdisjoint(range(start, end)):
+            tags.add(SemTag(category.value))
+    for category, _, _, _ in lookup_scan(lex, surfaces, SENTIMENT_CATEGORIES):
+        tags.add(SemTag(category.value))
+    for tag, ind_hit in interactions:
+        tags.add(flip_direction(tag) if reversal and lex.is_reversal(ind_hit.phrase) else tag)
+    return frozenset(tags)
 
 
 def loop_split_unit(unit: str) -> List[str]:

@@ -1,6 +1,9 @@
 import functools
 import math
+import random
+import sys
 from collections.abc import Sequence
+from pathlib import Path
 from dataclasses import astuple
 
 import pytest
@@ -32,7 +35,13 @@ from finsent.semtag import (
 from finsent.semtag import (
     _Hit, _find_in_span, _lexicon_hits, _numeric_hit, _pair_hits, _parse_value, _scan,
 )
-from oracles import flat_pair_hits, lookup_find_in_span, lookup_hits, lookup_scan, two_walk_numeric_hit
+from oracles import (
+    flat_pair_hits, lookup_find_in_span, lookup_hits, lookup_scan, reference_tag, two_walk_numeric_hit,
+)
+from synth_corpus import synthetic_benchmark
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from workloads import LONGTAIL_MAX_LEN, LONGTAIL_MIN_LEN, SentenceBuilder  # noqa: E402
 
 
 def mini_lexicon(entries, reversals=()):
@@ -131,6 +140,31 @@ def test_random_text_tags_the_same_on_cold_and_warm_caches(lexicon, text, revers
     except PosTextError:
         return
     assert tag_sentence(sentence, lexicon, reversal=reversal).tags == cold
+
+
+# random text, the phrasebank stand-in's sentences, and the longtail benchmark's
+# sentences, drawn as (rng seed, length, label)
+_tagger_inputs = st.one_of(
+    _fuzz_texts.map(lambda text: (None, text)),
+    st.sampled_from(synthetic_benchmark()[0]).map(lambda text: (None, text)),
+    st.tuples(st.integers(0, 2**32), st.integers(LONGTAIL_MIN_LEN, LONGTAIL_MAX_LEN),
+              st.sampled_from(["positive", "neutral", "negative"])),
+)
+
+
+@given(_tagger_inputs, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_tag_sentence_matches_reference_tagger(lexicon, drawn, reversal):
+    if drawn[0] is None:
+        text = drawn[1]
+    else:
+        seed, length, label = drawn
+        text = SentenceBuilder(lexicon).sentence(random.Random(seed), length, label)
+    try:
+        sentence = tag_raw(text)
+    except PosTextError:
+        return
+    assert tag_sentence(sentence, lexicon, reversal=reversal).tags == reference_tag(sentence, lexicon, reversal)
 
 
 # Overlapping multi-word entries in different categories, for the scan oracles.
