@@ -6,7 +6,7 @@ itself a small regex over tag names (``<NNS|NN>``, ``<JJ.*>``, ``<.*>``).
 Rules apply in declaration order to the current sequence of elements (the
 sentence's own tokens and the chunks built by earlier rules), so later rules
 can reference earlier labels as single symbols.  A tree's leaves are its
-sentence's ``PosToken`` objects, and each chunk records the token range
+sentence's ``tokens``, and each chunk, a plain record, holds the token range
 ``[start, end)`` it covers.  The chunker gives no label a meaning:
 ``semtag`` decides which labels are pair nodes, indicators and modifiers.
 
@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .pos_text import PENN_TAGS, PosSentence, PosToken
 
@@ -313,8 +313,7 @@ def bundled_grammar(name: str) -> Tuple[ChunkRule, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """A labelled chunk over the sentence's tokens ``[start, end)``."""
 
     label: str
@@ -413,7 +412,7 @@ def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
 def chunk(grammar: Sequence[ChunkRule], sentence: PosSentence) -> Chunk:
     """Apply the grammar's rules in order; returns the sentence tree."""
     elements: List[object] = list(sentence.tokens)
-    symbols = "".join([_CODES[tok.pos] for tok in sentence.tokens])
+    symbols = "".join([_CODES[tag] for tag in sentence.pos_tags])
     starts = list(range(len(elements) + 1))
     for step in _plan(tuple(grammar)):
         if isinstance(step, int):
@@ -427,7 +426,7 @@ def chunk(grammar: Sequence[ChunkRule], sentence: PosSentence) -> Chunk:
 
 def to_bracket(node: Union[Chunk, PosToken]) -> str:
     """Bracketed rendering, e.g. ``(S (NP market_NN share_NN) (VB rose_VBD))``."""
-    if isinstance(node, PosToken):
+    if not isinstance(node, Chunk):
         return f"{node.surface}_{node.pos}"
     inner = " ".join(to_bracket(child) for child in node.children)
     return f"({node.label} {inner})"

@@ -1,7 +1,8 @@
-"""Sentences as POS-tagged token sequences.
+"""Sentences as two columns: one-word surfaces and their Penn Treebank POS tags.
 
-Sentences enter the pipeline either pre-tagged (``surface_TAG`` units, one
-sentence per line) or as raw text run through the bundled tagger, a
+A ``PosSentence`` checks both columns once; its ``PosToken`` records are built
+on first use.  Sentences enter the pipeline either pre-tagged (``surface_TAG``
+units, one sentence per line) or as raw text run through the bundled tagger, a
 closed-vocabulary plus suffix-heuristic tagger: POS quality is not the point
 of this package, and any external tagger's output can be ingested through the
 pre-tagged format instead.
@@ -9,7 +10,8 @@ pre-tagged format instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from functools import cached_property
+from typing import List, NamedTuple, Sequence
 
 __all__ = [
     "PENN_TAGS",
@@ -39,63 +41,60 @@ class PosTextError(ValueError):
     """Raised for malformed pre-tagged input or an empty sentence."""
 
 
-@dataclass(frozen=True)
-class PosToken:
-    """One token: a one-word surface form plus Penn Treebank POS tag."""
+class PosToken(NamedTuple):
+    """One token: its surface form and Penn Treebank POS tag."""
 
     surface: str
     pos: str
 
-    def __post_init__(self) -> None:
-        if self.surface.split() != [self.surface]:
-            raise PosTextError(f"token surface {self.surface!r} is not one word")
-        if self.pos not in PENN_TAGS:
-            raise PosTextError(f"unknown POS tag {self.pos!r} on token {self.surface!r}")
-
 
 @dataclass(frozen=True)
 class PosSentence:
-    """An ordered, immutable, non-empty sequence of PosTokens."""
+    """A non-empty sentence as two columns: one-word surfaces and their Penn Treebank tags."""
 
-    tokens: tuple
+    surfaces: tuple
+    pos_tags: tuple
 
     def __post_init__(self) -> None:
-        if not self.tokens:
+        if not self.surfaces:
             raise PosTextError("empty sentence")
+        if len(self.surfaces) != len(self.pos_tags):
+            raise PosTextError(f"{len(self.surfaces)} surfaces but {len(self.pos_tags)} POS tags")
+        if PENN_TAGS.issuperset(self.pos_tags) and " ".join(self.surfaces).split() == list(self.surfaces):
+            return
+        for i, (surface, tag) in enumerate(zip(self.surfaces, self.pos_tags), start=1):
+            if surface.split() != [surface]:
+                raise PosTextError(f"token {i} {surface!r}: surface is not one word")
+            if tag not in PENN_TAGS:
+                raise PosTextError(f"token {i} {surface!r}: unknown POS tag {tag!r}")
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces)
 
-    def __iter__(self) -> Iterator[PosToken]:
-        return iter(self.tokens)
-
-    @property
-    def surfaces(self) -> tuple:
-        return tuple(t.surface for t in self.tokens)
-
-    @property
-    def pos_tags(self) -> tuple:
-        return tuple(t.pos for t in self.tokens)
+    @cached_property
+    def tokens(self) -> tuple:
+        """The PosTokens, built on first use: the leaves of the sentence's chunk trees."""
+        return tuple(map(PosToken, self.surfaces, self.pos_tags))
 
 
 def ingest_pretagged(line: str) -> PosSentence:
     """Parse one ``surface_TAG surface_TAG ...`` line into a PosSentence."""
-    tokens: List[PosToken] = []
+    surfaces: List[str] = []
+    tags: List[str] = []
     for i, unit in enumerate(line.split(), start=1):
         if "_" not in unit:
             raise PosTextError(f"token {i} {unit!r}: missing '_' separator")
         surface, _, tag = unit.rpartition("_")
         if not surface:
             raise PosTextError(f"token {i} {unit!r}: empty surface")
-        if tag not in PENN_TAGS:
-            raise PosTextError(f"token {i} {unit!r}: unknown POS tag {tag!r}")
-        tokens.append(PosToken(surface, tag))
-    return PosSentence(tuple(tokens))
+        surfaces.append(surface)
+        tags.append(tag)
+    return PosSentence(tuple(surfaces), tuple(tags))
 
 
 def format_pretagged(sentence: PosSentence) -> str:
     """Inverse of ingest_pretagged."""
-    return " ".join(f"{t.surface}_{t.pos}" for t in sentence.tokens)
+    return " ".join(f"{surface}_{tag}" for surface, tag in zip(sentence.surfaces, sentence.pos_tags))
 
 
 _OPENERS = "([{\"'`“‘«"
@@ -246,4 +245,4 @@ def _tag_one(tok: str, i: int, tags: List[str]) -> str:
 def tag_raw(text: str) -> PosSentence:
     """Tokenize raw text and tag it with the bundled tagger."""
     tokens = tokenize(text)
-    return PosSentence(tuple(PosToken(s, t) for s, t in zip(tokens, pos_tags(tokens))))
+    return PosSentence(tuple(tokens), tuple(pos_tags(tokens)))

@@ -176,7 +176,7 @@ class _Hit:
 def _lexicon_hits(lex: Lexicon, surfaces: Sequence[str]) -> Tuple[_Hit, ...]:
     """Every lexicon phrase in the sentence, by start, longest first.
 
-    Each surface is one word (``PosToken`` holds no other), so an n-gram's
+    Each surface is one word (``PosSentence`` holds no other), so an n-gram's
     normalized words are its surfaces, lowercased: it can be an entry only if
     its first word starts one and it is no longer than the longest entry that
     word starts (``lex.reach``).  Only those lengths are looked up.

@@ -20,14 +20,14 @@ from finsent.chunker import (
     compile_grammar,
     to_bracket,
 )
-from finsent.pos_text import PosSentence, PosToken, ingest_pretagged
+from finsent.pos_text import PosSentence, ingest_pretagged
 from finsent.semtag import extract_pairs, pair_nodes
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "chunk_goldens.json").read_text())
 
 
 def sentence_from_tags(tags):
-    return PosSentence(tuple(PosToken(f"w{i}", t) for i, t in enumerate(tags)))
+    return PosSentence(tuple(f"w{i}" for i in range(len(tags))), tuple(tags))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from finsent.pos_text import (
     PENN_TAGS,
     PosSentence,
     PosTextError,
-    PosToken,
     format_pretagged,
     ingest_pretagged,
     pos_tags,
@@ -42,14 +43,22 @@ def test_ingest_unknown_tag():
 
 
 def test_token_validation():
-    with pytest.raises(PosTextError):
-        PosToken("x", "NOPE")
+    cases = [
+        (("x",), ("NOPE",), "token 1 'x': unknown POS tag 'NOPE'"),
+        (("a", "b"), ("NN",), "2 surfaces but 1 POS tags"),
+        # the first bad token is named, whichever check it fails
+        (("rose", "b", "c d", "e"), ("VBD", "X1", "NN", "X2"), "token 2 'b': unknown POS tag 'X1'"),
+        (("rose", "c d", "b"), ("VBD", "X1", "X2"), "token 2 'c d': surface is not one word"),
+    ]
+    for surfaces, tags, message in cases:
+        with pytest.raises(PosTextError, match=re.escape(message)):
+            PosSentence(surfaces, tags)
 
 
 @pytest.mark.parametrize("surface", ["", "  ", "net sales", " rose ", "fell\tshort"])
 def test_token_surface_must_be_one_word(surface):
     with pytest.raises(PosTextError, match="not one word"):
-        PosToken(surface, "NN")
+        PosSentence((surface,), ("NN",))
 
 
 # every character class, with whitespace (which splits a surface) made common
@@ -65,15 +74,20 @@ _surface = st.text(
 @given(st.lists(st.tuples(_surface, st.sampled_from(sorted(PENN_TAGS))), min_size=1, max_size=10))
 @settings(max_examples=300, deadline=None)
 def test_pretagged_round_trip(pairs):
-    tokens = []
-    for surface, tag in pairs:
+    surfaces, tags, first_bad = [], [], None
+    for i, (surface, tag) in enumerate(pairs, start=1):
         if surface and not any(ch.isspace() for ch in surface):
-            tokens.append(PosToken(surface, tag))
+            surfaces.append(surface)
+            tags.append(tag)
         else:
+            first_bad = first_bad or i
             with pytest.raises(PosTextError):
-                PosToken(surface, tag)
-    if tokens:
-        sentence = PosSentence(tuple(tokens))
+                PosSentence((surface,), (tag,))
+    if first_bad is not None:
+        with pytest.raises(PosTextError, match=f"^token {first_bad} "):
+            PosSentence(tuple(s for s, _ in pairs), tuple(t for _, t in pairs))
+    if surfaces:
+        sentence = PosSentence(tuple(surfaces), tuple(tags))
         assert ingest_pretagged(format_pretagged(sentence)) == sentence
 
 

@@ -19,7 +19,7 @@ from finsent.lexicon import (
     LexCategory,
     Lexicon,
 )
-from finsent.pos_text import PosSentence, PosTextError, PosToken, tag_raw
+from finsent.pos_text import PosSentence, PosTextError, tag_raw
 from finsent.semtag import (
     Mode,
     PairExtraction,
@@ -176,7 +176,7 @@ _OVERLAP_LEX = mini_lexicon({
     "order book": "LeadInd", "book": "NEG", "orders rose": "POS", "orders": "LeadInd", "rose": "UP",
     "ας": "UP", "σ net": "NEG", "ασας rose": "POS",
 })
-# one word each, as PosToken requires, in mixed case; "the" and "of" start no
+# one word each, as PosSentence requires, in mixed case; "the" and "of" start no
 # entry, and "order" only a two-word one
 _ONE_WORD = ["net", "Net", "sales", "SALES", "strong", "fell", "short", "order", "book",
              "orders", "rose", "the", "of", "ΑΣ", "Σ", "ΑΣΑΣ", "ασας", "σ"]
@@ -249,7 +249,7 @@ def _tags_and_hits(draw):
 @settings(max_examples=50, deadline=None)
 def test_pair_loop_matches_flat_oracle(tags_and_hits):
     tags, hits = tags_and_hits
-    sentence = PosSentence(tuple(PosToken(f"w{i}", tag) for i, tag in enumerate(tags)))
+    sentence = PosSentence(tuple(f"w{i}" for i in range(len(tags))), tuple(tags))
     extraction = extract_pairs(chunk(bundled_grammar("indicator_direction"), sentence))
     find = functools.partial(_find_in_span, hits)
     # the bundled grammar's NPJJ nodes never nest; repeating them gives every
@@ -269,9 +269,8 @@ _CD_SURFACES = ["8.3", "11.8", "5", "5.0", "1,234", "-2", "mn", "1.2.3"]
 def test_numeric_walk_matches_two_walk_oracle(tags_and_hits, data):
     tags, hits = tags_and_hits
     cds = data.draw(st.lists(st.sampled_from(_CD_SURFACES), min_size=len(tags), max_size=len(tags)))
-    sentence = PosSentence(tuple(
-        PosToken(cd if tag == "CD" else f"w{i}", tag) for i, (tag, cd) in enumerate(zip(tags, cds))
-    ))
+    surfaces = tuple(cd if tag == "CD" else f"w{i}" for i, (tag, cd) in enumerate(zip(tags, cds)))
+    sentence = PosSentence(surfaces, tuple(tags))
     tree = chunk(bundled_grammar("numeric_direction"), sentence)
     find = functools.partial(_find_in_span, hits)
     for marker in (None, *semtag.COMPARISON_MARKERS):
