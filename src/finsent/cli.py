@@ -103,10 +103,11 @@ def _read_lines(source: Optional[str], encoding: str) -> List[Tuple[int, str]]:
     """The non-blank lines of a file (or stdin), each with its line number.
 
     Lines break as in a text-mode ``open()``, not at U+0085 or U+2028 as
-    ``str.splitlines`` does, so each output line answers one input line.
+    ``str.splitlines`` does, so each output line answers one input line.  A
+    leading byte-order mark is dropped, so it does not join the first word.
     """
     raw = sys.stdin.buffer.read() if source in (None, "-") else Path(source).read_bytes()
-    lines = io.StringIO(raw.decode(encoding, errors="replace"), newline=None)
+    lines = io.StringIO(raw.decode(encoding, errors="replace").removeprefix("\ufeff"), newline=None)
     return [(lineno, line.rstrip("\n")) for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 

@@ -96,11 +96,12 @@ def load_phrasebank(
 
     Decoding errors fall back to replacement characters: the public corpus
     circulates in legacy encodings.  Lines break as in a text-mode ``open()``,
-    not at U+0085 or U+2028 as ``str.splitlines`` does.  A pre-tagged
-    sentence that ``ingest_pretagged`` rejects is a CorpusError naming its line.
+    not at U+0085 or U+2028 as ``str.splitlines`` does, and a leading byte-order
+    mark is dropped.  A pre-tagged sentence that ``ingest_pretagged`` rejects is
+    a CorpusError naming its line.
     """
     path = Path(path)
-    raw = path.read_bytes().decode(encoding, errors="replace")
+    raw = path.read_bytes().decode(encoding, errors="replace").removeprefix("\ufeff")
     texts: List[str] = []
     labels: List[str] = []
     for lineno, line in enumerate(io.StringIO(raw, newline=None), start=1):

@@ -129,7 +129,7 @@ def load_lexicon(path: Union[str, Path], reversals_path: Union[str, Path, None] 
     """
     path = Path(path)
     entries: dict = {}
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     for lineno, line in _iter_data_lines(text):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
@@ -150,7 +150,7 @@ def load_lexicon(path: Union[str, Path], reversals_path: Union[str, Path, None] 
     reversal_terms: set = set()
     if reversals_path is not None:
         rpath = Path(reversals_path)
-        for lineno, line in _iter_data_lines(rpath.read_text(encoding="utf-8")):
+        for lineno, line in _iter_data_lines(rpath.read_text(encoding="utf-8-sig")):
             phrase = normalize_phrase(line)
             category = entries.get(phrase)
             if category not in INDICATOR_CATEGORIES:

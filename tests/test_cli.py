@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sample_data import KNOWN_RULES
 from finsent.arm import parse_rulebase
@@ -108,6 +112,18 @@ def test_tag_stdin_honours_encoding(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", stdin_of(data))
     assert main(flags) == 0
     assert capsys.readouterr().out == from_path
+
+
+def test_tag_drops_a_leading_byte_order_mark(tmp_path, monkeypatch, capsys):
+    # kept, the mark joins the first word and hides "operating profit" from the lexicon
+    data = "\ufeffOperating profit rose strongly .\n".encode("utf-8")
+    source = tmp_path / "in.txt"
+    source.write_bytes(data)
+    assert main(["tag", str(source)]) == 0
+    assert capsys.readouterr().out == "LagInd::UP\n"
+    monkeypatch.setattr("sys.stdin", stdin_of(data))
+    assert main(["tag"]) == 0
+    assert capsys.readouterr().out == "LagInd::UP\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -543,3 +559,63 @@ def test_tag_lines_equal_tag_corpus(tmp_path, capsys, lexicon, flags):
     ]
     assert lines == expected
     assert any(line != "\tneutral" for line in lines)
+
+
+# Pieces of CLI input files: words, pre-tagged units (well formed and not),
+# '@' tails (class names and not), and the characters line reading treats
+# specially: line ends, U+0085, U+2028, form feeds and blanks.
+_CLI_PIECES = st.one_of(
+    st.sampled_from([
+        "Operating", "profit", "rose", "fell", "strongly", "Turnover", "EUR", "21mn", "8.3", "%", ".", ",",
+        "@positive", "@ Neutral", "@negative ", "@company", "ir@x", "@", "é",
+        "profit_NN", "rose_VBD", "21mn_CD", "bad_XYZ", "_NN", "a_b_NN", "noseparator",
+        " ", "  ", "\xa0", "\t", "\n", "\n", "\r\n", "\r", "\u0085", "\u2028", "\x0c", "\ufeff",
+    ]),
+    st.text(max_size=4),
+)
+_cli_inputs = st.tuples(st.booleans(), st.lists(_CLI_PIECES, max_size=24)).map(
+    lambda drawn: ("\ufeff" if drawn[0] else "") + "".join(drawn[1])
+)
+
+
+@pytest.fixture(scope="module")
+def sample_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_property")
+    corpus = write_corpus(root, SAMPLE_SENTENCES)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--corpus", str(corpus), "--model-dir", str(root / "model"),
+                     "--classifier", "hsc", "--minsup", "16", "--minconf", "60"]) == 0
+    return root
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@given(_cli_inputs)
+@settings(max_examples=60, deadline=None)
+def test_cli_batch_input_gives_aligned_output_or_a_located_error(sample_model, text):
+    source = sample_model / "input.txt"
+    source.write_bytes(text.encode("utf-8", "surrogatepass"))
+    model_dir = str(sample_model / "model")
+    for flags, encoding in [(["tag"], "utf-8"), (["tag", "--pretagged"], "utf-8"),
+                            (["tag", "--encoding", "latin-1"], "latin-1"),
+                            (["predict", "--model-dir", model_dir], "utf-8")]:
+        # the lines a text-mode open() reads, without the byte-order mark
+        with open(source, encoding="utf-8-sig" if encoding == "utf-8" else encoding,
+                  errors="replace") as f:
+            lines = f.readlines()
+        rc, out, err = _run_main([*flags, str(source)])
+        assert rc in (0, 3), (flags, err)
+        if rc == 3:
+            m = re.fullmatch(rf"finsent: data error: {re.escape(str(source))}:(\d+): [^\n]*\n", err)
+            assert m, (flags, err)
+            assert lines[int(m.group(1)) - 1].strip(), (flags, err)
+        else:
+            assert err == ""
+            assert out.count("\n") == sum(1 for line in lines if line.strip()) == len(out.splitlines())
+            if flags[0] == "predict":
+                assert all(line.startswith(f"{i}\t") for i, line in enumerate(out.splitlines(), start=1))

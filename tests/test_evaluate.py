@@ -104,6 +104,15 @@ def test_legacy_encoding_replacement(tmp_path):
     assert len(corpus) == 1
 
 
+def test_load_phrasebank_drops_a_leading_byte_order_mark(tmp_path, lexicon):
+    # kept, the mark joins the first word and hides "operating profit" from the lexicon
+    path = tmp_path / "c.txt"
+    path.write_bytes("\ufeffOperating profit rose strongly .@positive\n".encode("utf-8"))
+    corpus = load_phrasebank(path)
+    assert corpus.texts == ("Operating profit rose strongly .",)
+    assert [tx.items for tx in tag_corpus(corpus, lexicon, PipelineConfig())] == [{"LagInd::UP"}]
+
+
 @pytest.mark.parametrize("data, encoding", [
     ("Sales rose\u0085 strongly", "utf-8"),
     ("Sales rose\u2028 strongly", "utf-8"),

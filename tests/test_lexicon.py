@@ -85,6 +85,15 @@ def test_is_reversal(tmp_path):
     assert lex.is_reversal(("Expenses",))
 
 
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    # kept, the mark would join the first phrase of each file
+    lex_path = write(tmp_path, "lex.txt", "\ufeffoperating cost,LagInd\nrose,UP\n")
+    rev_path = write(tmp_path, "rev.txt", "\ufeffoperating cost\n")
+    lex = load_lexicon(lex_path, rev_path)
+    assert lex.lookup(("operating", "cost")) is LexCategory.LAGIND
+    assert lex.is_reversal(("operating", "cost"))
+
+
 def test_reversal_term_must_be_indicator(tmp_path):
     lex_path = write(tmp_path, "lex.txt", "increase,UP\n")
     rev_path = write(tmp_path, "rev.txt", "increase\n")
