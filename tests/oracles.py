@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 import warnings
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import reference_chunker as ref
 
@@ -63,7 +63,7 @@ from finsent.classify import (
 from finsent.lexicon import DIRECTION_CATEGORIES, INDICATOR_CATEGORIES, SENTIMENT_CATEGORIES, LexCategory
 from finsent.pos_text import _CLOSERS, _OPENERS
 from finsent.semtag import (
-    COMPARISON_MARKERS, INDICATOR_LABELS, MODIFIER_LABELS, PAIR_NODE_LABEL, SemTag, _parse_value,
+    COMPARISON_MARKERS, INDICATOR_LABELS, MODIFIER_LABELS, PAIR_NODE_LABEL, SemTag, _Hit, _parse_value,
     flip_direction, interaction_tag,
 )
 
@@ -242,23 +242,15 @@ def two_walk_numeric_hit(tree, find, marker):
     return None
 
 
-_REF_GRAMMARS = {name: ref.parse_grammar(bundled_grammar_source(name))
-                 for name in ("indicator_direction", "numeric_direction")}
-
-
-class RefHit(NamedTuple):
-    """A lookup oracle's hit, readable by attribute."""
-
-    category: LexCategory
-    phrase: str
-    start: int
-    end: int
+@lru_cache(maxsize=None)
+def _reference_rules(grammar_name: str) -> list:
+    return ref.parse_grammar(bundled_grammar_source(grammar_name))
 
 
 def reference_tree(grammar_name: str, sentence) -> Chunk:
     """The reference chunker's tree of a sentence, as Chunks over its own tokens."""
     tokens = sentence.tokens
-    tree = ref.chunk_sentence(_REF_GRAMMARS[grammar_name], [(t.surface, t.pos) for t in tokens])
+    tree = ref.chunk_sentence(_reference_rules(grammar_name), [(t.surface, t.pos) for t in tokens])
     at = 0
 
     def convert(node):
@@ -290,7 +282,7 @@ def reference_tag(sentence, lex, reversal: bool = False) -> FrozenSet[SemTag]:
     @lru_cache(maxsize=None)  # the pairing asks for each chunk's hit once per pair it is in
     def find(start, end, categories):
         hit = lookup_find_in_span(lex, surfaces, start, end, categories)
-        return hit and RefHit(*hit)
+        return None if hit is None else _Hit(*hit)
 
     pairs = generator_pairs(reference_tree("indicator_direction", sentence))
     interactions = []

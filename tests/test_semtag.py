@@ -18,6 +18,7 @@ from finsent.lexicon import (
     SENTIMENT_CATEGORIES,
     LexCategory,
     Lexicon,
+    load_default_lexicon,
 )
 from finsent.pos_text import PosSentence, PosTextError, tag_raw
 from finsent.semtag import (
@@ -142,24 +143,27 @@ def test_random_text_tags_the_same_on_cold_and_warm_caches(lexicon, text, revers
     assert tag_sentence(sentence, lexicon, reversal=reversal).tags == cold
 
 
-# random text, the phrasebank stand-in's sentences, and the longtail benchmark's
-# sentences, drawn as (rng seed, length, label)
-_tagger_inputs = st.one_of(
-    _fuzz_texts.map(lambda text: (None, text)),
-    st.sampled_from(synthetic_benchmark()[0]).map(lambda text: (None, text)),
-    st.tuples(st.integers(0, 2**32), st.integers(LONGTAIL_MIN_LEN, LONGTAIL_MAX_LEN),
+@functools.lru_cache(maxsize=None)
+def _longtail_builder():
+    return SentenceBuilder(load_default_lexicon())
+
+
+def _longtail_sentence(seed, length, label):
+    return _longtail_builder().sentence(random.Random(seed), length, label)
+
+
+# random text, the phrasebank stand-in's sentences and the longtail benchmark's sentences
+_tagger_texts = st.one_of(
+    _fuzz_texts,
+    st.sampled_from(synthetic_benchmark()[0]),
+    st.builds(_longtail_sentence, st.integers(0, 2**32), st.integers(LONGTAIL_MIN_LEN, LONGTAIL_MAX_LEN),
               st.sampled_from(["positive", "neutral", "negative"])),
 )
 
 
-@given(_tagger_inputs, st.booleans())
+@given(_tagger_texts, st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_tag_sentence_matches_reference_tagger(lexicon, drawn, reversal):
-    if drawn[0] is None:
-        text = drawn[1]
-    else:
-        seed, length, label = drawn
-        text = SentenceBuilder(lexicon).sentence(random.Random(seed), length, label)
+def test_tag_sentence_matches_reference_tagger(lexicon, text, reversal):
     try:
         sentence = tag_raw(text)
     except PosTextError:
