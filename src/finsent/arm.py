@@ -21,6 +21,8 @@ from functools import cached_property
 from itertools import combinations, groupby
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from . import textfile
+
 __all__ = [
     "MiningError",
     "RuleBaseFormatError",
@@ -262,7 +264,7 @@ def parse_rulebase(text: str) -> RuleBase:
     minsup, minconf = DEFAULT_MINSUP, DEFAULT_MINCONF
     metadata: List[tuple] = []
     rules: List[Rule] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in textfile.lines(text):
         line = raw.strip()
         if not line:
             continue
@@ -304,7 +306,7 @@ def dump_transactions(transactions: Sequence[Transaction]) -> str:
 def parse_transactions(text: str) -> List[Transaction]:
     """Inverse of dump_transactions (last item on each line is the label)."""
     out: List[Transaction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in textfile.lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -42,6 +42,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
+from . import textfile
 from .pos_text import PENN_TAGS, PosSentence, PosToken
 
 __all__ = [
@@ -260,7 +261,7 @@ def _outside_atoms(text: str, char: str, start: int = 0) -> int:
 def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
     """Compile ``LABEL: { pattern }`` rules into a grammar: the tuple of its rules, in order."""
     # '#' starts a comment unless it appears inside an <...> atom
-    text = "\n".join(line[: _outside_atoms(line, "#")] for line in source.splitlines())
+    text = "\n".join(line[: _outside_atoms(line, "#")] for _, line in textfile.lines(source))
     rules: List[ChunkRule] = []
     names = set(PENN_TAGS)  # the Penn tags and the labels so far
     i = _SPACE_RE.match(text).end()
@@ -299,7 +300,7 @@ _BUNDLED = ("indicator_direction", "numeric_direction")
 def bundled_grammar_source(name: str) -> str:
     if name not in _BUNDLED:
         raise GrammarError(f"no bundled grammar named {name!r}; choose from {_BUNDLED}")
-    return (resources.files("finsent.data") / f"{name}.grammar").read_text(encoding="utf-8")
+    return textfile.read(resources.files("finsent.data") / f"{name}.grammar", error=GrammarError)
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
+from . import textfile
 from .arm import (
     DEFAULT_MINCONF,
     DEFAULT_MINSUP,
@@ -353,7 +354,7 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     if not manifest_path.exists():
         raise ModelFormatError(f"{directory}: no {_MANIFEST}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(textfile.read(manifest_path, error=ModelFormatError))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{manifest_path}: invalid JSON: {exc}") from None
     if not isinstance(manifest, dict):
@@ -385,7 +386,7 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         for stage, filename in files.items():
             if not isinstance(filename, str) or filename in ("", "..") or Path(filename).name != filename:
                 raise ValueError(f"stages.{stage} {filename!r} is not a plain file name")
-            stages[stage] = parse_rulebase((directory / filename).read_text(encoding="utf-8"))
+            stages[stage] = parse_rulebase(textfile.read(directory / filename, error=ValueError))
             classes = _STAGES[arrangement][stage]
             for rule in stages[stage].rules:
                 if rule.consequent not in classes:

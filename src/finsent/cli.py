@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import codecs
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import textfile
 from .arm import MiningError, RuleBaseFormatError
 from .chunker import GrammarError
 from .classify import (
@@ -52,7 +52,7 @@ from .pos_text import PosTextError
 from .semtag import Mode, canonical_order
 
 CONFIG_ERRORS = (LexiconError, GrammarError, ModelFormatError, FileNotFoundError, FileExistsError,
-                 IsADirectoryError)
+                 IsADirectoryError, NotADirectoryError, PermissionError)
 DATA_ERRORS = (CorpusError, FoldError, MiningError, RuleBaseFormatError, PosTextError)
 
 
@@ -100,15 +100,9 @@ def _load_lexicon(lexicon_path: Optional[str], reversals_path: Optional[str]) ->
 
 
 def _read_lines(source: Optional[str], encoding: str) -> List[Tuple[int, str]]:
-    """The non-blank lines of a file (or stdin), each with its line number.
-
-    Lines break as in a text-mode ``open()``, not at U+0085 or U+2028 as
-    ``str.splitlines`` does, so each output line answers one input line.  A
-    leading byte-order mark is dropped, so it does not join the first word.
-    """
-    raw = sys.stdin.buffer.read() if source in (None, "-") else Path(source).read_bytes()
-    lines = io.StringIO(raw.decode(encoding, errors="replace").removeprefix("\ufeff"), newline=None)
-    return [(lineno, line.rstrip("\n")) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    """The non-blank lines of a file (or stdin), each with its line number."""
+    text = textfile.read(None if source == "-" else source, encoding)
+    return [(lineno, line) for lineno, line in textfile.lines(text) if line.strip()]
 
 
 def _write_out(text: str, out: Optional[str]) -> None:

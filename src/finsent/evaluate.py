@@ -18,6 +18,7 @@ from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from . import textfile
 from .arm import Transaction
 from .classify import (
     CLASSES,
@@ -95,16 +96,13 @@ def load_phrasebank(
     """Load a ``sentence@label`` corpus file.
 
     Decoding errors fall back to replacement characters: the public corpus
-    circulates in legacy encodings.  Lines break as in a text-mode ``open()``,
-    not at U+0085 or U+2028 as ``str.splitlines`` does, and a leading byte-order
-    mark is dropped.  A pre-tagged sentence that ``ingest_pretagged`` rejects is
-    a CorpusError naming its line.
+    circulates in legacy encodings.  A pre-tagged sentence that
+    ``ingest_pretagged`` rejects is a CorpusError naming its line.
     """
     path = Path(path)
-    raw = path.read_bytes().decode(encoding, errors="replace").removeprefix("\ufeff")
     texts: List[str] = []
     labels: List[str] = []
-    for lineno, line in enumerate(io.StringIO(raw, newline=None), start=1):
+    for lineno, line in textfile.lines(textfile.read(path, encoding)):
         line = line.strip()
         if not line:
             continue

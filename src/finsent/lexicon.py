@@ -8,7 +8,6 @@ for which downward movement is a good outcome (costs, expenses, losses).
 """
 from __future__ import annotations
 
-import io
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -16,6 +15,8 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from . import textfile
 
 __all__ = [
     "LexCategory",
@@ -111,11 +112,9 @@ class Lexicon:
         return sorted(p for p, c in self.entries.items() if c is category)
 
 
-def _iter_data_lines(text: str) -> Iterable[tuple]:
-    """Numbered non-blank lines, comments cut.  Lines break as in a text-mode
-    ``open()``, not at U+0085, U+2028 or form feeds as ``str.splitlines`` does,
-    so an error names a line the file has."""
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+def _iter_data_lines(path: Path) -> Iterable[tuple]:
+    """Numbered non-blank lines of a UTF-8 file, comments cut."""
+    for lineno, raw in textfile.lines(textfile.read(path, error=LexiconError)):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -129,8 +128,7 @@ def load_lexicon(path: Union[str, Path], reversals_path: Union[str, Path, None] 
     """
     path = Path(path)
     entries: dict = {}
-    text = path.read_text(encoding="utf-8-sig")
-    for lineno, line in _iter_data_lines(text):
+    for lineno, line in _iter_data_lines(path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise LexiconError(f"{path}:{lineno}: expected 'phrase,CATEGORY', got {line!r}")
@@ -150,7 +148,7 @@ def load_lexicon(path: Union[str, Path], reversals_path: Union[str, Path, None] 
     reversal_terms: set = set()
     if reversals_path is not None:
         rpath = Path(reversals_path)
-        for lineno, line in _iter_data_lines(rpath.read_text(encoding="utf-8-sig")):
+        for lineno, line in _iter_data_lines(rpath):
             phrase = normalize_phrase(line)
             category = entries.get(phrase)
             if category not in INDICATOR_CATEGORIES:

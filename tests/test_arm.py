@@ -315,6 +315,18 @@ def test_parse_error_reports_line_number(text, line):
         parse_rulebase(text)
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"])
+def test_a_line_separator_does_not_end_a_comment(separator):
+    # a text-mode open() reads one line here, so what follows the separator is still comment
+    rb = parse_rulebase(f"# minsup=0.5\n# note: dropped{separator}LagInd -> positive\t50.0\t90.0\n"
+                        "LagInd::UP -> positive\t10.0\t80.0\n")
+    assert [rule.antecedent for rule in rb.rules] == [frozenset({"LagInd::UP"})]
+    with pytest.raises(RuleBaseFormatError, match="line 2:"):
+        parse_rulebase(f"# note{separator}more\nbroken\n")
+    text = f"# header{separator}LagInd, positive\nUP, negative\n"
+    assert parse_transactions(text) == [Transaction(frozenset({"UP"}), "negative")]
+
+
 def test_confidence_rounded_above_100_round_trips():
     # every row with A is positive, and 100 * (100 * 11 / 12) / (100 * 11 / 12) rounds up
     transactions = [Transaction(frozenset({"A"}), "positive")] * 11 + [Transaction(frozenset(), "negative")]

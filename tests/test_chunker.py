@@ -99,7 +99,14 @@ def test_grammar_error_text(source, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("source, labels", [("X: {<#>}", ("X",)), ("X:{<NN>}Y:{<X>}", ("X", "Y"))])
+@pytest.mark.parametrize("source, labels", [
+    ("X: {<#>}", ("X",)),
+    ("X:{<NN>}Y:{<X>}", ("X", "Y")),
+    # a text-mode open() reads one line, so the rule after the separator is comment
+    ("X: {<NN>} # note\u2028Y: {<VB>}", ("X",)),
+    ("X: {<NN>} # note\x85Y: {<VB>}", ("X",)),
+    ("X: {<NN>} # note\x0cY: {<VB>}", ("X",)),
+])
 def test_edge_case_grammars_compile(source, labels):
     assert tuple(rule.label for rule in compile_grammar(source)) == labels
 

@@ -437,6 +437,15 @@ def test_load_rejects_a_rule_class_outside_its_stage(tmp_path, arrangement):
         load_model(tmp_path)
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"])
+def test_load_takes_no_rule_from_a_stage_file_comment(tmp_path, separator):
+    model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
+    save_model(model, tmp_path)
+    path = tmp_path / "gate.rules"
+    path.write_text(f"# note{separator}Invented -> polarized\t50.0\t90.0\n{path.read_text()}", encoding="utf-8")
+    assert load_model(tmp_path)[0] == model
+
+
 def test_load_rejects_manifest_that_is_not_an_object(tmp_path):
     (tmp_path / "manifest.json").write_text('["finsent-model/1"]')
     with pytest.raises(ModelFormatError, match="JSON object"):

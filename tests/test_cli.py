@@ -70,6 +70,40 @@ def test_tag_missing_lexicon_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tag", "{afile}/in.txt"],
+    ["tag", "--lexicon", "{afile}/lex.txt", "{source}"],
+    ["tag", "{source}", "--out", "{afile}/out.txt"],
+], ids=["input", "lexicon", "out"])
+def test_tag_path_under_a_regular_file_is_config_error(tmp_path, capsys, argv):
+    source = tmp_path / "in.txt"
+    source.write_text("anything\n")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main([arg.format(afile=afile, source=source) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("finsent: configuration error: ") and f"{afile}/" in err
+
+
+@pytest.mark.parametrize("name", ["lexicon.txt", "reversals.txt", "model/manifest.json", "model/gate.rules"])
+def test_undecodable_configuration_file_is_a_located_config_error(tmp_path, capsys, name):
+    lexicon, reversals = tmp_path / "lexicon.txt", tmp_path / "reversals.txt"
+    lexicon.write_text("turnover,LagInd\nrose,UP\nfell,DOWN\nunit costs,LagInd\n")
+    reversals.write_text("unit costs\n")
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(tmp_path / "model"), "--minsup", "16",
+                 "--lexicon", str(lexicon), "--reversals", str(reversals)]) == 0
+    path = tmp_path / name
+    data = path.read_bytes()
+    path.write_bytes(data + b"\xff\n")
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(tmp_path / "model"), str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("finsent: configuration error: ") and err.count("\n") == 1
+    line = data.count(b"\n") + 1
+    assert f"{path}:{line}: not valid utf-8" in err
+
+
 def test_tag_missing_reversals_is_config_error(tmp_path, capsys):
     bundled, _ = default_lexicon_paths()
     source = tmp_path / "in.txt"
@@ -618,3 +652,48 @@ def test_cli_batch_input_gives_aligned_output_or_a_located_error(sample_model, t
             assert out.count("\n") == sum(1 for line in lines if line.strip()) == len(out.splitlines())
             if flags[0] == "predict":
                 assert all(line.startswith(f"{i}\t") for i, line in enumerate(out.splitlines(), start=1))
+
+
+# Files are drawn from good units (whole lines), bad units, and the pieces
+# that may come between them: line ends, characters str.splitlines breaks at,
+# a byte-order mark and invalid UTF-8.
+_ODD_BYTES = [b"\n", b"\r\n", b"\r", b" ", b"#", "\u0085".encode(), "\u2028".encode(), b"\x0c",
+              b"\xff", b"\xc3", "\ufeff".encode()]
+_CORPUS = ([f"{text}@{label}\n".encode() for text, label in SAMPLE_SENTENCES] + [b"Operating profit fell@ Negative\n"],
+           [b"Sales rose@company\n", b"no delimiter\n", b"@positive\n"])
+_LEXICON = ([b"turnover,LagInd\n", b"rose,UP\n", b"fell,DOWN\n", b"contracts,LeadInd\n", b"lawsuit,NEG\n",
+             b"# comment, UP\n"],
+            [b"rose,DOWN\n", b"word,SIDEWAYS\n", b"broken line\n"])
+_PREDICTIONS = ([f"{i}\t{label}\n".encode() for i, label in enumerate(["positive", "neutral", "negative"] * 2, 1)],
+                [b"7\tneutral\n", b"1\tbogus\n", b"x\tneutral\n", b"4 negative\n"])
+
+
+def _file_of(units):
+    good, bad = units
+    pieces = st.lists(st.sampled_from(good * 4 + bad + _ODD_BYTES), max_size=10)
+    return st.tuples(st.booleans(), pieces).map(lambda d: (b"\xef\xbb\xbf" if d[0] else b"") + b"".join(d[1]))
+
+
+@pytest.mark.filterwarnings("ignore:class .* absent from training data")
+@given(_file_of(_CORPUS), _file_of(_LEXICON), _file_of(_PREDICTIONS))
+@settings(max_examples=30, deadline=None)
+def test_cli_corpus_commands_exit_cleanly_or_name_a_line(sample_model, corpus, lexicon, predictions):
+    files = {name: sample_model / f"prop_{name}.txt" for name in ("corpus", "lexicon", "predictions")}
+    for path, data in zip(files.values(), (corpus, lexicon, predictions)):
+        path.write_bytes(data)
+    common = ["--corpus", str(files["corpus"]), "--lexicon", str(files["lexicon"])]
+    for argv in (["train", *common, "--model-dir", str(sample_model / "prop_model")],
+                 ["evaluate", *common, "--folds", "2"],
+                 ["sweep", *common, "--folds", "2", "--grid", "60,90"],
+                 ["score", "--corpus", str(files["corpus"]), str(files["predictions"])]):
+        rc, _, err = _run_main(argv)
+        assert rc in (0, 2, 3), (argv, err)
+        if rc:
+            assert re.fullmatch(r"finsent: (configuration|data) error: [^\n]*\n", err), (argv, err)
+        elif argv[0] != "sweep":  # sweep reports each grid point on stderr
+            assert err == "", (argv, err)
+        for path in files.values():
+            with open(path, encoding="utf-8", errors="replace") as f:
+                lines = f.readlines()
+            for lineno in re.findall(rf"{re.escape(str(path))}:(\d+):", err):
+                assert lines[int(lineno) - 1].strip(), (argv, err)

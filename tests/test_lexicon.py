@@ -56,6 +56,17 @@ def test_error_line_numbers_ignore_unicode_line_separators(tmp_path, separator):
         load_lexicon(write(tmp_path, "lex.txt", "sales,LagInd\nrose,UP\n"), path)
 
 
+def test_undecodable_byte_is_a_located_error(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_bytes(b"rose,UP\r\n\xff,NEG\n")
+    with pytest.raises(LexiconError, match=r"lex\.txt:2: not valid utf-8"):
+        load_lexicon(path)
+    rev = tmp_path / "rev.txt"
+    rev.write_bytes(b"# reversals\rsales\xff\n")
+    with pytest.raises(LexiconError, match=r"rev\.txt:2: not valid utf-8"):
+        load_lexicon(write(tmp_path, "lex.txt", "sales,LagInd\n"), rev)
+
+
 def test_unknown_category(tmp_path):
     path = write(tmp_path, "lex.txt", "word,SIDEWAYS\n")
     with pytest.raises(LexiconError, match="SIDEWAYS"):

@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library, and the reference
-chunker, an oracle for ``finsent.chunker``, imports nothing from the package."""
+"""The package imports nothing outside the standard library, only ``finsent.textfile``
+turns file bytes into text and text into lines, and the reference chunker, an
+oracle for ``finsent.chunker``, imports nothing from the package."""
 import ast
 import sys
 from pathlib import Path
@@ -30,6 +31,32 @@ def test_imports_only_the_standard_library(path):
         if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "finsent"
     })
     assert not foreign, f"{path.name} imports {', '.join(foreign)}"
+
+
+# calls that read a file or split text into lines, each allowed only in the reader
+_READERS = {"decode", "splitlines", "read_text", "read_bytes", "open"}
+# (file, function, call): the rules-file writer's field check, which rejects a
+# field holding anything any line splitter breaks at
+_ALLOWED = {("arm.py", "_unwritable", "splitlines")}
+
+
+def _reader_calls(path: Path):
+    """``(file name, enclosing function, called name)`` for each reading call in ``path``."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name in _READERS:
+                yield path.name, inner, name
+            yield from visit(child, inner)
+    yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "<module>")
+
+
+def test_only_the_reader_decodes_files_and_splits_lines():
+    calls = {call for path in SOURCES if path.name != "textfile.py" for call in _reader_calls(path)}
+    assert calls == _ALLOWED
+    assert {name for _, _, name in _reader_calls(PACKAGE / "textfile.py")} >= {"decode", "read_bytes"}
 
 
 def test_reference_chunker_shares_no_code_with_the_package():
