@@ -25,19 +25,20 @@ code, and a sentence's symbols are one string of codes.  A run rule, whose
 automaton has one position, accepts a run of one class of symbols (``<JJ.*>*``,
 ``<VB.*>``).  Run rules in a row share one pass, a ``re.finditer`` over the
 string, while their classes are disjoint and hold no label of the pass; for a
-run, greedy leftmost is longest.  A grammar's first ``chunk`` plans its passes,
-cached by the grammar's value.  Other rules run their automaton as a lazily
-built DFA over the codes, whose transitions are cached on the rule when a match
-first takes them: compiling builds no DFA state.  A dead first step skips a
-start; otherwise the scan for the longest match stops at any (state set,
-position) pair an earlier scan of the pass reached, so a pass is linear in the
-sentence length.
+run, greedy leftmost is longest.  A grammar is its rules' text; its first
+``chunk`` plans its steps, cached by the grammar's value, and the plan holds all
+that chunking runs on: each atom's class (the codes of the names its body fully
+matches), the passes, and for other rules a lazily built DFA over the codes,
+whose transitions are cached in the plan when a match first takes them.
+Compiling builds no DFA state; equal grammars share one plan.  A dead first step
+skips a start; otherwise the scan for the longest match stops at any (state
+set, position) pair an earlier scan of the pass reached, so a pass is linear in
+the sentence length.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
@@ -65,16 +66,13 @@ class GrammarError(ValueError):
 # tags come first, so the bundled grammars' codes stay below U+0100, where CPython
 # shares one object per one-character string and indexing a code allocates nothing.
 _CODES: Dict[str, str] = {tag: chr(k) for k, tag in enumerate(sorted(PENN_TAGS))}
-_NAMES: Dict[str, str] = {code: name for name, code in _CODES.items()}
 _NEXT_CODE = itertools.count(len(_CODES))
 
 
 def _code(name: str) -> str:
     """The code of a symbol name, assigned on first use (threads that race may skip a code)."""
     if name not in _CODES:
-        code = chr(next(_NEXT_CODE))
-        _NAMES[code] = name  # before the code is published
-        _CODES.setdefault(name, code)
+        _CODES.setdefault(name, chr(next(_NEXT_CODE)))
     return _CODES[name]
 
 
@@ -97,6 +95,7 @@ def _atom_regex(body: str, label: str, at: int) -> "re.Pattern[str]":
         ) from None
 
 
+@lru_cache(maxsize=256)
 def _compile_pattern(pattern: str, label: str) -> tuple:
     """Parse a rule pattern by recursive descent, building its position automaton as it goes.
 
@@ -104,8 +103,9 @@ def _compile_pattern(pattern: str, label: str) -> tuple:
     atom.  Each parse function returns the ``(first, last, nullable)`` of the
     fragment it read and adds to ``follow`` the positions that may come next.
     Returns ``follow``, the pattern's ``last`` (its accepting positions), each
-    position's matcher index, one matcher per distinct atom body, and those
-    bodies in order of first use.
+    position's matcher index, one matcher per distinct atom body, those bodies
+    in order of first use, and the run flag: ``"+"`` or ``""`` for a run rule
+    (its one position may repeat or not), else None.
     """
     tokens: List[tuple] = []  # (kind, text, position); kind is "atom" or the operator
     for m in _TOKEN_RE.finditer(pattern):  # skips whitespace, the only text no branch matches
@@ -186,59 +186,16 @@ def _compile_pattern(pattern: str, label: str) -> tuple:
     follow[0] = first
     # compiled after the parse, so a syntax error anywhere is reported first
     matchers = [_atom_regex(body, label, at) for body, (_, at) in atoms.items()]
-    return follow, frozenset(last), position_atoms, matchers, tuple(atoms)
+    run = ("+" if 1 in follow[1] else "") if len(follow) == 2 and first == last == {1} else None
+    follow = tuple(map(frozenset, follow))  # shared by every caller of the cache: immutable
+    return follow, frozenset(last), tuple(position_atoms), tuple(matchers), tuple(atoms), run
 
 
-_START = frozenset({0})
-
-
-@dataclass(frozen=True)
-class ChunkRule:
-    """One compiled grammar rule.
-
-    Matching runs the rule's position automaton as a lazily built DFA: each
-    DFA state is a set of positions, the start state is ``{0}``, and ``_dfa``
-    maps ``(state, symbol)`` to ``(next state or None, accepting)``.  An entry
-    is computed the first time a match takes that transition.  ``_sets``
-    interns the states, so the cache holds one object per DFA state instead of
-    one per transition.  ``_run`` is ``"+"`` or ``""`` for a run rule (its one
-    position may repeat or not), else None.
-    """
+class ChunkRule(NamedTuple):
+    """One grammar rule: its label and its pattern's text."""
 
     label: str
     pattern: str
-
-    def __post_init__(self) -> None:
-        follow, last, position_atoms, matchers, atoms = _compile_pattern(self.pattern, self.label)
-        object.__setattr__(self, "_follow", follow)
-        object.__setattr__(self, "_last", last)
-        object.__setattr__(self, "_position_atoms", position_atoms)
-        object.__setattr__(self, "_matchers", matchers)
-        object.__setattr__(self, "_atoms", atoms)
-        object.__setattr__(self, "_dfa", {})
-        object.__setattr__(self, "_sets", {_START: _START})
-        single = len(follow) == 2 and follow[0] == last == {1}
-        object.__setattr__(self, "_run", ("+" if 1 in follow[1] else "") if single else None)
-        object.__setattr__(self, "_code", _code(self.label))
-
-    def _step(self, states: frozenset, symbol: str) -> tuple:
-        """Compute and cache the DFA transition from ``states`` on the code ``symbol``."""
-        follow = self._follow  # type: ignore[attr-defined]
-        position_atoms = self._position_atoms  # type: ignore[attr-defined]
-        matchers = self._matchers  # type: ignore[attr-defined]
-        moved = frozenset(
-            q
-            for p in states
-            for q in follow[p]
-            if matchers[position_atoms[q]].fullmatch(_NAMES[symbol]) is not None
-        )
-        if moved:
-            moved = self._sets.setdefault(moved, moved)  # type: ignore[attr-defined]
-            step = (moved, not moved.isdisjoint(self._last))  # type: ignore[attr-defined]
-        else:
-            step = (None, False)
-        self._dfa[(states, symbol)] = step  # type: ignore[attr-defined]
-        return step
 
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$.-]*")
@@ -280,7 +237,7 @@ def compile_grammar(source: str) -> Tuple[ChunkRule, ...]:
         if j == len(text):
             raise GrammarError(f"rule {label}: missing closing '}}'")
         rule = ChunkRule(label, text[i + 1 : j].strip())
-        for body in rule._atoms:  # type: ignore[attr-defined]
+        for body in _compile_pattern(rule.pattern, label)[4]:  # the distinct atom bodies
             for name in body.split("|"):
                 name = name.strip()
                 plain = name and not any(ch in ".*+?" for ch in name)
@@ -342,9 +299,25 @@ def _rebuild(matches: list, elements: List[object], symbols: str, starts: List[i
     return out, "".join(out_symbols), out_starts
 
 
-def _apply_rule(rule: ChunkRule, elements: List[object], symbols: str, starts: List[int]) -> tuple:
-    """One rule's DFA pass over the elements, their symbol codes and their first tokens' positions."""
-    dfa: dict = rule._dfa  # type: ignore[attr-defined]
+_START = frozenset({0})
+
+
+def _step(rule: tuple, states: frozenset, symbol: str) -> tuple:
+    """Compute and cache a DFA step's transition from ``states`` on the code ``symbol``."""
+    _, _, follow, last, classes, dfa = rule
+    moved = frozenset(q for p in states for q in follow[p] if symbol in classes[q])
+    if moved:
+        moved = dfa.setdefault(moved, moved)  # a state set keys itself: one object per DFA state
+        step = (moved, not moved.isdisjoint(last))
+    else:
+        step = (None, False)
+    dfa[(states, symbol)] = step
+    return step
+
+
+def _apply_rule(rule: tuple, elements: List[object], symbols: str, starts: List[int]) -> tuple:
+    """One DFA step's pass over the elements, their symbol codes and their first tokens' positions."""
+    label, code, _, _, _, dfa = rule
     start = _START
     # every (state set, position) pair a scan reached.  Those up to its last
     # accept lie inside the chunk it makes, where no later scan of the pass
@@ -358,7 +331,7 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: str, starts: L
         symbol = symbols[i]
         step = dfa.get((start, symbol))
         if step is None:
-            step = rule._step(start, symbol)
+            step = _step(rule, start, symbol)
         # the first step is the dead-start test: most starts end on it
         states, accepting = step
         length = 1 if accepting else 0
@@ -372,7 +345,7 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: str, starts: L
                 ahead = symbols[j]
                 step = dfa.get((states, ahead))
                 if step is None:
-                    step = rule._step(states, ahead)
+                    step = _step(rule, states, ahead)
                 states, accepting = step
                 if states is None:
                     break
@@ -380,33 +353,42 @@ def _apply_rule(rule: ChunkRule, elements: List[object], symbols: str, starts: L
                 if accepting:
                     length = j - i
         if length:
-            matches.append((i, i + length, rule.label, rule._code))  # type: ignore[attr-defined]
+            matches.append((i, i + length, label, code))
         i += length or 1
     return _rebuild(matches, elements, symbols, starts)
 
 
 @lru_cache(maxsize=64)
 def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
-    """The grammar's steps: a rule's index, to run on its lazy DFA, or a run pass ``(regex, labels)``."""
-    steps: list = []  # indices, so equal grammars' rules keep their own DFA caches; lists per pass
+    """The grammar's steps: a run pass ``(regex, labels)``, or a rule to run as a lazy DFA,
+    ``(label, code, follow, last, classes, transitions)``.
+
+    An atom's class is the set of codes of the Penn tags and earlier labels its
+    body fully matches, so of every symbol the rule can meet; ``classes`` holds
+    each position's.  ``transitions`` maps ``(state set, code)`` to ``(next
+    state set or None, accepting)``, filled as matches first take them: equal
+    grammars share one plan, and so their DFA transitions.
+    """
+    steps: list = []  # DFA steps, and per run pass the list of its rules
     blocked: set = set()  # the codes the last pass's rules accept or make
     names = set(PENN_TAGS)  # the Penn tags and the labels so far
-    for k, rule in enumerate(grammar):
-        codes = None if rule._run is None else {  # type: ignore[attr-defined]
-            _code(n) for n in names if rule._matchers[0].fullmatch(n)}  # type: ignore[attr-defined]
-        names.add(rule.label)
-        if codes is None:
-            steps.append(k)
-        elif codes:  # an empty class never matches
-            if not steps or isinstance(steps[-1], int) or not codes.isdisjoint(blocked):
+    for label, pattern in grammar:
+        follow, last, position_atoms, matchers, _, run = _compile_pattern(pattern, label)
+        classes = [frozenset(_code(n) for n in names if m.fullmatch(n)) for m in matchers]
+        names.add(label)
+        code = _code(label)
+        if run is None:
+            steps.append((label, code, follow, last, (None, *(classes[a] for a in position_atoms[1:])), {}))
+        elif classes[0]:  # an empty class never matches
+            if not steps or not isinstance(steps[-1], list) or not classes[0].isdisjoint(blocked):
                 steps.append([])  # a new pass
                 blocked = set()
-            steps[-1].append((rule, codes))
-            blocked |= codes | {rule._code}  # type: ignore[attr-defined]
+            steps[-1].append((label, code, classes[0], run))
+            blocked |= classes[0] | {code}
     for k, step in enumerate(steps):
         if isinstance(step, list):  # a pass: its regex, and by group number its rule's (label, code)
-            regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{r._run})" for r, c in step)
-            steps[k] = (re.compile(regex), (None,) + tuple((r.label, r._code) for r, _ in step))
+            regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{run})" for _, _, c, run in step)
+            steps[k] = (re.compile(regex), (None,) + tuple((label, code) for label, code, _, _ in step))
     return tuple(steps)
 
 
@@ -416,12 +398,12 @@ def chunk(grammar: Sequence[ChunkRule], sentence: PosSentence) -> Chunk:
     symbols = "".join([_CODES[tag] for tag in sentence.pos_tags])
     starts = list(range(len(elements) + 1))
     for step in _plan(tuple(grammar)):
-        if isinstance(step, int):
-            elements, symbols, starts = _apply_rule(grammar[step], elements, symbols, starts)
-        else:  # a run pass: the matched regex group names the rule
+        if len(step) == 2:  # a run pass: the matched regex group names the rule
             regex, labels = step
             matches = [(*m.span(), *labels[m.lastindex]) for m in regex.finditer(symbols)]
             elements, symbols, starts = _rebuild(matches, elements, symbols, starts)
+        else:
+            elements, symbols, starts = _apply_rule(step, elements, symbols, starts)
     return Chunk("S", tuple(elements), 0, len(sentence))
 
 

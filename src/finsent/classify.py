@@ -30,6 +30,7 @@ from .arm import (
     DEFAULT_MINSUP,
     MiningError,
     RuleBase,
+    RuleBaseFormatError,
     Transaction,
     _check_percent,
     mine_rules,
@@ -328,12 +329,11 @@ def save_model(model: ClassifierModel, directory: Union[str, Path], tagging: Opt
 
 
 def _manifest_percent(manifest: dict, key: str) -> float:
-    try:
-        percent = float(manifest[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} {manifest[key]!r} is not a number") from None
-    _check_percent(percent, key)
-    return percent
+    value = manifest[key]
+    if type(value) not in (int, float):  # a JSON number, not a string, bool or null
+        raise ValueError(f"{key} {value!r} is not a number")
+    _check_percent(float(value), key)
+    return float(value)
 
 
 def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
@@ -347,7 +347,7 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     class is not one of its stage's classes, and a value of the wrong JSON
     type (``"minsup": null``, a ``tagging.reversal`` that is not a bool) or a
     threshold outside (0, 100].  The message names the offending key, or the
-    stage file and the class.
+    stage file and the class or line.
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
@@ -386,7 +386,10 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         for stage, filename in files.items():
             if not isinstance(filename, str) or filename in ("", "..") or Path(filename).name != filename:
                 raise ValueError(f"stages.{stage} {filename!r} is not a plain file name")
-            stages[stage] = parse_rulebase(textfile.read(directory / filename, error=ValueError))
+            try:
+                stages[stage] = parse_rulebase(textfile.read(directory / filename, error=ValueError))
+            except RuleBaseFormatError as exc:
+                raise ValueError(f"{filename}: {exc}") from None
             classes = _STAGES[arrangement][stage]
             for rule in stages[stage].rules:
                 if rule.consequent not in classes:

@@ -12,6 +12,7 @@ import codecs
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -277,94 +278,87 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# every flag and argument a subcommand takes: its type, default and help, declared once
+_ARGUMENTS: Dict[str, dict] = {
+    "--lexicon": dict(help="lexicon file (default: bundled or $FINSENT_LEXICON_DIR; "
+                           "predict: overrides the model's)"),
+    "--reversals": dict(help="reversal-term file (predict: overrides the model's)"),
+    "--encoding": dict(type=_encoding, default="utf-8", help="input encoding (default utf-8)"),
+    "--mode": dict(choices=[m.value for m in Mode], default="all",
+                   help="tag families to keep (lag, lag-lead, all)"),
+    "--reversal": dict(action="store_true", help="flip direction for reversal indicators"),
+    "--pretagged": dict(action="store_true",
+                        help="input sentences are pre-tagged surface_TAG sequences"),
+    "--out": dict(help="output file (default stdout)"),
+    "--classifier": dict(choices=[a.value for a in Arrangement], default="hsc", help="classifier arrangement"),
+    "--minsup": dict(type=_percent, default=0.5, help="minimum support percent"),
+    "--minconf": dict(type=_percent, default=60.0, help="minimum confidence percent"),
+    "--match-policy": dict(choices=[m.value for m in MatchPolicy], default="exact",
+                           help="how rule antecedents match a tag set"),
+    "--scoring": dict(choices=[s.value for s in Scoring], default="average",
+                      help="how matched rules' confidences combine per class"),
+    "--corpus": dict(required=True, help="sentence@label corpus file"),
+    "--model-dir": dict(required=True, help="model directory"),
+    "--folds": dict(type=_fold_count, default=10, help="cross-validation folds"),
+    "--seed": dict(type=int, default=0, help="fold-assignment seed"),
+    "--format": dict(choices=["json", "csv", "text"], default="text", help="report format"),
+    "--grid": dict(type=_percent_grid, default="60,70,80,90", help="comma-separated minconf values"),
+    "input": dict(nargs="?", help="input file ('-' or omitted: stdin)"),
+    "predictions": dict(help="file of 'id<TAB>class' lines, one per corpus row"),
+}
+_TAGGING = ("--lexicon", "--reversals", "--encoding", "--mode", "--reversal", "--pretagged", "--out")
+_TRAINING = (*_TAGGING, "--classifier", "--minsup", "--minconf", "--match-policy", "--scoring", "--corpus")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finsent",
         description="Financial sentence polarity from performance-indicator tags.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, classifier: bool = True, stubs: bool = False):
-        p.add_argument("--lexicon", help="lexicon file (default: bundled or $FINSENT_LEXICON_DIR)")
-        p.add_argument("--reversals", help="reversal-term file")
-        p.add_argument("--encoding", type=_encoding, default="utf-8", help="input encoding (default utf-8)")
-        p.add_argument("--mode", choices=[m.value for m in Mode], default="all",
-                       help="tag families to keep (lag, lag-lead, all)")
-        p.add_argument("--reversal", action="store_true", help="flip direction for reversal indicators")
-        p.add_argument("--pretagged", action="store_true",
-                       help="input sentences are pre-tagged surface_TAG sequences")
-        p.add_argument("--out", help="output file (default stdout)")
-        if classifier:
-            choices = [a.value for a in Arrangement] + (list(_STUBS) if stubs else [])
-            p.add_argument("--classifier", choices=choices, default="hsc")
-            p.add_argument("--minsup", type=_percent, default=0.5, help="minimum support percent")
-            p.add_argument("--minconf", type=_percent, default=60.0, help="minimum confidence percent")
-            p.add_argument("--match-policy", dest="match_policy",
-                           choices=[m.value for m in MatchPolicy], default="exact")
-            p.add_argument("--scoring", choices=[s.value for s in Scoring], default="average")
-
-    p_tag = sub.add_parser("tag", help="emit tag sets for input sentences")
-    add_common(p_tag, classifier=False)
-    p_tag.add_argument("input", nargs="?", help="input file ('-' or omitted: stdin)")
-    p_tag.set_defaults(func=cmd_tag)
-
-    p_train = sub.add_parser("train", help="train a model from a labelled corpus")
-    add_common(p_train)
-    p_train.add_argument("--corpus", required=True, help="sentence@label corpus file")
-    p_train.add_argument("--model-dir", dest="model_dir", required=True)
-    p_train.set_defaults(func=cmd_train)
-
-    p_predict = sub.add_parser("predict", help="predict polarity with a saved model")
-    p_predict.add_argument("--model-dir", dest="model_dir", required=True)
-    p_predict.add_argument("--lexicon")
-    p_predict.add_argument("--reversals")
-    p_predict.add_argument("--encoding", type=_encoding, default="utf-8")
-    p_predict.add_argument("--pretagged", action="store_true")
-    p_predict.add_argument("--out")
-    p_predict.add_argument("input", nargs="?")
-    p_predict.set_defaults(func=cmd_predict)
-
-    p_eval = sub.add_parser("evaluate", help="stratified k-fold cross-validation")
-    add_common(p_eval, stubs=True)
-    p_eval.add_argument("--corpus", required=True)
-    p_eval.add_argument("--folds", type=_fold_count, default=10)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_sweep = sub.add_parser("sweep", help="cross-validate across a minconf grid")
-    add_common(p_sweep)
-    p_sweep.add_argument("--corpus", required=True)
-    p_sweep.add_argument("--folds", type=_fold_count, default=10)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--grid", type=_percent_grid, default="60,70,80,90",
-                         help="comma-separated minconf values")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_score = sub.add_parser(
-        "score", help="score an external predictions file against a gold corpus"
-    )
-    p_score.add_argument("--corpus", required=True, help="sentence@label corpus file")
-    p_score.add_argument("--encoding", type=_encoding, default="utf-8")
-    p_score.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p_score.add_argument("--out")
-    p_score.add_argument("predictions", help="file of 'id<TAB>class' lines, one per corpus row")
-    p_score.set_defaults(func=cmd_score)
-
+    for name, func, summary, arguments in (
+        ("tag", cmd_tag, "emit tag sets for input sentences", (*_TAGGING, "input")),
+        ("train", cmd_train, "train a model from a labelled corpus", (*_TRAINING, "--model-dir")),
+        ("predict", cmd_predict, "predict polarity with a saved model",
+         ("--model-dir", "--lexicon", "--reversals", "--encoding", "--pretagged", "--out", "input")),
+        ("evaluate", cmd_evaluate, "stratified k-fold cross-validation",
+         (*_TRAINING, "--folds", "--seed", "--format")),
+        ("sweep", cmd_sweep, "cross-validate across a minconf grid",
+         (*_TRAINING, "--folds", "--seed", "--grid")),
+        ("score", cmd_score, "score an external predictions file against a gold corpus",
+         ("--corpus", "--encoding", "--format", "--out", "predictions")),
+    ):
+        p = sub.add_parser(name, help=summary)
+        for argument in arguments:
+            settings = _ARGUMENTS[argument]
+            if name == "evaluate" and argument == "--classifier":  # evaluate also offers the baselines
+                settings = {**settings, "choices": [*settings["choices"], *_STUBS]}
+            p.add_argument(argument, **settings)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except CONFIG_ERRORS as exc:
-        print(f"finsent: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except DATA_ERRORS as exc:
-        print(f"finsent: data error: {exc}", file=sys.stderr)
-        return 3
+    shown: set = set()
+
+    def show_once(message, *_) -> None:
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"finsent: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show_once
+        try:
+            return args.func(args)
+        except CONFIG_ERRORS as exc:
+            print(f"finsent: configuration error: {exc}", file=sys.stderr)
+            return 2
+        except DATA_ERRORS as exc:
+            print(f"finsent: data error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

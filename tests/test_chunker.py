@@ -9,10 +9,10 @@ import reference_chunker as ref
 from oracles import generator_pair_nodes, generator_pairs, subchunks
 from finsent.chunker import (
     Chunk,
-    ChunkRule,
     GrammarError,
     _apply_rule,
     _code,
+    _compile_pattern,
     _plan,
     bundled_grammar,
     bundled_grammar_source,
@@ -122,22 +122,22 @@ def test_bundled_grammars_compile():
 def test_compiling_builds_no_dfa_state(name):
     # DFA states are built lazily, the first time a match takes a transition:
     # determinizing NPJJ eagerly over the Penn tags and the earlier labels
-    # would build hundreds of states at grammar compile time.  Passes are
-    # planned on a grammar's first chunk, not when it is compiled
+    # would build hundreds of states at grammar compile time.  Steps and their
+    # DFA caches are planned on a grammar's first chunk, not when it is compiled
+    _plan.cache_clear()
     planned = _plan.cache_info()
     first, second = (compile_grammar(bundled_grammar_source(name)) for _ in range(2))
-    for rule in first:
-        assert rule._dfa == {}, rule.label
-        assert len(rule._sets) == 1, rule.label  # the start state
     assert _plan.cache_info() == planned
-    # equal grammars share a plan, but it names rules by index: chunk steps the
-    # caller's own rules, so a fresh compilation starts on empty DFA caches
     sentence = sentence_from_tags(["JJ", "NN", "NNS", "VBD", "RB", "CD", "NNP", "IN", "CD", "NN", "VBZ", "."])
     tree = to_bracket(chunk(first, sentence))
-    dfa_rules = [k for k, rule in enumerate(first) if rule._run is None]
-    assert dfa_rules and all(first[k]._dfa and second[k]._dfa == {} for k in dfa_rules)
+    dfa_steps = [step for step in _plan(first) if len(step) == 6]
+    assert dfa_steps and all(step[-1] for step in dfa_steps)
+    # equal grammars share one plan, and so its DFA caches: the second
+    # compilation chunks alike and computes no new transition
+    transitions = [len(step[-1]) for step in dfa_steps]
+    assert _plan(second) is _plan(first)
     assert to_bracket(chunk(second, sentence)) == tree
-    assert all(second[k]._dfa for k in dfa_rules)
+    assert [len(step[-1]) for step in dfa_steps] == transitions
 
 
 def test_unknown_bundled_grammar():
@@ -265,8 +265,12 @@ def _patterns(depth):
        st.lists(st.lists(st.sampled_from(["A", "B", "C", "AB", "ABC"]), max_size=8), min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_longest_match_agrees_with_bruteforce(pattern, symbol_lists):
-    # one rule for every list, so later lists reuse the DFA transitions earlier ones built
-    rule = ChunkRule("X", pattern)
+    # one DFA step for every list, so later lists reuse the transitions earlier
+    # ones built; its classes hold the names the lists draw from, as a plan's
+    # hold the Penn tags and the earlier labels
+    follow, last, position_atoms, matchers, _, _ = _compile_pattern(pattern, "X")
+    classes = [frozenset(_code(n) for n in ["A", "B", "C", "AB", "ABC"] if m.fullmatch(n)) for m in matchers]
+    rule = ("X", _code("X"), follow, last, (None, *(classes[a] for a in position_atoms[1:])), {})
     node = ref.parse_pattern(pattern)
     for symbols in symbol_lists:
         codes = "".join(map(_code, symbols))
@@ -347,10 +351,9 @@ def test_run_passes_match_reference_implementation(source, tags, data):
 ])
 def test_run_rules_are_read_off_the_automaton(pattern, run):
     grammar = compile_grammar(f"X: {{{pattern}}}")
-    (rule,) = grammar
-    assert rule._run == run
+    assert _compile_pattern(pattern, "X")[-1] == run
     (step,) = _plan(grammar)
-    assert (step == 0) == (run is None)  # rule 0 on its DFA, else a run pass
+    assert (len(step) == 6) == (run is None)  # the rule on its DFA, else a run pass
 
 
 @pytest.mark.parametrize("name, merged", [("indicator_direction", 5), ("numeric_direction", 6)])
@@ -358,7 +361,8 @@ def test_bundled_run_rules_share_one_pass(name, merged):
     grammar = bundled_grammar(name)
     (regex, labels), *rest = _plan(grammar)
     assert regex.groups == merged and len(labels) == merged + 1
-    assert rest == list(range(merged, len(grammar)))  # the rules after the pass run on the DFA
+    # the rules after the pass run on the DFA
+    assert [(len(step), step[0]) for step in rest] == [(6, rule.label) for rule in grammar[merged:]]
     # planned by the grammar's value: any compilation of its source shares the
     # plan, a prefix plans as its own pass, and a list of the rules chunks alike
     assert _plan(compile_grammar(bundled_grammar_source(name))) is _plan(grammar)
@@ -382,10 +386,12 @@ def test_a_pass_holds_only_in_its_own_grammar():
 
 def test_codes_past_latin1_chunk_as_the_reference():
     # each label's class holds the label before it, so each rule is a pass of
-    # its own, and the chain takes the table past U+00FF
+    # its own, and the chain takes the table past U+00FF; codes are assigned
+    # when a grammar is planned
     source = "L0: {<NN>}\n" + "".join(f"L{k}: {{<L{k - 1}>+}}\n" for k in range(1, 250))
-    assert ord(compile_grammar(source)[-1]._code) > 0xFF
     _assert_source_matches_reference(source, ["NN", "DT", "NN", "NN", "VB", "NN"])
+    _, (_, (label, code)) = _plan(compile_grammar(source))[-1]
+    assert label == "L249" and ord(code) > 0xFF
 
 
 class _CountingSymbols(str):
@@ -398,7 +404,9 @@ class _CountingSymbols(str):
 
 def _npjj_reads(n):
     symbols = _CountingSymbols("".join(map(_code, ["DT"] + ["NPP"] * n + ["."])))
-    _apply_rule(bundled_grammar("indicator_direction")[-1], list(symbols), symbols, list(range(n + 3)))
+    npjj = _plan(bundled_grammar("indicator_direction"))[-1]
+    assert npjj[0] == "NPJJ"
+    _apply_rule(npjj, list(symbols), symbols, list(range(n + 3)))
     return symbols.reads
 
 

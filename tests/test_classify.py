@@ -392,6 +392,8 @@ def test_load_rejects_unknown_format(tmp_path):
     (lambda m: m.update(stages=list(m["stages"])), r"stages \['gate', 'polarity'\] is not an object"),
     (lambda m: m.update(minsup=None), "malformed model: minsup None is not a number"),
     (lambda m: m.update(minconf="high"), "malformed model: minconf 'high' is not a number"),
+    (lambda m: m.update(minsup="0.5"), "malformed model: minsup '0.5' is not a number"),
+    (lambda m: m.update(minsup=True), "malformed model: minsup True is not a number"),
     (lambda m: m.update(minsup=-3), r"malformed model: minsup must be in \(0, 100\], got -3.0"),
     (lambda m: m.update(minconf=float("nan")), r"minconf must be in \(0, 100\], got nan"),
     (lambda m: m["stages"].update(gate="../../c.txt"), r"stages.gate '\.\./\.\./c\.txt' is not a plain file name"),
@@ -402,6 +404,7 @@ def test_load_rejects_unknown_format(tmp_path):
     (lambda m: m["tagging"].update(reversal="no"), "tagging.reversal 'no' is not a bool"),
 ], ids=["mode", "default_class", "stage2_default", "tagging",
         "arrangement_stages", "stage_missing", "stages_list", "minsup_null", "minconf_str",
+        "minsup_numeric_str", "minsup_bool",
         "minsup_negative", "minconf_nan", "stage_parent_dir", "stage_absolute", "stage_dotdot", "stage_int",
         "lexicon_int", "reversal_str"])
 def test_load_rejects_out_of_range_manifest_values(tmp_path, edit, key):
@@ -434,6 +437,17 @@ def test_load_rejects_a_rule_class_outside_its_stage(tmp_path, arrangement):
     path = tmp_path / f"{stage}.rules"
     path.write_text(path.read_text().replace(f"-> {model.stages[stage].rules[0].consequent}", "-> foo", 1))
     with pytest.raises(ModelFormatError, match=f"{stage}.rules: rule class 'foo' is not one of"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("stage", ["gate", "polarity"])
+def test_load_names_the_stage_file_of_a_rule_parse_error(tmp_path, stage):
+    model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
+    save_model(model, tmp_path)
+    path = tmp_path / f"{stage}.rules"
+    lines = path.read_text().count("\n")
+    path.write_text(f"{path.read_text()}broken\n")
+    with pytest.raises(ModelFormatError, match=rf"malformed model: {stage}\.rules: line {lines + 1}: cannot parse 'broken'"):
         load_model(tmp_path)
 
 

@@ -549,6 +549,17 @@ def test_predict_with_a_foreign_rule_class_is_config_error(tmp_path, capsys):
     assert "gate.rules: rule class 'foo'" in captured.err
 
 
+@pytest.mark.parametrize("command", [["train", "--model-dir", "model"], ["evaluate", "--folds", "2"]])
+def test_a_training_warning_is_one_finsent_line(tmp_path, monkeypatch, command):
+    # no neutral sentence: every fold warns, and the run prints the warning once
+    rows = [row for row in SAMPLE_SENTENCES if row[1] != "neutral"] + [("Operating profit fell", "negative")]
+    corpus = write_corpus(tmp_path, rows)
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = _run_main([*command, "--corpus", str(corpus)])
+    assert rc == 0
+    assert err == "finsent: warning: class 'neutral' absent from training data; it cannot be predicted\n"
+
+
 def test_predict_bad_manifest_mode_is_config_error(tmp_path, capsys):
     corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
     model_dir = tmp_path / "model"
@@ -674,7 +685,6 @@ def _file_of(units):
     return st.tuples(st.booleans(), pieces).map(lambda d: (b"\xef\xbb\xbf" if d[0] else b"") + b"".join(d[1]))
 
 
-@pytest.mark.filterwarnings("ignore:class .* absent from training data")
 @given(_file_of(_CORPUS), _file_of(_LEXICON), _file_of(_PREDICTIONS))
 @settings(max_examples=30, deadline=None)
 def test_cli_corpus_commands_exit_cleanly_or_name_a_line(sample_model, corpus, lexicon, predictions):
@@ -688,10 +698,14 @@ def test_cli_corpus_commands_exit_cleanly_or_name_a_line(sample_model, corpus, l
                  ["score", "--corpus", str(files["corpus"]), str(files["predictions"])]):
         rc, _, err = _run_main(argv)
         assert rc in (0, 2, 3), (argv, err)
+        # warnings (a class absent from a training fold) come first, each once
+        warned = re.match(r"(finsent: warning: [^\n]*\n)*", err).group()
+        assert len(set(warned.splitlines())) == warned.count("\n"), (argv, err)
+        rest = err[len(warned):]
         if rc:
-            assert re.fullmatch(r"finsent: (configuration|data) error: [^\n]*\n", err), (argv, err)
+            assert re.fullmatch(r"finsent: (configuration|data) error: [^\n]*\n", rest), (argv, err)
         elif argv[0] != "sweep":  # sweep reports each grid point on stderr
-            assert err == "", (argv, err)
+            assert rest == "", (argv, err)
         for path in files.values():
             with open(path, encoding="utf-8", errors="replace") as f:
                 lines = f.readlines()

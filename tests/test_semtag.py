@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsent import semtag
-from finsent.chunker import ChunkRule, bundled_grammar, chunk
+from finsent import chunker, semtag
+from finsent.chunker import bundled_grammar, chunk
 from finsent.lexicon import (
     DIRECTION_CATEGORIES,
     INDICATOR_CATEGORIES,
@@ -136,7 +136,8 @@ _fuzz_texts = st.one_of(
 def test_random_text_tags_the_same_on_cold_and_warm_caches(lexicon, text, reversal):
     try:
         sentence = tag_raw(text)
-        bundled_grammar.cache_clear()  # fresh grammars: no DFA transition is cached yet
+        bundled_grammar.cache_clear()  # fresh grammars and plans: no DFA transition is cached yet
+        chunker._plan.cache_clear()
         cold = tag_sentence(sentence, lexicon, reversal=reversal).tags
     except PosTextError:
         return
@@ -340,7 +341,7 @@ def test_work_count_guard(monkeypatch):
         "strong": "POS", "lawsuit": "NEG",
     })
     counts = {"lookup": 0, "step": 0, "chunk": 0, "pairs": 0, "find": 0}
-    lookup, step = Lexicon.lookup, ChunkRule._step
+    lookup, step = Lexicon.lookup, chunker._step
     semtag_chunk, semtag_extract_pairs = semtag.chunk, semtag.extract_pairs
     find_in_span = semtag._find_in_span
 
@@ -348,9 +349,9 @@ def test_work_count_guard(monkeypatch):
         counts["lookup"] += 1
         return lookup(self, phrase)
 
-    def counting_step(self, states, symbol):
+    def counting_step(rule, states, symbol):
         counts["step"] += 1
-        return step(self, states, symbol)
+        return step(rule, states, symbol)
 
     def counting_chunk(grammar, sentence):
         counts["chunk"] += 1
@@ -367,7 +368,7 @@ def test_work_count_guard(monkeypatch):
 
     # the benchmark's tracer wraps the same attributes
     monkeypatch.setattr(Lexicon, "lookup", counting_lookup)
-    monkeypatch.setattr(ChunkRule, "_step", counting_step)
+    monkeypatch.setattr(chunker, "_step", counting_step)
     monkeypatch.setattr(semtag, "chunk", counting_chunk)
     monkeypatch.setattr(semtag, "extract_pairs", counting_extract_pairs)
     monkeypatch.setattr(semtag, "_find_in_span", counting_find_in_span)
