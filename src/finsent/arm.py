@@ -92,7 +92,6 @@ class RuleBase:
     rules: tuple
     minsup: float = DEFAULT_MINSUP
     minconf: float = DEFAULT_MINCONF
-    metadata: tuple = ()  # ((key, value), ...) extra header entries
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -169,7 +168,6 @@ def generate_rules(
     minconf: float,
     classes: Iterable[str],
     minsup: float = DEFAULT_MINSUP,
-    metadata: tuple = (),
 ) -> RuleBase:
     """Rules ``X -> c`` from frequent itemsets holding exactly one class item.
 
@@ -188,7 +186,7 @@ def generate_rules(
         if confidence >= minconf:
             rules.append(Rule(antecedent, consequent, sup, confidence))
     rules.sort(key=Rule.sort_key)
-    return RuleBase(tuple(rules), minsup=minsup, minconf=minconf, metadata=metadata)
+    return RuleBase(tuple(rules), minsup=minsup, minconf=minconf)
 
 
 def mine_rules(
@@ -196,13 +194,12 @@ def mine_rules(
     minsup: float = DEFAULT_MINSUP,
     minconf: float = DEFAULT_MINCONF,
     classes: Optional[Iterable[str]] = None,
-    metadata: tuple = (),
 ) -> RuleBase:
     """Convenience wrapper: mine frequent itemsets, then generate rules."""
     if classes is None:
         classes = {t.label for t in transactions}
     frequent = mine_frequent(transactions, minsup)
-    return generate_rules(frequent, minconf, classes, minsup=minsup, metadata=metadata)
+    return generate_rules(frequent, minconf, classes, minsup=minsup)
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +213,17 @@ def _unwritable(text: str, forbidden: Sequence[str] = ()) -> bool:
 
 
 def serialize_rulebase(rb: RuleBase) -> str:
-    """Text form: '# key=value' headers, then 'a,b -> c<TAB>sup<TAB>conf' lines.
+    """Text form: '# minsup=' and '# minconf=' headers, then 'a,b -> c<TAB>sup<TAB>conf' lines.
 
     Raises RuleBaseFormatError for a rule base parse_rulebase could not read
     back: an empty antecedent; a tag or class that is empty, has surrounding
     whitespace, or holds a line break or a separator; a tag that starts with
-    '#'; a metadata key that holds '=' or names a threshold; a threshold,
-    support or confidence outside the range parse_rulebase accepts.
+    '#'; a threshold, support or confidence outside the range parse_rulebase
+    accepts.
     """
     if not (0.0 < rb.minsup <= 100.0 and 0.0 < rb.minconf <= 100.0):
         raise RuleBaseFormatError(f"minsup {rb.minsup!r} or minconf {rb.minconf!r} is not in (0, 100]")
     lines = [f"# minsup={rb.minsup!r}", f"# minconf={rb.minconf!r}"]
-    for key, value in rb.metadata:
-        if _unwritable(f"{key}", ("=",)) or key in ("minsup", "minconf") or _unwritable(f"{value}"):
-            raise RuleBaseFormatError(f"metadata {key!r}={value!r} cannot be written to a rules file")
-        lines.append(f"# {key}={value}")
     for rule in rb.rules:
         if not rule.antecedent:
             raise RuleBaseFormatError(f"rule -> {rule.consequent!r} has an empty antecedent")
@@ -259,10 +252,10 @@ def parse_rulebase(text: str) -> RuleBase:
 
     The minsup/minconf headers and each rule's support and confidence must be
     numbers in (0, 100]; a confidence may read one ulp above 100, as
-    ``generate_rules`` can compute it.
+    ``generate_rules`` can compute it.  Any other line starting with '#',
+    such as an older file's ``# stage=gate``, is a comment.
     """
-    minsup, minconf = DEFAULT_MINSUP, DEFAULT_MINCONF
-    metadata: List[tuple] = []
+    thresholds = {"minsup": DEFAULT_MINSUP, "minconf": DEFAULT_MINCONF}
     rules: List[Rule] = []
     for lineno, raw in textfile.lines(text):
         line = raw.strip()
@@ -270,16 +263,9 @@ def parse_rulebase(text: str) -> RuleBase:
             continue
         try:
             if line.startswith("#"):
-                key, eq, value = line[1:].partition("=")
-                if not eq:
-                    continue
-                key, value = key.strip(), value.strip()
-                if key == "minsup":
-                    minsup = _percent_field(value, key)
-                elif key == "minconf":
-                    minconf = _percent_field(value, key)
-                else:
-                    metadata.append((key, value))
+                key, eq, value = (part.strip() for part in line[1:].partition("="))
+                if eq and key in thresholds:
+                    thresholds[key] = _percent_field(value, key)
                 continue
             head, sup_s, conf_s = line.split("\t")
             antecedent_s, _, consequent = head.partition(" -> ")
@@ -294,7 +280,7 @@ def parse_rulebase(text: str) -> RuleBase:
         except ValueError as exc:
             raise RuleBaseFormatError(f"line {lineno}: cannot parse {raw!r}: {exc}") from None
     rules.sort(key=Rule.sort_key)
-    return RuleBase(tuple(rules), minsup=minsup, minconf=minconf, metadata=tuple(metadata))
+    return RuleBase(tuple(rules), **thresholds)
 
 
 def dump_transactions(transactions: Sequence[Transaction]) -> str:

@@ -32,7 +32,6 @@ from .arm import (
     RuleBase,
     RuleBaseFormatError,
     Transaction,
-    _check_percent,
     mine_rules,
     parse_rulebase,
     serialize_rulebase,
@@ -176,9 +175,6 @@ class ClassifierModel:
 
     arrangement: Arrangement
     stages: Mapping[str, RuleBase]
-    minsup: float = DEFAULT_MINSUP
-    minconf: float = DEFAULT_MINCONF
-    default_class: str = NEUTRAL
     stage2_default: str = NEGATIVE
     match_policy: MatchPolicy = MatchPolicy.EXACT
     scoring: Scoring = Scoring.AVERAGE
@@ -217,17 +213,14 @@ def train(
             rows = [Transaction(t.items, NEUTRAL if t.label == NEUTRAL else POLARIZED) for t in transactions]
         else:
             rows = [t for t in transactions if t.label in classes]
-        metadata = (("stage", stage),)
         stages[stage] = (
-            mine_rules(rows, minsup, minconf, classes=classes, metadata=metadata) if rows
-            else RuleBase((), minsup=minsup, minconf=minconf, metadata=metadata)
+            mine_rules(rows, minsup, minconf, classes=classes) if rows
+            else RuleBase((), minsup=minsup, minconf=minconf)
         )
 
     return ClassifierModel(
         arrangement=arrangement,
         stages=stages,
-        minsup=minsup,
-        minconf=minconf,
         stage2_default=stage2_default,
         match_policy=MatchPolicy(match_policy),
         scoring=Scoring(scoring),
@@ -240,13 +233,13 @@ def predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
     policy, scoring = model.match_policy, model.scoring
 
     if model.arrangement is Arrangement.HSC:
-        gate = predict_flat(tags, model.stages[STAGE_GATE], model.default_class, policy, scoring)
+        gate = predict_flat(tags, model.stages[STAGE_GATE], NEUTRAL, policy, scoring)
         if gate != POLARIZED:
             return gate
         return predict_flat(tags, model.stages[STAGE_POLARITY], model.stage2_default, policy, scoring)
 
     if model.arrangement is Arrangement.MULTICLASS:
-        return predict_flat(tags, model.stages[STAGE_MULTICLASS], model.default_class, policy, scoring)
+        return predict_flat(tags, model.stages[STAGE_MULTICLASS], NEUTRAL, policy, scoring)
 
     votes: Dict[str, int] = {}
     for stage, pair in _STAGES[Arrangement.ONE_VS_ONE].items():
@@ -271,9 +264,6 @@ def _write_model(model: ClassifierModel, directory: Path, tagging: Optional[dict
     manifest = {
         "format": "finsent-model/1",
         "arrangement": model.arrangement.value,
-        "minsup": model.minsup,
-        "minconf": model.minconf,
-        "default_class": model.default_class,
         "stage2_default": model.stage2_default,
         "match_policy": model.match_policy.value,
         "scoring": model.scoring.value,
@@ -328,43 +318,40 @@ def save_model(model: ClassifierModel, directory: Union[str, Path], tagging: Opt
     return directory
 
 
-def _manifest_percent(manifest: dict, key: str) -> float:
-    value = manifest[key]
-    if type(value) not in (int, float):  # a JSON number, not a string, bool or null
-        raise ValueError(f"{key} {value!r} is not a number")
-    _check_percent(float(value), key)
-    return float(value)
-
-
 def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     """Load a model directory; returns (model, manifest).
 
     Raises ModelFormatError for a missing or malformed manifest, including a
-    default class outside CLASSES, a ``tagging`` section that is not an
-    object or whose ``mode`` is not a Mode, a ``stages`` section that is not
-    an object whose keys are exactly the arrangement's stage names, a stage
-    file that is not a plain file name inside ``directory``, a rule whose
-    class is not one of its stage's classes, and a value of the wrong JSON
-    type (``"minsup": null``, a ``tagging.reversal`` that is not a bool) or a
-    threshold outside (0, 100].  The message names the offending key, or the
-    stage file and the class or line.
+    ``stage2_default`` outside CLASSES, an older manifest's ``default_class``
+    other than neutral, a ``tagging`` section that is not an object or whose
+    ``mode`` is not a Mode, a ``stages`` section that is not an object whose
+    keys are exactly the arrangement's stage names, a stage file that is not
+    a plain file name inside ``directory`` or that parse_rulebase rejects, a
+    rule whose class is not one of its stage's classes, and a value of the
+    wrong JSON type (a ``tagging.reversal`` that is not a bool).  The message
+    names the offending key, or the stage file and the class or line.
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
     if not manifest_path.exists():
         raise ModelFormatError(f"{directory}: no {_MANIFEST}")
+    text = textfile.read(manifest_path, error=ModelFormatError)
     try:
-        manifest = json.loads(textfile.read(manifest_path, error=ModelFormatError))
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ModelFormatError(f"{manifest_path}: invalid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ModelFormatError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format") != "finsent-model/1":
         raise ModelFormatError(f"{manifest_path}: unsupported format {manifest.get('format')!r}")
     try:
-        for key in ("default_class", "stage2_default"):
-            if manifest[key] not in CLASSES:
-                raise ValueError(f"{key} {manifest[key]!r} is not one of {', '.join(CLASSES)}")
+        stage2_default = manifest["stage2_default"]
+        if stage2_default not in CLASSES:
+            raise ValueError(f"stage2_default {stage2_default!r} is not one of {', '.join(CLASSES)}")
+        # older manifests also hold minsup and minconf, left unread since each stage
+        # file's headers hold them, and a default_class that was always neutral
+        if manifest.get("default_class", NEUTRAL) != NEUTRAL:
+            raise ValueError(f"default_class {manifest['default_class']!r} is not {NEUTRAL!r}")
         tagging = manifest.get("tagging", {})
         if not isinstance(tagging, dict):
             raise ValueError(f"tagging {tagging!r} is not an object")
@@ -398,10 +385,7 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         model = ClassifierModel(
             arrangement=arrangement,
             stages=stages,
-            minsup=_manifest_percent(manifest, "minsup"),
-            minconf=_manifest_percent(manifest, "minconf"),
-            default_class=manifest["default_class"],
-            stage2_default=manifest["stage2_default"],
+            stage2_default=stage2_default,
             match_policy=MatchPolicy(manifest["match_policy"]),
             scoring=Scoring(manifest["scoring"]),
         )

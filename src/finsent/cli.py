@@ -123,8 +123,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         minconf=args.minconf,
         match_policy=MatchPolicy(args.match_policy),
         scoring=Scoring(args.scoring),
-        folds=getattr(args, "folds", 10),
-        seed=getattr(args, "seed", 0),
+        **{key: value for key, value in vars(args).items() if key in ("folds", "seed")},
     )
 
 
@@ -278,29 +277,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# every flag and argument a subcommand takes: its type, default and help, declared once
+# every flag and argument a subcommand takes: its type, default and help, declared once;
+# a flag that sets a PipelineConfig field takes its default from there
+_DEFAULT = PipelineConfig()
 _ARGUMENTS: Dict[str, dict] = {
     "--lexicon": dict(help="lexicon file (default: bundled or $FINSENT_LEXICON_DIR; "
                            "predict: overrides the model's)"),
     "--reversals": dict(help="reversal-term file (predict: overrides the model's)"),
     "--encoding": dict(type=_encoding, default="utf-8", help="input encoding (default utf-8)"),
-    "--mode": dict(choices=[m.value for m in Mode], default="all",
+    "--mode": dict(choices=[m.value for m in Mode], default=_DEFAULT.mode.value,
                    help="tag families to keep (lag, lag-lead, all)"),
     "--reversal": dict(action="store_true", help="flip direction for reversal indicators"),
     "--pretagged": dict(action="store_true",
                         help="input sentences are pre-tagged surface_TAG sequences"),
     "--out": dict(help="output file (default stdout)"),
-    "--classifier": dict(choices=[a.value for a in Arrangement], default="hsc", help="classifier arrangement"),
-    "--minsup": dict(type=_percent, default=0.5, help="minimum support percent"),
-    "--minconf": dict(type=_percent, default=60.0, help="minimum confidence percent"),
-    "--match-policy": dict(choices=[m.value for m in MatchPolicy], default="exact",
+    "--classifier": dict(choices=[a.value for a in Arrangement], default=_DEFAULT.arrangement.value,
+                         help="classifier arrangement"),
+    "--minsup": dict(type=_percent, default=_DEFAULT.minsup, help="minimum support percent"),
+    "--minconf": dict(type=_percent, default=_DEFAULT.minconf, help="minimum confidence percent"),
+    "--match-policy": dict(choices=[m.value for m in MatchPolicy], default=_DEFAULT.match_policy.value,
                            help="how rule antecedents match a tag set"),
-    "--scoring": dict(choices=[s.value for s in Scoring], default="average",
+    "--scoring": dict(choices=[s.value for s in Scoring], default=_DEFAULT.scoring.value,
                       help="how matched rules' confidences combine per class"),
     "--corpus": dict(required=True, help="sentence@label corpus file"),
     "--model-dir": dict(required=True, help="model directory"),
-    "--folds": dict(type=_fold_count, default=10, help="cross-validation folds"),
-    "--seed": dict(type=int, default=0, help="fold-assignment seed"),
+    "--folds": dict(type=_fold_count, default=_DEFAULT.folds, help="cross-validation folds"),
+    "--seed": dict(type=int, default=_DEFAULT.seed, help="fold-assignment seed"),
     "--format": dict(choices=["json", "csv", "text"], default="text", help="report format"),
     "--grid": dict(type=_percent_grid, default="60,70,80,90", help="comma-separated minconf values"),
     "input": dict(nargs="?", help="input file ('-' or omitted: stdin)"),

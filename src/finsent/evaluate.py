@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import textfile
-from .arm import Transaction
+from .arm import DEFAULT_MINCONF, DEFAULT_MINSUP, Transaction
 from .classify import (
     CLASSES,
     Arrangement,
@@ -241,8 +241,8 @@ class PipelineConfig:
     mode: Mode = Mode.ALL
     reversal: bool = False
     arrangement: Arrangement = Arrangement.HSC
-    minsup: float = 0.5
-    minconf: float = 60.0
+    minsup: float = DEFAULT_MINSUP
+    minconf: float = DEFAULT_MINCONF
     match_policy: MatchPolicy = MatchPolicy.EXACT
     scoring: Scoring = Scoring.AVERAGE
     stage2_default: str = NEGATIVE

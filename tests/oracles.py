@@ -393,11 +393,11 @@ def _warn_missing_classes(transactions: Sequence[Transaction], expected: Iterabl
 
 
 def _mine_or_empty(
-    transactions: Sequence[Transaction], minsup: float, minconf: float, classes, metadata
+    transactions: Sequence[Transaction], minsup: float, minconf: float, classes
 ) -> RuleBase:
     if not transactions:
-        return RuleBase((), minsup=minsup, minconf=minconf, metadata=metadata)
-    return mine_rules(transactions, minsup, minconf, classes=classes, metadata=metadata)
+        return RuleBase((), minsup=minsup, minconf=minconf)
+    return mine_rules(transactions, minsup, minconf, classes=classes)
 
 
 def branch_train(
@@ -421,33 +421,19 @@ def branch_train(
             Transaction(t.items, NEUTRAL if t.label == NEUTRAL else POLARIZED)
             for t in transactions
         ]
-        stages["gate"] = _mine_or_empty(
-            gate_transactions, minsup, minconf,
-            classes={POLARIZED, NEUTRAL}, metadata=(("stage", "gate"),),
-        )
+        stages["gate"] = _mine_or_empty(gate_transactions, minsup, minconf, classes={POLARIZED, NEUTRAL})
         polarized = [t for t in transactions if t.label in (POSITIVE, NEGATIVE)]
-        stages["polarity"] = _mine_or_empty(
-            polarized, minsup, minconf,
-            classes={POSITIVE, NEGATIVE}, metadata=(("stage", "polarity"),),
-        )
+        stages["polarity"] = _mine_or_empty(polarized, minsup, minconf, classes={POSITIVE, NEGATIVE})
     elif arrangement is Arrangement.MULTICLASS:
-        stages["multiclass"] = _mine_or_empty(
-            transactions, minsup, minconf,
-            classes=set(CLASSES), metadata=(("stage", "multiclass"),),
-        )
+        stages["multiclass"] = _mine_or_empty(transactions, minsup, minconf, classes=set(CLASSES))
     else:
         for a, b in _PAIRS:
             subset = [t for t in transactions if t.label in (a, b)]
-            stages[_pair_stage(a, b)] = _mine_or_empty(
-                subset, minsup, minconf,
-                classes={a, b}, metadata=(("stage", _pair_stage(a, b)),),
-            )
+            stages[_pair_stage(a, b)] = _mine_or_empty(subset, minsup, minconf, classes={a, b})
 
     return ClassifierModel(
         arrangement=arrangement,
         stages=stages,
-        minsup=minsup,
-        minconf=minconf,
         stage2_default=stage2_default,
         match_policy=MatchPolicy(match_policy),
         scoring=Scoring(scoring),
@@ -460,7 +446,7 @@ def branch_predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
     kwargs = dict(match_policy=model.match_policy, scoring=model.scoring)
 
     if model.arrangement is Arrangement.HSC:
-        gate = branch_predict_flat(tags, model.stages["gate"], default=model.default_class, **kwargs)
+        gate = branch_predict_flat(tags, model.stages["gate"], default=NEUTRAL, **kwargs)
         if gate != POLARIZED:
             return gate
         return branch_predict_flat(
@@ -468,7 +454,7 @@ def branch_predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
         )
 
     if model.arrangement is Arrangement.MULTICLASS:
-        return branch_predict_flat(tags, model.stages["multiclass"], default=model.default_class, **kwargs)
+        return branch_predict_flat(tags, model.stages["multiclass"], default=NEUTRAL, **kwargs)
 
     votes: Dict[str, int] = {}
     for a, b in _PAIRS:

@@ -383,19 +383,20 @@ def test_load_rejects_unknown_format(tmp_path):
 
 @pytest.mark.parametrize("edit, key", [
     (lambda m: m["tagging"].update(mode="bogus"), "tagging.mode"),
-    (lambda m: m.update(default_class="mixed"), "default_class"),
+    (lambda m: m.update(default_class="mixed"), "default_class 'mixed' is not 'neutral'"),
     (lambda m: m.update(stage2_default="positve"), "stage2_default"),
     (lambda m: m.update(tagging="all"), "tagging 'all'"),
     (lambda m: m.update(arrangement="ovo"),
      "keys neutral-positive, negative-positive, negative-neutral of arrangement 'ovo'"),
     (lambda m: m["stages"].pop("polarity"), "keys gate, polarity of arrangement 'hsc'"),
     (lambda m: m.update(stages=list(m["stages"])), r"stages \['gate', 'polarity'\] is not an object"),
-    (lambda m: m.update(minsup=None), "malformed model: minsup None is not a number"),
-    (lambda m: m.update(minconf="high"), "malformed model: minconf 'high' is not a number"),
-    (lambda m: m.update(minsup="0.5"), "malformed model: minsup '0.5' is not a number"),
-    (lambda m: m.update(minsup=True), "malformed model: minsup True is not a number"),
-    (lambda m: m.update(minsup=-3), r"malformed model: minsup must be in \(0, 100\], got -3.0"),
-    (lambda m: m.update(minconf=float("nan")), r"minconf must be in \(0, 100\], got nan"),
+    # the thresholds live in the stage files' headers: a string edit is a line put first in gate.rules
+    ("# minsup=null\n", r"malformed model: gate\.rules: line 1: .*could not convert string to float: 'null'"),
+    ("# minconf=high\n", r"malformed model: gate\.rules: line 1: .*could not convert string to float: 'high'"),
+    ('# minsup="0.5"\n', r"malformed model: gate\.rules: line 1: .*could not convert string to float: '\"0\.5\"'"),
+    ("# minsup=True\n", r"malformed model: gate\.rules: line 1: .*could not convert string to float: 'True'"),
+    ("# minsup=-3\n", r"malformed model: gate\.rules: line 1: .*minsup -3\.0 is not in \(0, 100\]"),
+    ("# minconf=nan\n", r"malformed model: gate\.rules: line 1: .*minconf nan is not in \(0, 100\]"),
     (lambda m: m["stages"].update(gate="../../c.txt"), r"stages.gate '\.\./\.\./c\.txt' is not a plain file name"),
     (lambda m: m["stages"].update(polarity="/etc/passwd"), "stages.polarity '/etc/passwd' is not a plain file name"),
     (lambda m: m["stages"].update(gate=".."), r"stages.gate '\.\.' is not a plain file name"),
@@ -412,7 +413,11 @@ def test_load_rejects_out_of_range_manifest_values(tmp_path, edit, key):
     save_model(model, tmp_path, tagging={"mode": "all", "reversal": False})
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    edit(manifest)
+    if isinstance(edit, str):
+        gate = tmp_path / "gate.rules"
+        gate.write_text(edit + gate.read_text())
+    else:
+        edit(manifest)
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match=key):
         load_model(tmp_path)
@@ -458,6 +463,38 @@ def test_load_takes_no_rule_from_a_stage_file_comment(tmp_path, separator):
     path = tmp_path / "gate.rules"
     path.write_text(f"# note{separator}Invented -> polarized\t50.0\t90.0\n{path.read_text()}", encoding="utf-8")
     assert load_model(tmp_path)[0] == model
+
+
+def test_load_rejects_a_manifest_integer_past_the_digit_limit(tmp_path):
+    # json.loads raises a plain ValueError for an integer of more than 4,300 digits
+    model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
+    save_model(model, tmp_path)
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(manifest_path.read_text().replace("{", '{"size": ' + "9" * 5000 + ",", 1))
+    with pytest.raises(ModelFormatError, match=r"manifest\.json: invalid JSON: .*4300 digits"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_saved_manifest_holds_only_what_load_reads(tmp_path, monkeypatch, arrangement):
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    save_model(train(SAMPLE_TRANSACTIONS, arrangement, minsup=16.0, minconf=60.0), tmp_path)
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: Recording(loads(text)))
+    _, manifest = load_model(tmp_path)
+    assert set(manifest) == {"format", "arrangement", "stage2_default", "match_policy", "scoring", "stages", "tagging"}
+    # load reads each of them, and looks for an older manifest's default_class to refuse one other than neutral
+    assert read == set(manifest) | {"default_class"}
 
 
 def test_load_rejects_manifest_that_is_not_an_object(tmp_path):

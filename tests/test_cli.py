@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from sample_data import KNOWN_RULES
 from finsent.arm import parse_rulebase
+from finsent.classify import Arrangement, load_model, train
 from finsent.cli import main
-from finsent.evaluate import Corpus, PipelineConfig, tag_corpus
+from finsent.evaluate import Corpus, PipelineConfig, load_phrasebank, tag_corpus
 from finsent.lexicon import default_lexicon_paths
 from finsent.pos_text import format_pretagged, tag_raw
 from finsent.semtag import Mode, SemTag, canonical_order
@@ -558,6 +559,62 @@ def test_a_training_warning_is_one_finsent_line(tmp_path, monkeypatch, command):
     rc, _, err = _run_main([*command, "--corpus", str(corpus)])
     assert rc == 0
     assert err == "finsent: warning: class 'neutral' absent from training data; it cannot be predicted\n"
+
+
+def write_older_model(directory, model, minsup, minconf):
+    """``model`` as finsent once saved it: the manifest also holds the thresholds
+    and default_class, and each stage file a ``# stage=`` header."""
+    directory.mkdir()
+    for stage, rb in model.stages.items():
+        rules = "".join(f"{','.join(sorted(r.antecedent))} -> {r.consequent}\t{r.support!r}\t{r.confidence!r}\n"
+                        for r in rb.rules)
+        (directory / f"{stage}.rules").write_text(f"# minsup={minsup!r}\n# minconf={minconf!r}\n# stage={stage}\n{rules}")
+    manifest = {
+        "arrangement": model.arrangement.value,
+        "default_class": "neutral",
+        "format": "finsent-model/1",
+        "match_policy": "exact",
+        "minconf": minconf,
+        "minsup": minsup,
+        "scoring": "average",
+        "stage2_default": "negative",
+        "stages": {stage: f"{stage}.rules" for stage in sorted(model.stages)},
+        "tagging": {"encoding": "utf-8", "lexicon": "", "mode": "all", "pretagged": False,
+                    "reversal": False, "reversals": ""},
+    }
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_a_model_in_the_older_format_loads_and_predicts_the_same(tmp_path, capsys, arrangement):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model = train(tag_corpus(load_phrasebank(corpus)), arrangement, minsup=16.0, minconf=60.0)
+    write_older_model(tmp_path / "older", model, 16.0, 60.0)
+    assert load_model(tmp_path / "older")[0] == model
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(tmp_path / "model"),
+                 "--classifier", arrangement.value, "--minsup", "16"]) == 0
+    queries = tmp_path / "queries.txt"
+    queries.write_text("".join(f"{text}\n" for text, _ in SAMPLE_SENTENCES) + "Operating profit fell\nWidgets rose .\n")
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(tmp_path / "model"), str(queries)]) == 0
+    labels = capsys.readouterr().out
+    assert main(["predict", "--model-dir", str(tmp_path / "older"), str(queries)]) == 0
+    assert capsys.readouterr().out == labels
+    assert len({line.split("\t")[1] for line in labels.splitlines()}) > 1
+
+
+def test_predict_with_a_manifest_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir)]) == 0
+    manifest_path = model_dir / "manifest.json"
+    manifest_path.write_text(manifest_path.read_text().replace("{", '{"size": ' + "9" * 5000 + ",", 1))
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(model_dir), str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"finsent: configuration error: {manifest_path}: invalid JSON: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_predict_bad_manifest_mode_is_config_error(tmp_path, capsys):
