@@ -14,13 +14,11 @@ from .lexicon import (
     LexiconError,
     load_default_lexicon,
     load_lexicon,
-    save_lexicon,
 )
 from .pos_text import (
     PosSentence,
     PosTextError,
     PosToken,
-    format_pretagged,
     ingest_pretagged,
     pos_tags,
     tag_raw,

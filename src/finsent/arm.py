@@ -35,7 +35,6 @@ __all__ = [
     "serialize_rulebase",
     "parse_rulebase",
     "dump_transactions",
-    "parse_transactions",
 ]
 
 DEFAULT_MINSUP = 0.5
@@ -95,9 +94,6 @@ class RuleBase:
 
     def __len__(self) -> int:
         return len(self.rules)
-
-    def __iter__(self):
-        return iter(self.rules)
 
     @cached_property
     def index(self) -> Dict[FrozenSet[str], Tuple[int, ...]]:
@@ -288,16 +284,3 @@ def dump_transactions(transactions: Sequence[Transaction]) -> str:
     lines = [", ".join([*sorted(t.items), t.label]) for t in transactions]
     return "\n".join(lines) + "\n"
 
-
-def parse_transactions(text: str) -> List[Transaction]:
-    """Inverse of dump_transactions (last item on each line is the label)."""
-    out: List[Transaction] = []
-    for lineno, raw in textfile.lines(text):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",") if p.strip()]
-        if not parts:
-            raise RuleBaseFormatError(f"line {lineno}: empty transaction")
-        out.append(Transaction(frozenset(parts[:-1]), parts[-1]))
-    return out

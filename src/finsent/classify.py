@@ -15,6 +15,7 @@ three-class rule base, and one-against-one pairwise voting.
 """
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import shutil
@@ -324,12 +325,14 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     Raises ModelFormatError for a missing or malformed manifest, including a
     ``stage2_default`` outside CLASSES, an older manifest's ``default_class``
     other than neutral, a ``tagging`` section that is not an object or whose
-    ``mode`` is not a Mode, a ``stages`` section that is not an object whose
-    keys are exactly the arrangement's stage names, a stage file that is not
-    a plain file name inside ``directory`` or that parse_rulebase rejects, a
-    rule whose class is not one of its stage's classes, and a value of the
-    wrong JSON type (a ``tagging.reversal`` that is not a bool).  The message
-    names the offending key, or the stage file and the class or line.
+    ``mode`` is not a Mode or ``encoding`` (what ``finsent predict`` decodes
+    with by default) not a codec Python knows, a ``stages`` section that is
+    not an object whose keys are exactly the arrangement's stage names, a
+    stage file that is not a plain file name inside ``directory`` or that
+    parse_rulebase rejects, a rule whose class is not one of its stage's
+    classes, and a value of the wrong JSON type (a ``tagging.reversal`` that
+    is not a bool).  The message names the offending key, or the stage file
+    and the class or line.
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
@@ -359,9 +362,14 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         if mode not in {m.value for m in Mode}:
             raise ValueError(f"tagging.mode {mode!r} is not one of {', '.join(m.value for m in Mode)}")
         # the entries `finsent predict` reads
-        for key, kind in (("lexicon", str), ("reversals", str), ("reversal", bool), ("pretagged", bool)):
+        for key, kind in (("lexicon", str), ("reversals", str), ("reversal", bool), ("pretagged", bool),
+                          ("encoding", str)):
             if not isinstance(tagging.get(key, kind()), kind):
                 raise ValueError(f"tagging.{key} {tagging[key]!r} is not a {kind.__name__}")
+        try:
+            codecs.lookup(tagging.get("encoding", "utf-8"))
+        except LookupError:
+            raise ValueError(f"tagging.encoding {tagging['encoding']!r} is not a codec Python knows") from None
         arrangement = Arrangement(manifest["arrangement"])
         files = manifest["stages"]
         if not isinstance(files, dict) or sorted(files) != sorted(_STAGES[arrangement]):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import dataclasses
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -194,6 +193,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     mode = Mode(tagging.get("mode", "all"))
     reversal = bool(tagging.get("reversal", False))
     pretagged = args.pretagged or bool(tagging.get("pretagged", False))
+    args.encoding = args.encoding or tagging.get("encoding", "utf-8")
     out_lines = []
     for i, (tags, _) in enumerate(_tag_input(args, lexicon, mode, reversal, pretagged), start=1):
         label = predict(model, frozenset(t.value for t in tags))
@@ -284,7 +284,8 @@ _ARGUMENTS: Dict[str, dict] = {
     "--lexicon": dict(help="lexicon file (default: bundled or $FINSENT_LEXICON_DIR; "
                            "predict: overrides the model's)"),
     "--reversals": dict(help="reversal-term file (predict: overrides the model's)"),
-    "--encoding": dict(type=_encoding, default="utf-8", help="input encoding (default utf-8)"),
+    "--encoding": dict(type=_encoding, default="utf-8",
+                       help="input encoding (default utf-8; predict: default the model's)"),
     "--mode": dict(choices=[m.value for m in Mode], default=_DEFAULT.mode.value,
                    help="tag families to keep (lag, lag-lead, all)"),
     "--reversal": dict(action="store_true", help="flip direction for reversal indicators"),
@@ -335,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
             settings = _ARGUMENTS[argument]
             if name == "evaluate" and argument == "--classifier":  # evaluate also offers the baselines
                 settings = {**settings, "choices": [*settings["choices"], *_STUBS]}
+            if name == "predict" and argument == "--encoding":  # None: the model's, see cmd_predict
+                settings = {**settings, "default": None}
             p.add_argument(argument, **settings)
         p.set_defaults(func=func)
     return parser

@@ -82,10 +82,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.texts)
 
-    def distribution(self) -> Dict[str, float]:
-        counts = Counter(self.labels)
-        return {cls: 100.0 * counts.get(cls, 0) / len(self.labels) for cls in CLASSES}
-
 
 def load_phrasebank(
     path: Union[str, Path],
@@ -132,7 +128,6 @@ class FoldPlan:
 
     k: int
     assignment: tuple
-    seed: int
 
     def fold_indices(self, fold: int) -> List[int]:
         return [i for i, f in enumerate(self.assignment) if f == fold]
@@ -156,7 +151,7 @@ def make_folds(corpus: Corpus, k: int, seed: int = 0) -> FoldPlan:
         offset = rng.randrange(k)
         for j, idx in enumerate(indices):
             assignment[idx] = (j + offset) % k
-    return FoldPlan(k=k, assignment=tuple(assignment), seed=seed)
+    return FoldPlan(k=k, assignment=tuple(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +266,7 @@ def tag_corpus(
     config: Optional[PipelineConfig] = None,
 ) -> List[Transaction]:
     """Tag every corpus sentence once; returns index-aligned transactions."""
-    if lexicon is None:  # an empty Lexicon is falsy, and still the one to tag with
+    if lexicon is None:
         lexicon = load_default_lexicon()
     config = config or PipelineConfig()
     transactions: List[Transaction] = []

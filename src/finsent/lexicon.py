@@ -9,7 +9,6 @@ for which downward movement is a good outcome (costs, expenses, losses).
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -25,10 +24,8 @@ __all__ = [
     "INDICATOR_CATEGORIES",
     "DIRECTION_CATEGORIES",
     "SENTIMENT_CATEGORIES",
-    "REFERENCE_CATEGORY_COUNTS",
     "normalize_phrase",
     "load_lexicon",
-    "save_lexicon",
     "load_default_lexicon",
 ]
 
@@ -49,19 +46,6 @@ class LexCategory(str, Enum):
 INDICATOR_CATEGORIES = frozenset({LexCategory.LAGIND, LexCategory.LEADIND})
 DIRECTION_CATEGORIES = frozenset({LexCategory.UP, LexCategory.DOWN})
 SENTIMENT_CATEGORIES = frozenset({LexCategory.POS, LexCategory.NEG})
-
-# Category sizes of the original dictionary this lexicon reconstructs.  The
-# original word lists were never published, so these counts are reported as
-# metadata next to the bundled lexicon's own counts; they are not a target.
-REFERENCE_CATEGORY_COUNTS: Mapping[LexCategory, int] = {
-    LexCategory.LAGIND: 67,
-    LexCategory.LEADIND: 70,
-    LexCategory.DOWN: 53,
-    LexCategory.UP: 51,
-    LexCategory.NEG: 2337,
-    LexCategory.POS: 353,
-}
-
 
 class LexiconError(ValueError):
     """Raised for malformed lexicon files or invariant violations."""
@@ -93,9 +77,6 @@ class Lexicon:
         """Word count of the longest entry whose first word is ``word`` (0 if none)."""
         return self._reach.get(word, 0)  # type: ignore[attr-defined]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def lookup(self, phrase: Union[str, Sequence[str]]) -> Optional[LexCategory]:
         """Exact-phrase lookup of a token sequence (or string); None if absent."""
         return self.entries.get(normalize_phrase(phrase))
@@ -103,10 +84,6 @@ class Lexicon:
     def is_reversal(self, phrase: Union[str, Sequence[str]]) -> bool:
         """True iff the normalized phrase is on the directionality-reversal list."""
         return normalize_phrase(phrase) in self.reversal_terms
-
-    def category_counts(self) -> dict:
-        counts = Counter(self.entries.values())
-        return {cat: counts.get(cat, 0) for cat in LexCategory}
 
     def phrases(self, category: LexCategory) -> list:
         return sorted(p for p, c in self.entries.items() if c is category)
@@ -159,21 +136,6 @@ def load_lexicon(path: Union[str, Path], reversals_path: Union[str, Path, None] 
             reversal_terms.add(phrase)
 
     return Lexicon(entries=entries, reversal_terms=frozenset(reversal_terms))
-
-
-def save_lexicon(
-    lex: Lexicon,
-    path: Union[str, Path],
-    reversals_path: Union[str, Path, None] = None,
-) -> None:
-    """Write a lexicon back out in the load_lexicon file format."""
-    lines = [f"{phrase},{category.value}" for phrase, category in sorted(lex.entries.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if reversals_path is not None:
-        Path(reversals_path).write_text(
-            "\n".join(sorted(lex.reversal_terms)) + ("\n" if lex.reversal_terms else ""),
-            encoding="utf-8",
-        )
 
 
 def default_lexicon_paths() -> tuple:

@@ -19,7 +19,6 @@ __all__ = [
     "PosToken",
     "PosSentence",
     "ingest_pretagged",
-    "format_pretagged",
     "tokenize",
     "pos_tags",
     "tag_raw",
@@ -90,11 +89,6 @@ def ingest_pretagged(line: str) -> PosSentence:
         surfaces.append(surface)
         tags.append(tag)
     return PosSentence(tuple(surfaces), tuple(tags))
-
-
-def format_pretagged(sentence: PosSentence) -> str:
-    """Inverse of ingest_pretagged."""
-    return " ".join(f"{surface}_{tag}" for surface, tag in zip(sentence.surfaces, sentence.pos_tags))
 
 
 _OPENERS = "([{\"'`“‘«"

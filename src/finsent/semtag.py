@@ -57,7 +57,6 @@ __all__ = [
     "flip_direction",
     "canonical_order",
     "interaction_tag",
-    "is_interaction",
     "INDICATOR_LABELS",
     "MODIFIER_LABELS",
     "PairExtraction",
@@ -104,10 +103,6 @@ def interaction_tag(indicator: LexCategory, direction: LexCategory) -> SemTag:
     return _INTERACTION[(indicator, direction)]
 
 
-def is_interaction(tag: SemTag) -> bool:
-    return tag in _FLIP
-
-
 def flip_direction(tag: SemTag) -> SemTag:
     """UP <-> DOWN on interaction tags; other tags pass through unchanged."""
     return _FLIP.get(tag, tag)
@@ -123,7 +118,6 @@ class TaggedSentence:
     """The semantic tag set extracted from one sentence."""
 
     tags: frozenset
-    source: PosSentence
 
 
 class Mode(str, Enum):
@@ -152,7 +146,7 @@ _MODE_KEEP = {
 def filter_mode(tagged: TaggedSentence, mode: Mode) -> TaggedSentence:
     """Restrict a tag set to the families the given mode keeps."""
     keep = _MODE_KEEP[Mode(mode)]
-    return TaggedSentence(frozenset(t for t in tagged.tags if t in keep), tagged.source)
+    return TaggedSentence(frozenset(t for t in tagged.tags if t in keep))
 
 
 COMPARISON_MARKERS = ("down from", "up from", "compared to", "versus")
@@ -413,4 +407,4 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
             tag = flip_direction(tag)
         tags.add(tag)
 
-    return TaggedSentence(frozenset(tags), sentence)
+    return TaggedSentence(frozenset(tags))

@@ -21,6 +21,10 @@ Numeric directionality, independent of semtag's one walk per pair-pattern
 node: each node is walked once for its first indicator with a hit, then again
 for its CD values.
 
+Number parsing, independent of semtag's regexes: the digit runs a surface
+starts with are read one character at a time, and each comma is judged by
+the length of the run after it.
+
 End-to-end semantic tagging, independent of semtag and the chunker: the
 reference chunker's trees (as Chunks over the sentence's own tokens), the
 lookup scans, the generator pair walk with flat pairing and the two-walk
@@ -306,6 +310,41 @@ def reference_tag(sentence, lex, reversal: bool = False) -> FrozenSet[SemTag]:
     for tag, ind_hit in interactions:
         tags.add(flip_direction(tag) if reversal and lex.is_reversal(ind_hit.phrase) else tag)
     return frozenset(tags)
+
+
+def walk_parse_value(surface: str) -> Optional[float]:
+    """The number a surface starts with: an optional sign, then digit runs joined
+    by single '.' or ',' separators.  A comma before a run of exactly three
+    digits groups thousands; any other comma, like every '.', is a decimal
+    point.  None without a leading number, or with two decimal points."""
+    sign = surface[:1] if surface[:1] in ("+", "-") else ""
+    i = len(sign)
+    runs: List[str] = []
+    separators: List[str] = []
+    while True:
+        start = i
+        while i < len(surface) and surface[i].isdecimal():
+            i += 1
+        if i == start:  # a separator not followed by a digit ends the number before it
+            if separators:
+                separators.pop()
+            break
+        runs.append(surface[start:i])
+        if i < len(surface) and surface[i] in ".,":
+            separators.append(surface[i])
+            i += 1
+        else:
+            break
+    if not runs:
+        return None
+    number = sign + runs[0]
+    decimal_points = 0
+    for separator, run in zip(separators, runs[1:]):
+        if not (separator == "," and len(run) == 3):
+            number += "."
+            decimal_points += 1
+        number += run
+    return float(number) if decimal_points <= 1 else None
 
 
 def loop_split_unit(unit: str) -> List[str]:

@@ -1,6 +1,12 @@
 """Shared test data: the six-transaction sample database and its seven
-illustrative class rules (with their exact support/confidence values)."""
+illustrative class rules (with their exact support/confidence values), and
+``format_pretagged``, which writes a sentence as pre-tagged input."""
 from finsent.arm import Transaction
+
+
+def format_pretagged(sentence):
+    """A PosSentence as the ``surface_TAG ...`` line ``ingest_pretagged`` reads."""
+    return " ".join(f"{surface}_{tag}" for surface, tag in zip(sentence.surfaces, sentence.pos_tags))
 
 
 def _t(items, label):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sample_data import KNOWN_RULES
+from sample_data import KNOWN_RULES, format_pretagged
 from finsent.arm import parse_rulebase
 from finsent.classify import Arrangement, load_model, train
 from finsent.cli import main
 from finsent.evaluate import Corpus, PipelineConfig, load_phrasebank, tag_corpus
 from finsent.lexicon import default_lexicon_paths
-from finsent.pos_text import format_pretagged, tag_raw
+from finsent.pos_text import tag_raw
 from finsent.semtag import Mode, SemTag, canonical_order
 
 
@@ -630,6 +630,42 @@ def test_predict_bad_manifest_mode_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 2
     assert "tagging.mode 'bogus'" in capsys.readouterr().err
+
+
+def test_predict_decodes_with_the_model_encoding(tmp_path, capsys):
+    bundled, _ = default_lexicon_paths()
+    lexicon = tmp_path / "custom.txt"
+    lexicon.write_text(bundled.read_text(encoding="utf-8") + "bénéfice,LagInd\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes("".join(f"{t}@{label}\n" for t, label in SAMPLE_SENTENCES).encode("latin-1"))
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir), "--encoding", "latin-1",
+                 "--lexicon", str(lexicon), "--minsup", "16", "--minconf", "60"]) == 0
+    assert json.loads((model_dir / "manifest.json").read_text())["tagging"]["encoding"] == "latin-1"
+    queries = tmp_path / "queries.txt"
+    queries.write_bytes("Bénéfice rose .\n".encode("latin-1"))
+    capsys.readouterr()
+    # read as latin-1, 'Bénéfice rose' is LagInd::UP; --encoding wins over the manifest
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tpositive\n"
+    assert main(["predict", "--model-dir", str(model_dir), "--encoding", "utf-8", str(queries)]) == 0
+    assert capsys.readouterr().out == "1\tneutral\n"
+
+
+@pytest.mark.parametrize("encoding", ["no-such-codec", 5, None])
+def test_predict_bad_manifest_encoding_is_config_error(tmp_path, capsys, encoding):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir)]) == 0
+    manifest_path = model_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tagging"]["encoding"] = encoding
+    manifest_path.write_text(json.dumps(manifest))
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Widgets rose .\n")
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(model_dir), str(queries)]) == 2
+    assert f"tagging.encoding {encoding!r}" in capsys.readouterr().err
 
 
 TAG_SENTENCES = [

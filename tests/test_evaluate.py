@@ -68,14 +68,6 @@ def test_load_phrasebank(tmp_path):
     assert corpus.name == "corpus"
 
 
-def test_load_phrasebank_distribution(tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("a@positive\nb@neutral\nc@neutral\nd@negative\n")
-    corpus = load_phrasebank(path)
-    dist = corpus.distribution()
-    assert dist["neutral"] == pytest.approx(50.0)
-
-
 def test_unknown_label_reports_line(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("Hello world@maybe\n")
@@ -240,7 +232,7 @@ def test_perfect_stub_scores_ones(lexicon):
 @pytest.mark.parametrize("folds, rows", [(6, 8), (9, 8), (8, 6)])
 def test_fold_plan_or_transactions_not_covering_the_corpus_is_error(folds, rows):
     corpus = Corpus(tuple(f"s{i}" for i in range(8)), ("positive", "neutral", "negative", "neutral") * 2)
-    plan = FoldPlan(k=2, assignment=tuple(i % 2 for i in range(folds)), seed=0)
+    plan = FoldPlan(k=2, assignment=tuple(i % 2 for i in range(folds)))
     transactions = [Transaction(frozenset({f"t{i % 3}"}), corpus.labels[i]) for i in range(rows)]
     with pytest.raises(FoldError, match="expected one of each per sentence"):
         cross_validate(corpus, PipelineConfig(folds=2), folds=plan, transactions=transactions,
@@ -251,7 +243,7 @@ def test_fold_plan_or_transactions_not_covering_the_corpus_is_error(folds, rows)
 def test_fold_plan_naming_no_fold_is_error(bad):
     # a sentence outside every fold would be trained on in each fold and never scored
     corpus = Corpus(tuple(f"s{i}" for i in range(12)), ("positive", "neutral", "negative") * 4)
-    plan = FoldPlan(k=2, assignment=(0, 1) * 5 + (bad, bad), seed=0)
+    plan = FoldPlan(k=2, assignment=(0, 1) * 5 + (bad, bad))
     transactions = [Transaction(frozenset({f"t{i % 3}"}), label) for i, label in enumerate(corpus.labels)]
     with pytest.raises(FoldError, match=f"sentence 10 is assigned fold {bad}; folds run from 0 to 1"):
         cross_validate(corpus, PipelineConfig(folds=2), folds=plan, transactions=transactions,

@@ -2,13 +2,11 @@ import pytest
 
 from finsent.lexicon import (
     INDICATOR_CATEGORIES,
-    REFERENCE_CATEGORY_COUNTS,
     LexCategory,
     LexiconError,
     load_default_lexicon,
     load_lexicon,
     normalize_phrase,
-    save_lexicon,
 )
 
 
@@ -21,11 +19,7 @@ def write(tmp_path, name, text):
 def test_load_two_entries(tmp_path):
     path = write(tmp_path, "lex.txt", "market share,LagInd\nincrease,UP\n")
     lex = load_lexicon(path)
-    assert len(lex) == 2
-    counts = lex.category_counts()
-    assert counts[LexCategory.LAGIND] == 1
-    assert counts[LexCategory.UP] == 1
-    assert counts[LexCategory.NEG] == 0
+    assert lex.entries == {"market share": LexCategory.LAGIND, "increase": LexCategory.UP}
 
 
 def test_duplicate_across_categories_is_error(tmp_path):
@@ -36,7 +30,7 @@ def test_duplicate_across_categories_is_error(tmp_path):
 
 def test_duplicate_same_category_is_harmless(tmp_path):
     path = write(tmp_path, "lex.txt", "cost,LagInd\ncost,LagInd\n")
-    assert len(load_lexicon(path)) == 1
+    assert load_lexicon(path).entries == {"cost": LexCategory.LAGIND}
 
 
 def test_malformed_line_reports_line_number(tmp_path):
@@ -117,28 +111,11 @@ def test_normalize_phrase():
     assert normalize_phrase(("Operating", "Cost")) == "operating cost"
 
 
-def test_save_load_round_trip(tmp_path, lexicon):
-    lex_path = tmp_path / "out.txt"
-    rev_path = tmp_path / "rev.txt"
-    save_lexicon(lexicon, lex_path, rev_path)
-    again = load_lexicon(lex_path, rev_path)
-    assert again == lexicon
-
-
 def test_bundled_lexicon_invariants(lexicon):
-    counts = lexicon.category_counts()
-    assert sum(counts.values()) == len(lexicon)
     for term in lexicon.reversal_terms:
         assert lexicon.entries[term] in INDICATOR_CATEGORIES
     for phrase, category in lexicon.entries.items():
         assert lexicon.lookup(phrase) is category
-    # report reconstruction size next to the original dictionary's counts
-    # (informational: the original lists are unpublished, equality not expected)
-    for category in LexCategory:
-        print(
-            f"{category.value}: bundled={counts[category]} "
-            f"reference={REFERENCE_CATEGORY_COUNTS[category]}"
-        )
 
 
 def test_bundled_lexicon_has_key_phrases(lexicon):
@@ -157,4 +134,4 @@ def test_env_override(tmp_path, monkeypatch):
     write(tmp_path, "reversals.txt", "")
     monkeypatch.setenv("FINSENT_LEXICON_DIR", str(tmp_path))
     lex = load_default_lexicon()
-    assert len(lex) == 1
+    assert lex.entries == {"turnover": LexCategory.LAGIND}

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_split_unit
+from sample_data import format_pretagged
 
 from finsent.pos_text import (
     _CLOSERS,
@@ -12,7 +13,6 @@ from finsent.pos_text import (
     PENN_TAGS,
     PosSentence,
     PosTextError,
-    format_pretagged,
     ingest_pretagged,
     pos_tags,
     tag_raw,

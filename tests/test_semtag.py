@@ -30,7 +30,6 @@ from finsent.semtag import (
     extract_pairs,
     filter_mode,
     flip_direction,
-    is_interaction,
     tag_sentence,
 )
 from finsent.semtag import (
@@ -38,6 +37,7 @@ from finsent.semtag import (
 )
 from oracles import (
     flat_pair_hits, lookup_find_in_span, lookup_hits, lookup_scan, reference_tag, two_walk_numeric_hit,
+    walk_parse_value,
 )
 from synth_corpus import synthetic_benchmark
 
@@ -395,7 +395,7 @@ def test_work_count_guard(monkeypatch):
 def numeric_tag(text, lex):
     """The sentence's one interaction tag, or None; these lexicons hold no
     direction word, so any interaction comes from the numeric path."""
-    interactions = [tag for tag in tags_of(text, lex) if is_interaction(tag)]
+    interactions = [tag for tag in tags_of(text, lex) if "::" in tag.value]
     assert len(interactions) <= 1, interactions
     return interactions[0] if interactions else None
 
@@ -444,6 +444,26 @@ def test_parse_value(surface, value):
     assert _parse_value(surface) == value
 
 
+def _number(sign, runs, separators, tail):
+    return sign + runs[0] + "".join(s + r for s, r in zip(separators, runs[1:])) + tail
+
+
+_number_like = st.builds(
+    _number,
+    st.sampled_from(["", "+", "-"]),
+    # U+0663, an Arabic-Indic 3: the code's \d and the oracle's isdecimal() take any decimal digit
+    st.lists(st.text(alphabet="0123456789\u0663", min_size=1, max_size=5), min_size=1, max_size=4),
+    st.lists(st.sampled_from([".", ","]), min_size=3, max_size=3),
+    st.sampled_from(["", "mn", "%", ".", ",", "a1", ",5x", ".,"]),
+)
+
+
+@given(st.one_of(_number_like, st.text(alphabet="+-0123456789.,m", max_size=10)))
+@settings(max_examples=500, deadline=None)
+def test_parse_value_matches_walk_oracle(surface):
+    assert _parse_value(surface) == walk_parse_value(surface)
+
+
 def test_numeric_decimal_comma(lexicon):
     text = "Operating profit was EUR 8,3 mn , compared to EUR 11 mn ."
     assert tags_of(text, lexicon) == {SemTag.LAGIND_DOWN}
@@ -467,7 +487,7 @@ def test_numeric_skipped_when_direction_word_present(lexicon):
 
 
 def tagged(tags):
-    return TaggedSentence(frozenset(tags), tag_raw("placeholder"))
+    return TaggedSentence(frozenset(tags))
 
 
 def test_filter_mode_examples():
@@ -504,8 +524,6 @@ def test_flip_direction_table():
     assert flip_direction(SemTag.LAGIND_DOWN) is SemTag.LAGIND_UP
     assert flip_direction(SemTag.LEADIND_UP) is SemTag.LEADIND_DOWN
     assert flip_direction(SemTag.POS) is SemTag.POS
-    assert not is_interaction(SemTag.NEG)
-    assert is_interaction(SemTag.LEADIND_DOWN)
 
 
 def test_canonical_order():
