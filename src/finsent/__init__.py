@@ -29,6 +29,7 @@ from .chunker import (
     GrammarError,
     bundled_grammar,
     chunk,
+    chunk_spans,
     compile_grammar,
     to_bracket,
 )

@@ -5,10 +5,11 @@ regular expressions whose alphabet is ``<TAG>`` atoms; an atom's body is
 itself a small regex over tag names (``<NNS|NN>``, ``<JJ.*>``, ``<.*>``).
 Rules apply in declaration order to the current sequence of elements (the
 sentence's own tokens and the chunks built by earlier rules), so later rules
-can reference earlier labels as single symbols.  A tree's leaves are its
-sentence's ``tokens``, and each chunk, a plain record, holds the token range
-``[start, end)`` it covers.  The chunker gives no label a meaning:
-``semtag`` decides which labels are pair nodes, indicators and modifiers.
+can reference earlier labels as single symbols.  A parse is a span table, each
+chunk's ``(label, start, end)`` over the tokens ``[start, end)`` in pre-order;
+spans are laminar (two never cross).  Only ``chunk`` nests them into a tree, whose
+leaves are the sentence's ``tokens``, for ``to_bracket``.  The chunker gives no
+label a meaning: ``semtag`` decides which labels are pair nodes, indicators and modifiers.
 
 Matching policy per rule: scan left to right; at each position take the
 longest possible match (independent of alternative order); a match of at
@@ -26,7 +27,7 @@ automaton has one position, accepts a run of one class of symbols (``<JJ.*>*``,
 ``<VB.*>``).  Run rules in a row share one pass, a ``re.finditer`` over the
 string, while their classes are disjoint and hold no label of the pass; for a
 run, greedy leftmost is longest.  A grammar is its rules' text; its first
-``chunk`` plans its steps, cached by the grammar's value, and the plan holds all
+parse plans its steps, cached by the grammar's value, and the plan holds all
 that chunking runs on: each atom's class (the codes of the names its body fully
 matches), the passes, and for other rules a lazily built DFA over the codes,
 whose transitions are cached in the plan when a match first takes them.
@@ -53,6 +54,7 @@ __all__ = [
     "compile_grammar",
     "bundled_grammar_source",
     "bundled_grammar",
+    "chunk_spans",
     "chunk",
     "to_bracket",
 ]
@@ -267,7 +269,7 @@ def bundled_grammar(name: str) -> Tuple[ChunkRule, ...]:
 
 
 # ---------------------------------------------------------------------------
-# chunk trees
+# span tables and chunk trees
 # ---------------------------------------------------------------------------
 
 
@@ -278,25 +280,6 @@ class Chunk(NamedTuple):
     children: tuple
     start: int
     end: int
-
-
-def _rebuild(matches: list, elements: List[object], symbols: str, starts: List[int]) -> tuple:
-    """The elements, symbol codes and starts after a pass's ``(i, j, label, code)`` matches;
-    element i covers the tokens ``[starts[i], starts[i + 1])``."""
-    out: List[object] = []
-    out_symbols: List[str] = []
-    out_starts: List[int] = []
-    done = 0
-    for i, j, label, code in matches:
-        out += elements[done:i]
-        out.append(Chunk(label, tuple(elements[i:j]), starts[i], starts[j]))
-        out_symbols += symbols[done:i], code
-        out_starts += starts[done : i + 1]
-        done = j
-    out += elements[done:]
-    out_symbols.append(symbols[done:])
-    out_starts += starts[done:]
-    return out, "".join(out_symbols), out_starts
 
 
 _START = frozenset({0})
@@ -315,25 +298,20 @@ def _step(rule: tuple, states: frozenset, symbol: str) -> tuple:
     return step
 
 
-def _apply_rule(rule: tuple, elements: List[object], symbols: str, starts: List[int]) -> tuple:
-    """One DFA step's pass over the elements, their symbol codes and their first tokens' positions."""
+def _apply_rule(rule: tuple, symbols: str) -> list:
+    """One DFA step's pass over the elements' symbol codes: its ``(i, j, label, code)`` matches."""
     label, code, _, _, _, dfa = rule
-    start = _START
     # every (state set, position) pair a scan reached.  Those up to its last
     # accept lie inside the chunk it makes, where no later scan of the pass
     # looks; the rest have no accept ahead.  The DFA is deterministic and the
     # symbols are fixed, so a later scan that reaches one stops there.
     dead: set = set()
-    n = len(elements)
+    n = len(symbols)
     matches: list = []
     i = 0
     while i < n:
-        symbol = symbols[i]
-        step = dfa.get((start, symbol))
-        if step is None:
-            step = _step(rule, start, symbol)
-        # the first step is the dead-start test: most starts end on it
-        states, accepting = step
+        # the first step is the dead-start test: most starts end on it (a step is a non-empty tuple)
+        states, accepting = dfa.get((_START, symbols[i])) or _step(rule, _START, symbols[i])
         length = 1 if accepting else 0
         if states is not None:
             j = i + 1
@@ -343,10 +321,7 @@ def _apply_rule(rule: tuple, elements: List[object], symbols: str, starts: List[
                     break
                 dead.add(pair)
                 ahead = symbols[j]
-                step = dfa.get((states, ahead))
-                if step is None:
-                    step = _step(rule, states, ahead)
-                states, accepting = step
+                states, accepting = dfa.get((states, ahead)) or _step(rule, states, ahead)
                 if states is None:
                     break
                 j += 1
@@ -355,7 +330,7 @@ def _apply_rule(rule: tuple, elements: List[object], symbols: str, starts: List[
         if length:
             matches.append((i, i + length, label, code))
         i += length or 1
-    return _rebuild(matches, elements, symbols, starts)
+    return matches
 
 
 @lru_cache(maxsize=64)
@@ -392,19 +367,44 @@ def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
     return tuple(steps)
 
 
-def chunk(grammar: Sequence[ChunkRule], sentence: PosSentence) -> Chunk:
-    """Apply the grammar's rules in order; returns the sentence tree."""
-    elements: List[object] = list(sentence.tokens)
+def chunk_spans(grammar: Sequence[ChunkRule], sentence: PosSentence) -> List[tuple]:
+    """Apply the grammar's rules in order; returns every chunk's ``(label, start, end)``, in pre-order.
+    A match ``(i, j, label, code)`` chunks elements i to j - 1, the tokens ``[starts[i], starts[j])``."""
     symbols = "".join([_CODES[tag] for tag in sentence.pos_tags])
-    starts = list(range(len(elements) + 1))
+    starts = list(range(len(symbols) + 1))
+    table: List[tuple] = []
     for step in _plan(tuple(grammar)):
         if len(step) == 2:  # a run pass: the matched regex group names the rule
             regex, labels = step
             matches = [(*m.span(), *labels[m.lastindex]) for m in regex.finditer(symbols)]
-            elements, symbols, starts = _rebuild(matches, elements, symbols, starts)
         else:
-            elements, symbols, starts = _apply_rule(step, elements, symbols, starts)
-    return Chunk("S", tuple(elements), 0, len(sentence))
+            matches = _apply_rule(step, symbols)
+        out_symbols, out_starts, done = [], [], 0
+        for i, j, label, code in matches:
+            table.append((label, starts[i], starts[j]))
+            out_symbols += symbols[done:i], code
+            out_starts += starts[done : i + 1]
+            done = j
+        out_symbols.append(symbols[done:])
+        symbols, starts = "".join(out_symbols), out_starts + starts[done:]
+    # a parent is made after its children, so reversed, a stable sort puts it first on an equal span
+    return sorted(reversed(table), key=lambda span: (span[1], -span[2]))
+
+
+def chunk(grammar: Sequence[ChunkRule], sentence: PosSentence) -> Chunk:
+    """The sentence tree, built from its span table with a stack: the root ``S`` over tokens and chunks."""
+    tokens, n = sentence.tokens, len(sentence)
+    stack: list = [("S", 0, n, [])]  # the open chunks, (label, start, end, children), the root first
+    at = 0  # the first token not yet placed
+    for span in (*chunk_spans(grammar, sentence), ("", n, n)):  # the last entry closes all but the root
+        while len(stack) > 1 and stack[-1][2] <= span[1]:
+            label, start, end, children = stack.pop()
+            stack[-1][3].append(Chunk(label, (*children, *tokens[at:end]), start, end))
+            at = end
+        stack[-1][3].extend(tokens[at : span[1]])
+        at = span[1]
+        stack.append((*span, []))
+    return Chunk("S", tuple(stack[0][3]), 0, n)
 
 
 def to_bracket(node: Union[Chunk, PosToken]) -> str:

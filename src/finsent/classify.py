@@ -15,7 +15,6 @@ three-class rule base, and one-against-one pairwise voting.
 """
 from __future__ import annotations
 
-import codecs
 import json
 import os
 import shutil
@@ -326,7 +325,7 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     ``stage2_default`` outside CLASSES, an older manifest's ``default_class``
     other than neutral, a ``tagging`` section that is not an object or whose
     ``mode`` is not a Mode or ``encoding`` (what ``finsent predict`` decodes
-    with by default) not a codec Python knows, a ``stages`` section that is
+    with by default) not a text codec Python knows, a ``stages`` section that is
     not an object whose keys are exactly the arrangement's stage names, a
     stage file that is not a plain file name inside ``directory`` or that
     parse_rulebase rejects, a rule whose class is not one of its stage's
@@ -366,10 +365,8 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
                           ("encoding", str)):
             if not isinstance(tagging.get(key, kind()), kind):
                 raise ValueError(f"tagging.{key} {tagging[key]!r} is not a {kind.__name__}")
-        try:
-            codecs.lookup(tagging.get("encoding", "utf-8"))
-        except LookupError:
-            raise ValueError(f"tagging.encoding {tagging['encoding']!r} is not a codec Python knows") from None
+        if not textfile.is_text_encoding(tagging.get("encoding", "utf-8")):
+            raise ValueError(f"tagging.encoding {tagging['encoding']!r} is not a text codec Python knows")
         arrangement = Arrangement(manifest["arrangement"])
         files = manifest["stages"]
         if not isinstance(files, dict) or sorted(files) != sorted(_STAGES[arrangement]):

@@ -8,7 +8,6 @@ configuration so results can be replayed.
 from __future__ import annotations
 
 import argparse
-import codecs
 import dataclasses
 import sys
 import warnings
@@ -79,11 +78,9 @@ def _fold_count(value: str) -> int:
 
 
 def _encoding(value: str) -> str:
-    """A codec name Python knows, kept as given."""
-    try:
-        codecs.lookup(value)
-    except LookupError:
-        raise argparse.ArgumentTypeError(f"unknown encoding {value!r}") from None
+    """A text codec name Python knows, kept as given."""
+    if not textfile.is_text_encoding(value):
+        raise argparse.ArgumentTypeError(f"unknown encoding {value!r}: not a text codec Python knows")
     return value
 
 

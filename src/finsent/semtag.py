@@ -16,10 +16,12 @@ is built in four passes:
 Every token's surface is one word.  The lexicon is read once per sentence
 into one list of hits: at each token whose word starts an entry, the n-grams
 of up to that word's longest entry are looked up (see ``_lexicon_hits``).
-Both grammars' trees are read through ``pair_nodes``, one walk per tree.
-Passes 1 and 2 take the longest hit inside a chunk's tokens (the hits that
-start in it, found by bisection); passes 3 and 4 scan the list left to right,
-longest match first, without overlaps.
+Chunking yields a span table, each chunk's ``(label, start, end)`` in
+pre-order, and builds no tree.  Both grammars' tables are read through
+``pair_nodes``, one scan per table.  Passes 1 and 2 take the longest hit
+inside a chunk's tokens (the hits that start in it, found by bisection);
+passes 3 and 4 scan the list left to right, longest match first, without
+overlaps.
 
 This module gives the grammars' labels their meaning: NPJJ nodes hold pairs,
 NP/NPP chunks are indicators, JJ/RB/VB chunks modifiers and CD chunks numbers.
@@ -37,7 +39,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .chunker import Chunk, bundled_grammar, chunk
+# ``chunk`` is the name the benchmark's tracer wraps; tagging reads only the span table
+from .chunker import bundled_grammar, chunk_spans as chunk
 from .lexicon import (
     DIRECTION_CATEGORIES,
     INDICATOR_CATEGORIES,
@@ -253,64 +256,57 @@ class PairExtraction:
         )
 
 
-def pair_nodes(tree: Chunk) -> List[List[Chunk]]:
-    """The chunks inside each pair-pattern (NPJJ) node, the root included.
+def pair_nodes(table: Sequence[tuple]) -> List[Sequence[tuple]]:
+    """The span-table entries inside each pair-pattern (NPJJ) entry, nodes and entries in pre-order.
 
-    Nodes and each node's chunks come in pre-order.  One walk adds each chunk
-    to the list of every NPJJ node that encloses it, nested ones included.
+    Spans are laminar and the table is in pre-order, so a node's descendants
+    are the entries right after it that start before it ends.
     """
-    nodes: List[List[Chunk]] = []
-
-    def walk(node: Chunk, enclosing: tuple) -> None:
-        if node.label == PAIR_NODE_LABEL:
-            inside: List[Chunk] = []
-            nodes.append(inside)
-            enclosing = (*enclosing, inside)
-        for child in node.children:
-            if isinstance(child, Chunk):
-                for chunks in enclosing:
-                    chunks.append(child)
-                walk(child, enclosing)
-
-    walk(tree, ())
+    nodes = []
+    for k, (label, _, end) in enumerate(table):
+        if label == PAIR_NODE_LABEL:
+            j = k + 1
+            while j < len(table) and table[j][1] < end:
+                j += 1
+            nodes.append(table[k + 1 : j])
     return nodes
 
 
-def extract_pairs(tree: Chunk) -> PairExtraction:
+def extract_pairs(table: Sequence[tuple]) -> PairExtraction:
     """Collect the indicator and modifier chunks of every pair-pattern node.
 
     For each node labelled NPJJ, every (NP-or-NPP, JJ/RB/VB) combination is a
     candidate pair, ordered by indicator position then modifier position.
     """
     nodes: List[tuple] = []
-    for chunks in pair_nodes(tree):
-        indicators = tuple(sub for sub in chunks if sub.label in INDICATOR_LABELS)
-        modifiers = tuple(sub for sub in chunks if sub.label in MODIFIER_LABELS)
+    for chunks in pair_nodes(table):
+        indicators = tuple(span for span in chunks if span[0] in INDICATOR_LABELS)
+        modifiers = tuple(span for span in chunks if span[0] in MODIFIER_LABELS)
         nodes.append((indicators, modifiers))
     return PairExtraction(tuple(nodes))
 
 
 def _numeric_hit(
-    tree: Chunk, surfaces: Sequence[str], find: Callable[[int, int, frozenset], Optional[_Hit]],
+    table: Sequence[tuple], surfaces: Sequence[str], find: Callable[[int, int, frozenset], Optional[_Hit]],
     marker: Optional[str],
 ) -> Optional[Tuple[SemTag, _Hit]]:
     """Interaction tag of the first pair-pattern node with an indicator and two numbers.
 
-    ``tree`` is the numeric grammar's tree of the sentence with these
+    ``table`` is the numeric grammar's span table of the sentence with these
     ``surfaces``.  In each node, the first indicator chunk with a lexicon hit
     is the indicator; the first CD value is the current figure and the second
     the reference: higher means UP, lower DOWN, equal values produce nothing.  "down from"/"up from" markers state
     the direction outright.
     """
-    for chunks in pair_nodes(tree):
+    for chunks in pair_nodes(table):
         indicator = None
         values: List[float] = []
-        for sub in chunks:
-            if sub.label in INDICATOR_LABELS:
+        for label, start, end in chunks:
+            if label in INDICATOR_LABELS:
                 if indicator is None:
-                    indicator = find(sub.start, sub.end, INDICATOR_CATEGORIES)
-            elif sub.label == NUMBER_LABEL:
-                value = _parse_value(surfaces[sub.start])
+                    indicator = find(start, end, INDICATOR_CATEGORIES)
+            elif label == NUMBER_LABEL:
+                value = _parse_value(surfaces[start])
                 if value is not None:
                     values.append(value)
         if indicator is None or len(values) < 2:
@@ -330,14 +326,13 @@ def _numeric_hit(
     return None
 
 
-def _span_hits(find, chunks: Sequence[Chunk], categories) -> List[tuple]:
-    """``((label, start, end), hit)`` of each chunk with a hit in the categories, in order."""
+def _span_hits(find, chunks: Sequence[tuple], categories) -> List[tuple]:
+    """``(span, hit)`` of each chunk's span with a hit in the categories, in order."""
     found = []
-    for sub in chunks:
-        start, end = sub.start, sub.end
-        hit = find(start, end, categories)
+    for span in chunks:
+        hit = find(span[1], span[2], categories)
         if hit is not None:
-            found.append(((sub.label, start, end), hit))
+            found.append((span, hit))
     return found
 
 
@@ -348,8 +343,8 @@ def _pair_hits(
 
     Pairs are taken greedily by node, indicator, then modifier, skipping any
     whose chunks an earlier interaction used.  A chunk without a hit pairs
-    with nothing, so only chunks with one are kept.  Chunks are keyed by
-    (label, start, end), which is cheaper to hash than the chunk itself.
+    with nothing, so only chunks with one are kept.  A chunk's span-table
+    entry is its key.
     """
     found: List[Tuple[_Hit, _Hit]] = []
     used_spans: Set[tuple] = set()
@@ -378,8 +373,7 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
     hits = _lexicon_hits(lex, surfaces)
     find = functools.partial(_find_in_span, hits)
 
-    tree = chunk(bundled_grammar("indicator_direction"), sentence)
-    extraction = extract_pairs(tree)
+    extraction = extract_pairs(chunk(bundled_grammar("indicator_direction"), sentence))
 
     interactions: List[Tuple[SemTag, _Hit]] = []
     consumed: Set[int] = set()
@@ -388,8 +382,8 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
         consumed.update(range(ind_hit.start, ind_hit.end), range(mod_hit.start, mod_hit.end))
 
     if not interactions and (marker := _marker_in(surfaces)):
-        tree = chunk(bundled_grammar("numeric_direction"), sentence)
-        found = _numeric_hit(tree, surfaces, find, marker)
+        table = chunk(bundled_grammar("numeric_direction"), sentence)
+        found = _numeric_hit(table, surfaces, find, marker)
         if found is not None:
             tag, ind_hit = found
             interactions.append((tag, ind_hit))

@@ -20,6 +20,15 @@ def read(path, encoding: str = "utf-8", error: Optional[type] = None) -> str:
         raise error(f"{path}:{line}: not valid {encoding}") from None
 
 
+def is_text_encoding(name: str) -> bool:
+    """Whether ``name`` is a codec Python knows that decodes bytes to text (not ``base64`` or ``undefined``)."""
+    try:
+        io.TextIOWrapper(io.BytesIO(b""), encoding=name).read()
+    except (LookupError, ValueError):  # "undefined" raises a UnicodeError, a NUL in the name a ValueError
+        return False
+    return True
+
+
 def lines(text: str) -> Iterator[Tuple[int, str]]:
     """``(number, line)`` for each line of ``text``, numbered from 1, its line end removed."""
     return ((n, line.rstrip("\n")) for n, line in enumerate(io.StringIO(text, newline=None), start=1))

@@ -11,8 +11,9 @@ up to the longest entry's word count is looked up in the lexicon where the
 scan reaches it.  A hit is the tuple (category, lowercased phrase, start, end)
 of the tokens [start, end).
 
-Pair-pattern nodes, independent of semtag's one walk: recursive generators
-find the NPJJ nodes, then walk each node again for its chunks.
+Pair-pattern nodes, independent of semtag's scan of the span table:
+recursive generators find a tree's NPJJ nodes, then walk each node again for
+its chunks.  ``span`` maps a chunk to its span-table entry for comparison.
 
 Indicator/modifier pairing, independent of semtag's per-node loop: every
 candidate pair is visited in order and resolved on its own.
@@ -157,23 +158,31 @@ def lookup_hits(lex, surfaces: Sequence[str]) -> list:
 
 
 def flat_pair_hits(pairs, find, indicator_categories, direction_categories) -> list:
-    """(indicator hit, direction hit) of each (indicator, modifier) span pair that
-    becomes an interaction: taken greedily in order, each span in at most one."""
+    """(indicator hit, direction hit) of each (indicator, modifier) pair of
+    ``(label, start, end)`` spans that becomes an interaction: taken greedily in
+    order, each span in at most one."""
     used_spans = set()
     found = []
     for ind_span, mod_span in pairs:
         if ind_span in used_spans or mod_span in used_spans:
             continue
-        ind_hit = find(ind_span.start, ind_span.end, indicator_categories)
+        _, start, end = ind_span
+        ind_hit = find(start, end, indicator_categories)
         if ind_hit is None:
             continue
-        mod_hit = find(mod_span.start, mod_span.end, direction_categories)
+        _, start, end = mod_span
+        mod_hit = find(start, end, direction_categories)
         if mod_hit is None:
             continue
         found.append((ind_hit, mod_hit))
         used_spans.add(ind_span)
         used_spans.add(mod_span)
     return found
+
+
+def span(node: Chunk) -> tuple:
+    """A chunk's span-table entry."""
+    return node.label, node.start, node.end
 
 
 def subchunks(node) -> Iterator[Chunk]:
@@ -251,10 +260,15 @@ def _reference_rules(grammar_name: str) -> list:
     return ref.parse_grammar(bundled_grammar_source(grammar_name))
 
 
-def reference_tree(grammar_name: str, sentence) -> Chunk:
-    """The reference chunker's tree of a sentence, as Chunks over its own tokens."""
+def reference_tree(grammar, sentence) -> Chunk:
+    """The reference chunker's tree of a sentence, as Chunks over its own tokens;
+    ``grammar`` is a bundled grammar's name or a sequence of rules, read as their source."""
+    if isinstance(grammar, str):
+        rules = _reference_rules(grammar)
+    else:
+        rules = ref.parse_grammar("\n".join(f"{rule.label}: {{{rule.pattern}}}" for rule in grammar))
     tokens = sentence.tokens
-    tree = ref.chunk_sentence(_reference_rules(grammar_name), [(t.surface, t.pos) for t in tokens])
+    tree = ref.chunk_sentence(rules, [(t.surface, t.pos) for t in tokens])
     at = 0
 
     def convert(node):
@@ -288,7 +302,7 @@ def reference_tag(sentence, lex, reversal: bool = False) -> FrozenSet[SemTag]:
         hit = lookup_find_in_span(lex, surfaces, start, end, categories)
         return None if hit is None else _Hit(*hit)
 
-    pairs = generator_pairs(reference_tree("indicator_direction", sentence))
+    pairs = [(span(ind), span(mod)) for ind, mod in generator_pairs(reference_tree("indicator_direction", sentence))]
     interactions = []
     consumed: Set[int] = set()
     for ind_hit, mod_hit in flat_pair_hits(pairs, find, INDICATOR_CATEGORIES, DIRECTION_CATEGORIES):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_chunker as ref
-from oracles import generator_pair_nodes, generator_pairs, subchunks
+from oracles import generator_pair_nodes, generator_pairs, reference_tree, span, subchunks
 from finsent.chunker import (
     Chunk,
     GrammarError,
@@ -17,6 +17,7 @@ from finsent.chunker import (
     bundled_grammar,
     bundled_grammar_source,
     chunk,
+    chunk_spans,
     compile_grammar,
     to_bracket,
 )
@@ -276,8 +277,8 @@ def test_longest_match_agrees_with_bruteforce(pattern, symbol_lists):
         codes = "".join(map(_code, symbols))
         for start in range(len(symbols)):
             rest = codes[start:]
-            first = _apply_rule(rule, list(range(len(rest))), rest, list(range(len(rest) + 1)))[0][0]
-            length = first.end if isinstance(first, Chunk) else 0
+            matches = _apply_rule(rule, rest)
+            length = matches[0][1] if matches and matches[0][0] == 0 else 0
             assert length == ref.longest_match(node, symbols, start), (pattern, symbols, start)
 
 
@@ -287,6 +288,18 @@ def _assert_rules_match_reference(grammar, tags):
     want = ref.to_bracket(ref.chunk_sentence(ref.parse_grammar(source),
                                              [(f"w{i}", t) for i, t in enumerate(tags)]))
     assert to_bracket(chunk(grammar, sentence_from_tags(tags))) == want, source
+
+
+def _assert_table_matches_reference(grammar, tags):
+    # the table against the reference's tree, not chunk's, which is built from the table
+    sentence = sentence_from_tags(tags)
+    table = chunk_spans(grammar, sentence)
+    assert table == [span(node) for node in subchunks(reference_tree(grammar, sentence))]
+    # pre-order, and laminar: each entry lies inside or wholly after every entry before it
+    assert table == sorted(table, key=lambda entry: (entry[1], -entry[2]))
+    for k, (_, start, end) in enumerate(table):
+        assert start < end
+        assert all(end <= before_end or start >= before_end for _, _, before_end in table[:k])
 
 
 def _assert_source_matches_reference(source, tags):
@@ -343,6 +356,14 @@ def test_run_passes_match_reference_implementation(source, tags, data):
     end = data.draw(st.integers(start + 1, len(grammar)))
     for part in (grammar, grammar[start:end], grammar + grammar, tuple(data.draw(st.permutations(grammar)))):
         _assert_rules_match_reference(part, tags)
+        _assert_table_matches_reference(part, tags)
+
+
+@given(st.lists(st.sampled_from(_TAGS), min_size=1, max_size=40),
+       st.sampled_from(["indicator_direction", "numeric_direction"]))
+@settings(max_examples=150, deadline=None)
+def test_span_table_matches_reference_implementation(tags, grammar_name):
+    _assert_table_matches_reference(bundled_grammar(grammar_name), tags)
 
 
 @pytest.mark.parametrize("pattern, run", [
@@ -406,7 +427,7 @@ def _npjj_reads(n):
     symbols = _CountingSymbols("".join(map(_code, ["DT"] + ["NPP"] * n + ["."])))
     npjj = _plan(bundled_grammar("indicator_direction"))[-1]
     assert npjj[0] == "NPJJ"
-    _apply_rule(npjj, list(symbols), symbols, list(range(n + 3)))
+    _apply_rule(npjj, symbols)
     return symbols.reads
 
 
@@ -423,8 +444,8 @@ def test_rule_pass_reads_are_linear():
 
 def pair_surfaces(pretagged):
     sentence = ingest_pretagged(pretagged)
-    pairs = extract_pairs(chunk(bundled_grammar("indicator_direction"), sentence)).pairs
-    return [tuple(sentence.surfaces[c.start : c.end] for c in pair) for pair in pairs]
+    pairs = extract_pairs(chunk_spans(bundled_grammar("indicator_direction"), sentence)).pairs
+    return [tuple(sentence.surfaces[start:end] for _, start, end in pair) for pair in pairs]
 
 
 def test_extract_pair_indicator_and_verb():
@@ -438,9 +459,9 @@ def test_extract_pair_participle():
 
 
 def test_extract_pairs_empty_without_pair_node():
-    tree = chunk(bundled_grammar("indicator_direction"), sentence_from_tags(["DT", "PRP"]))
-    extraction = extract_pairs(tree)
-    assert extraction.pairs == ()
+    table = chunk_spans(bundled_grammar("indicator_direction"), sentence_from_tags(["DT", "PRP"]))
+    assert table == []
+    assert extract_pairs(table).pairs == ()
 
 
 def test_pair_node_contains_required_children():
@@ -469,22 +490,25 @@ _PAIR_GRAMMARS = {
 @given(st.lists(st.sampled_from(_TAGS), min_size=1, max_size=40), st.sampled_from(sorted(_PAIR_GRAMMARS)))
 @settings(max_examples=300, deadline=None)
 def test_pair_walk_matches_generator_walk(tags, grammar_name):
-    tree = chunk(_PAIR_GRAMMARS[grammar_name], sentence_from_tags(tags))
-    assert pair_nodes(tree) == generator_pair_nodes(tree)
-    assert extract_pairs(tree).pairs == generator_pairs(tree)
+    sentence = sentence_from_tags(tags)
+    table = chunk_spans(_PAIR_GRAMMARS[grammar_name], sentence)
+    tree = chunk(_PAIR_GRAMMARS[grammar_name], sentence)
+    assert pair_nodes(table) == [list(map(span, chunks)) for chunks in generator_pair_nodes(tree)]
+    assert extract_pairs(table).pairs == tuple((span(ind), span(mod)) for ind, mod in generator_pairs(tree))
 
 
 def test_nested_pair_nodes_share_their_chunks():
-    tree = chunk(_NESTED_GRAMMAR, ingest_pretagged("the_DT sales_NNS rose_VBD ._."))
-    assert to_bracket(tree) == (
+    sentence = ingest_pretagged("the_DT sales_NNS rose_VBD ._.")
+    assert to_bracket(chunk(_NESTED_GRAMMAR, sentence)) == (
         "(S (NPJJ (NPJJ the_DT (NPJJ (NP sales_NNS) (VB rose_VBD))) ._.))"
     )
-    nodes = pair_nodes(tree)
-    assert [[c.label for c in chunks] for chunks in nodes] == [
+    table = chunk_spans(_NESTED_GRAMMAR, sentence)
+    nodes = pair_nodes(table)
+    assert [[label for label, _, _ in chunks] for chunks in nodes] == [
         ["NPJJ", "NPJJ", "NP", "VB"], ["NPJJ", "NP", "VB"], ["NP", "VB"],
     ]
     # the one (NP, VB) pair is a candidate in each of the three nodes
-    assert extract_pairs(tree).pairs == ((nodes[2][0], nodes[2][1]),) * 3
+    assert extract_pairs(table).pairs == ((nodes[2][0], nodes[2][1]),) * 3
 
 
 # ---------------------------------------------------------------------------

@@ -403,11 +403,14 @@ def test_load_rejects_unknown_format(tmp_path):
     (lambda m: m["stages"].update(gate=5), "stages.gate 5 is not a plain file name"),
     (lambda m: m["tagging"].update(lexicon=5), "tagging.lexicon 5 is not a str"),
     (lambda m: m["tagging"].update(reversal="no"), "tagging.reversal 'no' is not a bool"),
+    # codecs Python knows that decode no bytes to text
+    (lambda m: m["tagging"].update(encoding="base64"), "tagging.encoding 'base64' is not a text codec"),
+    (lambda m: m["tagging"].update(encoding="undefined"), "tagging.encoding 'undefined' is not a text codec"),
 ], ids=["mode", "default_class", "stage2_default", "tagging",
         "arrangement_stages", "stage_missing", "stages_list", "minsup_null", "minconf_str",
         "minsup_numeric_str", "minsup_bool",
         "minsup_negative", "minconf_nan", "stage_parent_dir", "stage_absolute", "stage_dotdot", "stage_int",
-        "lexicon_int", "reversal_str"])
+        "lexicon_int", "reversal_str", "encoding_base64", "encoding_undefined"])
 def test_load_rejects_out_of_range_manifest_values(tmp_path, edit, key):
     model = train(SAMPLE_TRANSACTIONS, Arrangement.HSC, minsup=0.5, minconf=60.0)
     save_model(model, tmp_path, tagging={"mode": "all", "reversal": False})

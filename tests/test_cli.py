@@ -359,6 +359,16 @@ def test_unknown_encoding_is_usage_error(tmp_path, capsys, monkeypatch, command)
     assert "--encoding: unknown encoding 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("encoding", ["base64", "hex", "rot13", "zlib", "undefined"])
+def test_non_text_codec_is_usage_error(tmp_path, capsys, encoding):
+    # Python knows these codecs, but they decode no bytes to text
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    with pytest.raises(SystemExit) as exc:
+        main(["tag", "--encoding", encoding, str(corpus)])
+    assert exc.value.code == 2
+    assert f"--encoding: unknown encoding {encoding!r}: not a text codec" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["60,abc", "0", "70,nan", ","])
 def test_bad_sweep_grid_is_usage_error(tmp_path, capsys, grid):
     corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
@@ -652,7 +662,7 @@ def test_predict_decodes_with_the_model_encoding(tmp_path, capsys):
     assert capsys.readouterr().out == "1\tneutral\n"
 
 
-@pytest.mark.parametrize("encoding", ["no-such-codec", 5, None])
+@pytest.mark.parametrize("encoding", ["no-such-codec", 5, None, "base64", "undefined"])
 def test_predict_bad_manifest_encoding_is_config_error(tmp_path, capsys, encoding):
     corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
     model_dir = tmp_path / "model"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsent import chunker, semtag
-from finsent.chunker import bundled_grammar, chunk
+from finsent.chunker import bundled_grammar, chunk, chunk_spans
 from finsent.lexicon import (
     DIRECTION_CATEGORIES,
     INDICATOR_CATEGORIES,
@@ -75,6 +75,18 @@ def test_numeric_comparison_with_minimal_lexicon():
     lex = mini_lexicon({"operating profit": "LagInd"})
     text = "Operating profit margin was 8.3 %, compared to 11.8 % a year earlier"
     assert tags_of(text, lex) == {SemTag.LAGIND_DOWN}
+
+
+def test_tagging_builds_no_token_leaves(lexicon):
+    # tagging reads span tables: only chunk's tree builds the PosToken leaves,
+    # which cost three times the sentence's column check
+    interaction = tag_raw("Olvi expects market share to increase in the first quarter of 2010")
+    assert tag_sentence(interaction, lexicon).tags == {SemTag.LAGIND_UP}
+    # no direction word in this lexicon, so the interaction comes from the numeric grammar's table
+    numeric = tag_raw("Operating profit margin was 8.3 %, compared to 11.8 % a year earlier")
+    assert tag_sentence(numeric, mini_lexicon({"operating profit": "LagInd"})).tags == {SemTag.LAGIND_DOWN}
+    for sentence in (interaction, numeric):
+        assert "tokens" not in sentence.__dict__
 
 
 def test_reversal_flips_cost_direction(lexicon):
@@ -255,7 +267,7 @@ def _tags_and_hits(draw):
 def test_pair_loop_matches_flat_oracle(tags_and_hits):
     tags, hits = tags_and_hits
     sentence = PosSentence(tuple(f"w{i}" for i in range(len(tags))), tuple(tags))
-    extraction = extract_pairs(chunk(bundled_grammar("indicator_direction"), sentence))
+    extraction = extract_pairs(chunk_spans(bundled_grammar("indicator_direction"), sentence))
     find = functools.partial(_find_in_span, hits)
     # the bundled grammar's NPJJ nodes never nest; repeating them gives every
     # span a second node, as nested nodes of another grammar would
@@ -276,10 +288,11 @@ def test_numeric_walk_matches_two_walk_oracle(tags_and_hits, data):
     cds = data.draw(st.lists(st.sampled_from(_CD_SURFACES), min_size=len(tags), max_size=len(tags)))
     surfaces = tuple(cd if tag == "CD" else f"w{i}" for i, (tag, cd) in enumerate(zip(tags, cds)))
     sentence = PosSentence(surfaces, tuple(tags))
+    table = chunk_spans(bundled_grammar("numeric_direction"), sentence)
     tree = chunk(bundled_grammar("numeric_direction"), sentence)
     find = functools.partial(_find_in_span, hits)
     for marker in (None, *semtag.COMPARISON_MARKERS):
-        assert _numeric_hit(tree, sentence.surfaces, find, marker) == two_walk_numeric_hit(
+        assert _numeric_hit(table, sentence.surfaces, find, marker) == two_walk_numeric_hit(
             tree, find, marker
         )
 
@@ -381,9 +394,9 @@ def test_work_count_guard(monkeypatch):
     assert counts["find"] == GUARD_SPAN_QUERIES
 
     for name in ("indicator_direction", "numeric_direction"):
-        chunk(bundled_grammar(name), sentence)
+        chunk_spans(bundled_grammar(name), sentence)
         computed = counts["step"]
-        chunk(bundled_grammar(name), sentence)
+        chunk_spans(bundled_grammar(name), sentence)
         assert counts["step"] == computed, f"{name}: a warm chunk computed new DFA states"
 
 
