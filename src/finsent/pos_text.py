@@ -5,7 +5,9 @@ on first use.  Sentences enter the pipeline either pre-tagged (``surface_TAG``
 units, one sentence per line) or as raw text run through the bundled tagger, a
 closed-vocabulary plus suffix-heuristic tagger: POS quality is not the point
 of this package, and any external tagger's output can be ingested through the
-pre-tagged format instead.
+pre-tagged format instead.  The tokenizer keeps a plain unit (all letters and
+digits, most units of news text) as one token and splits only the others; the
+tagger runs its rule chain once per token, lowercasing it at most once.
 """
 from __future__ import annotations
 
@@ -113,10 +115,15 @@ def tokenize(text: str) -> List[str]:
     """Whitespace tokenization that splits off punctuation, %, and possessive 's.
 
     Lossless: concatenating the tokens reproduces the input minus whitespace.
+    A plain unit, all letters and digits, is one token as it stands: no
+    opener, closer or apostrophe is alphanumeric, so there is nothing to split.
     """
     out: List[str] = []
     for unit in text.split():
-        out.extend(_split_unit(unit))
+        if unit.isalnum():
+            out.append(unit)
+        else:
+            out.extend(_split_unit(unit))
     return out
 
 
@@ -131,6 +138,8 @@ _PUNCT_TAGS = {
     "#": "#",
     "%": "NN",
 }
+# punctuation and the possessive, each tagged by its exact surface
+_SYMBOL_TAGS = {**_PUNCT_TAGS, "'s": "POS", "’s": "POS"}
 
 _CLOSED_VOCAB = {
     # determiners / prepositions / conjunctions
@@ -193,47 +202,36 @@ _CLOSED_VOCAB = {
 }
 
 
-def _is_number(tok: str) -> bool:
-    if tok[0].isdigit():
-        return True
-    return len(tok) > 1 and tok[0] in "+-" and tok[1].isdigit()
-
-
 def pos_tags(tokens: Sequence[str]) -> List[str]:
     """Closed-vocabulary + suffix-heuristic POS tags for ``tokens``.
 
     Deterministic and dependency-free; adequate for the chunk grammars this
-    package ships.
+    package ships.  The first rule that applies, in the order below, tags a token.
     """
     tags: List[str] = []
     for i, tok in enumerate(tokens):
-        tags.append(_tag_one(tok, i, tags))
+        if tok in _SYMBOL_TAGS:
+            tag = _SYMBOL_TAGS[tok]
+        elif tok[0].isdigit() or (len(tok) > 1 and tok[0] in "+-" and tok[1].isdigit()):
+            tag = "CD"
+        elif (lower := tok.lower()) in _CLOSED_VOCAB:
+            tag = _CLOSED_VOCAB[lower]
+        elif i > 0 and tok[0].isupper():
+            tag = "NNP"
+        elif i > 0 and tags[-1] in ("TO", "MD") and tok.isalpha():
+            tag = "VB"
+        elif lower.endswith("ly"):
+            tag = "RB"
+        elif lower.endswith("ing") and len(lower) > 4:
+            tag = "VBG"
+        elif lower.endswith("ed") and len(lower) > 3:
+            tag = "VBD"
+        elif lower.endswith("s") and not lower.endswith(("ss", "us", "is")) and len(lower) > 2:
+            tag = "NNS"
+        else:
+            tag = "NN"
+        tags.append(tag)
     return tags
-
-
-def _tag_one(tok: str, i: int, tags: List[str]) -> str:
-    if tok in _PUNCT_TAGS:
-        return _PUNCT_TAGS[tok]
-    if tok in ("'s", "’s"):
-        return "POS"
-    if _is_number(tok):
-        return "CD"
-    lower = tok.lower()
-    if lower in _CLOSED_VOCAB:
-        return _CLOSED_VOCAB[lower]
-    if i > 0 and tok[0].isupper():
-        return "NNP"
-    if tags and tags[-1] in ("TO", "MD") and tok.isalpha():
-        return "VB"
-    if lower.endswith("ly"):
-        return "RB"
-    if lower.endswith("ing") and len(lower) > 4:
-        return "VBG"
-    if lower.endswith("ed") and len(lower) > 3:
-        return "VBD"
-    if lower.endswith("s") and not lower.endswith(("ss", "us", "is")) and len(lower) > 2:
-        return "NNS"
-    return "NN"
 
 
 def tag_raw(text: str) -> PosSentence:

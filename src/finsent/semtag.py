@@ -13,9 +13,10 @@ is built in four passes:
    bare tags (spans consumed by an interaction are suppressed);
 4. POS/NEG sentiment words are collected token-wise, independent of chunking.
 
-Every token's surface is one word.  The lexicon is read once per sentence
-into one list of hits: at each token whose word starts an entry, the n-grams
-of up to that word's longest entry are looked up (see ``_lexicon_hits``).
+Every token's surface is one word, lowercased once per sentence.  The lexicon
+is read once per sentence into one list of hits: only the tokens whose word
+starts an entry are visited, and at each the n-grams of up to that word's
+longest entry are looked up (see ``_lexicon_hits``).
 Chunking yields a span table, each chunk's ``(label, start, end)`` in
 pre-order, and builds no tree.  Both grammars' tables are read through
 ``pair_nodes``, one scan per table.  Passes 1 and 2 take the longest hit
@@ -37,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 # ``chunk`` is the name the benchmark's tracer wraps; tagging reads only the span table
 from .chunker import bundled_grammar, chunk_spans as chunk
@@ -160,8 +161,7 @@ _NUMBER_RE = re.compile(r"[+-]?\d+(?:[.,]\d+)*")
 _THOUSANDS_COMMA_RE = re.compile(r",(?=\d{3}(?!\d))")
 
 
-@dataclass(frozen=True)
-class _Hit:
+class _Hit(NamedTuple):
     """A lexicon match inside the sentence: category, phrase, tokens [start, end)."""
 
     category: LexCategory
@@ -170,23 +170,22 @@ class _Hit:
     end: int
 
 
-def _lexicon_hits(lex: Lexicon, surfaces: Sequence[str]) -> Tuple[_Hit, ...]:
-    """Every lexicon phrase in the sentence, by start, longest first.
+def _lexicon_hits(lex: Lexicon, words: Sequence[str]) -> Tuple[_Hit, ...]:
+    """Every lexicon phrase in the sentence of these lowercased surfaces, by start, longest first.
 
     Each surface is one word (``PosSentence`` holds no other), so an n-gram's
-    normalized words are its surfaces, lowercased: it can be an entry only if
-    its first word starts one and it is no longer than the longest entry that
-    word starts (``lex.reach``).  Only those lengths are looked up.
+    normalized words are its ``words`` (lowercasing word by word is the same:
+    a space ends the context of final sigma, the one contextual mapping).  It
+    can be an entry only if its first word starts one and it is no longer than
+    the longest entry that word starts (``lex.reach``); only those are looked up.
     """
-    reach = [lex.reach(surface.lower()) for surface in surfaces]
-    n = len(surfaces)
+    n = len(words)
     hits = []
-    for start in range(n):
-        for end in range(min(n, start + reach[start]), start, -1):
-            phrase = surfaces[start:end]
-            category = lex.lookup(phrase)
+    for start, reach in [(start, reach) for start, reach in enumerate(map(lex.reach, words)) if reach]:
+        for end in range(min(n, start + reach), start, -1):
+            category = lex.lookup(words[start:end])
             if category is not None:
-                hits.append(_Hit(category, " ".join(phrase).lower(), start, end))
+                hits.append(_Hit(category, " ".join(words[start:end]), start, end))
     return tuple(hits)
 
 
@@ -218,8 +217,8 @@ def _find_in_span(hits: Sequence[_Hit], start: int, end: int, categories) -> Opt
     return best
 
 
-def _marker_in(surfaces: Sequence[str]) -> Optional[str]:
-    joined = " " + " ".join(s.lower() for s in surfaces) + " "
+def _marker_in(words: Sequence[str]) -> Optional[str]:
+    joined = " " + " ".join(words) + " "
     for marker in COMPARISON_MARKERS:
         if f" {marker} " in joined:
             return marker
@@ -370,7 +369,8 @@ def _pair_hits(
 def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False) -> TaggedSentence:
     """Extract the semantic tag set of one sentence (see module docstring)."""
     surfaces = sentence.surfaces
-    hits = _lexicon_hits(lex, surfaces)
+    words = [surface.lower() for surface in surfaces]
+    hits = _lexicon_hits(lex, words)
     find = functools.partial(_find_in_span, hits)
 
     extraction = extract_pairs(chunk(bundled_grammar("indicator_direction"), sentence))
@@ -381,7 +381,7 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
         interactions.append((interaction_tag(ind_hit.category, mod_hit.category), ind_hit))
         consumed.update(range(ind_hit.start, ind_hit.end), range(mod_hit.start, mod_hit.end))
 
-    if not interactions and (marker := _marker_in(surfaces)):
+    if not interactions and (marker := _marker_in(words)):
         table = chunk(bundled_grammar("numeric_direction"), sentence)
         found = _numeric_hit(table, surfaces, find, marker)
         if found is not None:

@@ -37,6 +37,10 @@ tested against the tag set, in rule-base order.
 Tokenization, independent of pos_text's string strips: a unit's openers and
 closers are peeled off one character at a time.
 
+POS tagging, independent of pos_tags' one loop: each token is tagged by its
+own call, one rule test after another, with the number test a function of its
+own.
+
 Training and prediction per arrangement, independent of classify's stage
 table: one hand-written branch per arrangement, each naming its stages and
 their classes itself.
@@ -66,7 +70,7 @@ from finsent.classify import (
     score_tags,
 )
 from finsent.lexicon import DIRECTION_CATEGORIES, INDICATOR_CATEGORIES, SENTIMENT_CATEGORIES, LexCategory
-from finsent.pos_text import _CLOSERS, _OPENERS
+from finsent.pos_text import _CLOSED_VOCAB, _CLOSERS, _OPENERS, _PUNCT_TAGS
 from finsent.semtag import (
     COMPARISON_MARKERS, INDICATOR_LABELS, MODIFIER_LABELS, PAIR_NODE_LABEL, SemTag, _Hit, _parse_value,
     flip_direction, interaction_tag,
@@ -375,6 +379,45 @@ def loop_split_unit(unit: str) -> List[str]:
     if len(unit) > 2 and unit[-2:].lower() in ("'s", "’s"):
         core = [unit[:-2], unit[-2:]]
     return lead + core + list(reversed(trail))
+
+
+def _is_number(tok: str) -> bool:
+    if tok[0].isdigit():
+        return True
+    return len(tok) > 1 and tok[0] in "+-" and tok[1].isdigit()
+
+
+def _tag_one(tok: str, i: int, tags: List[str]) -> str:
+    if tok in _PUNCT_TAGS:
+        return _PUNCT_TAGS[tok]
+    if tok in ("'s", "’s"):
+        return "POS"
+    if _is_number(tok):
+        return "CD"
+    lower = tok.lower()
+    if lower in _CLOSED_VOCAB:
+        return _CLOSED_VOCAB[lower]
+    if i > 0 and tok[0].isupper():
+        return "NNP"
+    if tags and tags[-1] in ("TO", "MD") and tok.isalpha():
+        return "VB"
+    if lower.endswith("ly"):
+        return "RB"
+    if lower.endswith("ing") and len(lower) > 4:
+        return "VBG"
+    if lower.endswith("ed") and len(lower) > 3:
+        return "VBD"
+    if lower.endswith("s") and not lower.endswith(("ss", "us", "is")) and len(lower) > 2:
+        return "NNS"
+    return "NN"
+
+
+def rule_chain_pos_tags(tokens: Sequence[str]) -> List[str]:
+    """POS tags of the tokens, each from the first rule of the chain that applies to it."""
+    tags: List[str] = []
+    for i, tok in enumerate(tokens):
+        tags.append(_tag_one(tok, i, tags))
+    return tags
 
 
 def scan_score_tags(

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_split_unit
+from oracles import loop_split_unit, rule_chain_pos_tags
 from sample_data import format_pretagged
 
 from finsent.pos_text import (
+    _CLOSED_VOCAB,
     _CLOSERS,
     _OPENERS,
+    _PUNCT_TAGS,
     PENN_TAGS,
     PosSentence,
     PosTextError,
@@ -107,11 +109,12 @@ def test_tokenize_is_lossless(text):
 
 
 # text made of the characters the tokenizer treats specially, possessives,
-# letters, digits and whitespace
+# letters, digits (non-ASCII ones too, so that plain units are all kinds of
+# alphanumeric) and whitespace
 _TOKENIZER_TEXT = st.lists(
     st.one_of(
         st.sampled_from([*_OPENERS, *_CLOSERS, "'s", "’s", "'S", " ", "  ", "\t", "\n"]),
-        st.sampled_from("aBsS09"),
+        st.sampled_from("aBsS09éßİ²٣Ⅻ中"),
     ),
     max_size=30,
 ).map("".join)
@@ -121,6 +124,11 @@ _TOKENIZER_TEXT = st.lists(
 @settings(max_examples=500, deadline=None)
 def test_tokenize_matches_character_loop_oracle(text):
     assert tokenize(text) == [tok for unit in text.split() for tok in loop_split_unit(unit)]
+
+
+def test_no_split_character_is_alphanumeric():
+    # tokenize keeps an alphanumeric unit whole: no strip or possessive split applies to it
+    assert not any(ch.isalnum() for ch in [*_OPENERS, *_CLOSERS, "'", "’"])
 
 
 def test_tag_raw_sentence_final_period():
@@ -157,3 +165,22 @@ def test_tagger_verb_after_to_and_md():
 
 def test_tagger_capitalized_mid_sentence_is_proper_noun():
     assert pos_tags(["from", "EUR"]) == ["IN", "NNP"]
+
+
+# tokens for every rule of the tagger's chain, at its edges
+_POS_TOKENS = st.one_of(
+    st.sampled_from([*_PUNCT_TAGS, "'s", "’s", "'S"]),
+    st.sampled_from(["8.3", "+5", "-2", "+", "-", "+x", "²", "٣", "-٣", "+²", "x9", "1,234"]),
+    st.sampled_from(sorted(_CLOSED_VOCAB)).flatmap(
+        lambda word: st.sampled_from([word, word.upper(), word.capitalize()])
+    ),
+    st.sampled_from(["to", "To", "will", "MAY", "EUR", "Nokia", "É", "increase", "cut9", "mid-year", "x", "x1"]),
+    st.sampled_from(["ly", "xly", "ing", "xing", "xxing", "Xxing", "ed", "xed", "xxed", "s", "xs", "xxs",
+                     "ss", "xss", "us", "xus", "is", "xis", "Xis"]),
+)
+
+
+@given(st.lists(_POS_TOKENS, min_size=1, max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_pos_tags_match_rule_chain_oracle(tokens):
+    assert pos_tags(tokens) == rule_chain_pos_tags(tokens)

@@ -4,10 +4,9 @@ import random
 import sys
 from collections.abc import Sequence
 from pathlib import Path
-from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finsent import chunker, semtag
@@ -186,17 +185,18 @@ def test_tag_sentence_matches_reference_tagger(lexicon, text, reversal):
 
 # Overlapping multi-word entries in different categories, for the scan oracles.
 # The Greek entries are lowercase forms of words whose lowercase depends on
-# context: a final capital sigma lowers to "ς", any other to "σ".
+# context: a final capital sigma lowers to "ς", any other to "σ".  "İ" lowers
+# to two code points, "i" and a combining dot above.
 _OVERLAP_LEX = mini_lexicon({
     "net sales": "LagInd", "sales": "LagInd", "strong sales": "POS", "strong": "POS",
     "net sales fell": "NEG", "fell": "DOWN", "fell short": "NEG", "short": "DOWN",
     "order book": "LeadInd", "book": "NEG", "orders rose": "POS", "orders": "LeadInd", "rose": "UP",
-    "ας": "UP", "σ net": "NEG", "ασας rose": "POS",
+    "ας": "UP", "σ net": "NEG", "ασας rose": "POS", "i\u0307 sales": "LeadInd",
 })
 # one word each, as PosSentence requires, in mixed case; "the" and "of" start no
 # entry, and "order" only a two-word one
 _ONE_WORD = ["net", "Net", "sales", "SALES", "strong", "fell", "short", "order", "book",
-             "orders", "rose", "the", "of", "ΑΣ", "Σ", "ΑΣΑΣ", "ασας", "σ"]
+             "orders", "rose", "the", "of", "ΑΣ", "Σ", "ΑΣΑΣ", "ασας", "σ", "İ", "i"]
 _surface_lists = st.lists(st.sampled_from(_ONE_WORD), max_size=16)
 _CATEGORY_SETS = [
     INDICATOR_CATEGORIES | DIRECTION_CATEGORIES, SENTIMENT_CATEGORIES,
@@ -204,20 +204,24 @@ _CATEGORY_SETS = [
 ]
 
 
+# _lexicon_hits reads the surfaces lowercased one by one; the oracles get the
+# mixed-case surfaces and lowercase whole phrases
 @given(_surface_lists)
+@example(["İ", "SALES", "i", "Sales"])
+@example(["ΑΣ", "ΣΑΣ", "ΑΣΑΣ", "ROSE", "Σ", "NET", "ΑΣ"])
 @settings(max_examples=300, deadline=None)
 def test_hit_list_matches_lookup_oracles(surfaces):
-    hits = _lexicon_hits(_OVERLAP_LEX, surfaces)
-    assert [astuple(hit) for hit in hits] == lookup_hits(_OVERLAP_LEX, surfaces)
+    hits = _lexicon_hits(_OVERLAP_LEX, [surface.lower() for surface in surfaces])
+    assert [tuple(hit) for hit in hits] == lookup_hits(_OVERLAP_LEX, surfaces)
     n = len(surfaces)
     for categories in _CATEGORY_SETS:
-        scanned = [astuple(hit) for hit in _scan(hits, categories)]
+        scanned = [tuple(hit) for hit in _scan(hits, categories)]
         assert scanned == list(lookup_scan(_OVERLAP_LEX, surfaces, categories))
         for start in range(n):
             for end in range(start + 1, n + 1):
                 found = _find_in_span(hits, start, end, categories)
                 expected = lookup_find_in_span(_OVERLAP_LEX, surfaces, start, end, categories)
-                assert (found and astuple(found)) == expected, (start, end, categories)
+                assert (found and tuple(found)) == expected, (start, end, categories)
 
 
 # A Lexicon built directly may hold keys that load_lexicon would normalize:
@@ -232,10 +236,12 @@ _RAW_KEY_LEX = Lexicon(entries={
 
 @given(st.lists(st.sampled_from(["net", "Net", "sales", "Sales", "fell", "rose", "SALES"]),
                 max_size=10))
+@example(["Net", "İ", "SALES", "ROSE"])
+@example(["ΑΣ", "Net", "Sales", "Σ"])
 @settings(max_examples=300, deadline=None)
 def test_hits_with_unnormalized_keys_match_ungated_oracle(surfaces):
-    hits = _lexicon_hits(_RAW_KEY_LEX, surfaces)
-    assert [astuple(hit) for hit in hits] == lookup_hits(_RAW_KEY_LEX, surfaces)
+    hits = _lexicon_hits(_RAW_KEY_LEX, [surface.lower() for surface in surfaces])
+    assert [tuple(hit) for hit in hits] == lookup_hits(_RAW_KEY_LEX, surfaces)
 
 
 _PAIR_TAGS = ["NN", "NNS", "NNP", "VB", "VBD", "JJ", "RB", "IN", "DT", "TO", "CD",
