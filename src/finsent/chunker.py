@@ -21,24 +21,24 @@ position (Glushkov) automaton as it goes, with no syntax tree and no
 malformed one, such as ``<*>``, is a GrammarError naming the rule, the atom
 and its position) and checked against the Penn tags and the earlier labels.
 
-Each symbol name (a Penn tag or a label, one namespace) has a one-character
-code, and a sentence's symbols are one string of codes.  A run rule, whose
-automaton has one position, accepts a run of one class of symbols (``<JJ.*>*``,
-``<VB.*>``).  Run rules in a row share one pass, a ``re.finditer`` over the
-string, while their classes are disjoint and hold no label of the pass; for a
-run, greedy leftmost is longest.  A grammar is its rules' text; its first
-parse plans its steps, cached by the grammar's value, and the plan holds all
-that chunking runs on: each atom's class (the codes of the names its body fully
-matches), the passes, and for other rules a lazily built DFA over the codes,
-whose transitions are cached in the plan when a match first takes them.
-Compiling builds no DFA state; equal grammars share one plan.  A dead first step
-skips a start; otherwise the scan for the longest match stops at any (state
-set, position) pair an earlier scan of the pass reached, so a pass is linear in
-the sentence length.
+Each Penn tag has a fixed one-character code, and each plan gives its labels
+the next codes (a label named like a tag shares its code); a sentence's symbols
+are one string of codes.  A run rule, whose automaton has one position, accepts
+a run of one class of symbols (``<JJ.*>*``, ``<VB.*>``).  Run rules in a row
+share one pass, a ``re.finditer`` over the string, while their classes are
+disjoint and hold no label of the pass; for a run, greedy leftmost is longest.
+A grammar is its rules' text; its first parse plans its steps, cached by the
+grammar's value, and the plan holds all that chunking runs on: each label's
+code, each atom's class (the codes of the names its body fully matches), the
+passes, and for other rules a lazily built DFA over the codes, whose
+transitions are cached in the plan when a match first takes them.  Compiling
+builds no DFA state; equal grammars share one plan.  A dead first step skips a
+start; otherwise the scan for the longest match stops at any (state set,
+position) pair an earlier scan of the pass reached, so a pass is linear in the
+sentence length.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from functools import lru_cache
 from importlib import resources
@@ -64,18 +64,10 @@ class GrammarError(ValueError):
     """Raised for grammar syntax errors or references to undefined labels."""
 
 
-# One code point per symbol name (the label JJ and the tag JJ share one).  Penn
-# tags come first, so the bundled grammars' codes stay below U+0100, where CPython
-# shares one object per one-character string and indexing a code allocates nothing.
-_CODES: Dict[str, str] = {tag: chr(k) for k, tag in enumerate(sorted(PENN_TAGS))}
-_NEXT_CODE = itertools.count(len(_CODES))
-
-
-def _code(name: str) -> str:
-    """The code of a symbol name, assigned on first use (threads that race may skip a code)."""
-    if name not in _CODES:
-        _CODES.setdefault(name, chr(next(_NEXT_CODE)))
-    return _CODES[name]
+# Each Penn tag's code point; a plan gives its labels the next ones, so the bundled
+# grammars' codes stay below U+0100, where CPython shares one object per
+# one-character string and indexing a code allocates nothing.
+_TAG_CODES: Dict[str, str] = {tag: chr(k) for k, tag in enumerate(sorted(PENN_TAGS))}
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +330,20 @@ def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
     """The grammar's steps: a run pass ``(regex, labels)``, or a rule to run as a lazy DFA,
     ``(label, code, follow, last, classes, transitions)``.
 
-    An atom's class is the set of codes of the Penn tags and earlier labels its
-    body fully matches, so of every symbol the rule can meet; ``classes`` holds
-    each position's.  ``transitions`` maps ``(state set, code)`` to ``(next
-    state set or None, accepting)``, filled as matches first take them: equal
-    grammars share one plan, and so their DFA transitions.
+    A label's code is the next after the Penn tags' and the earlier labels' (a
+    name keeps its first code).  An atom's class is the set of codes of the Penn
+    tags and earlier labels its body fully matches, so of every symbol the rule
+    can meet; ``classes`` holds each position's.  ``transitions`` maps ``(state
+    set, code)`` to ``(next state set or None, accepting)``, filled as matches
+    first take them: equal grammars share one plan, and so their DFA transitions.
     """
     steps: list = []  # DFA steps, and per run pass the list of its rules
     blocked: set = set()  # the codes the last pass's rules accept or make
-    names = set(PENN_TAGS)  # the Penn tags and the labels so far
+    codes = dict(_TAG_CODES)  # the Penn tags' and the labels' so far
     for label, pattern in grammar:
         follow, last, position_atoms, matchers, _, run = _compile_pattern(pattern, label)
-        classes = [frozenset(_code(n) for n in names if m.fullmatch(n)) for m in matchers]
-        names.add(label)
-        code = _code(label)
+        classes = [frozenset(c for n, c in codes.items() if m.fullmatch(n)) for m in matchers]
+        code = codes.setdefault(label, chr(len(codes)))
         if run is None:
             steps.append((label, code, follow, last, (None, *(classes[a] for a in position_atoms[1:])), {}))
         elif classes[0]:  # an empty class never matches
@@ -370,7 +362,7 @@ def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
 def chunk_spans(grammar: Sequence[ChunkRule], sentence: PosSentence) -> List[tuple]:
     """Apply the grammar's rules in order; returns every chunk's ``(label, start, end)``, in pre-order.
     A match ``(i, j, label, code)`` chunks elements i to j - 1, the tokens ``[starts[i], starts[j])``."""
-    symbols = "".join([_CODES[tag] for tag in sentence.pos_tags])
+    symbols = "".join([_TAG_CODES[tag] for tag in sentence.pos_tags])
     starts = list(range(len(symbols) + 1))
     table: List[tuple] = []
     for step in _plan(tuple(grammar)):

@@ -210,7 +210,7 @@ def train(
     stages: Dict[str, RuleBase] = {}
     for stage, classes in _STAGES[arrangement].items():
         if POLARIZED in classes:
-            rows = [Transaction(t.items, NEUTRAL if t.label == NEUTRAL else POLARIZED) for t in transactions]
+            rows = [t if t.label == NEUTRAL else Transaction(t.items, POLARIZED) for t in transactions]
         else:
             rows = [t for t in transactions if t.label in classes]
         stages[stage] = (

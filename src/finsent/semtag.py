@@ -4,8 +4,10 @@ Tags are the six lexicon categories plus four interaction tags pairing an
 indicator with a direction (``LagInd::UP`` and friends).  A sentence's tag set
 is built in four passes:
 
-1. indicator/modifier pairs from the pairing grammar become interaction tags
-   (each chunk participates in at most one interaction);
+1. indicator/modifier pairs from the pairing grammar become interaction tags.
+   That grammar's NPJJ nodes are disjoint and no span-table entry repeats, so
+   each node's k-th indicator chunk with a hit pairs with its k-th modifier
+   chunk with one, a zip (each chunk joins at most one interaction);
 2. if no interaction was found and the sentence contains a comparison marker,
    numeric directionality is derived from the numeric grammar's pair-pattern
    nodes, each node's chunks read once for its indicator and its numbers;
@@ -325,44 +327,24 @@ def _numeric_hit(
     return None
 
 
-def _span_hits(find, chunks: Sequence[tuple], categories) -> List[tuple]:
-    """``(span, hit)`` of each chunk's span with a hit in the categories, in order."""
-    found = []
-    for span in chunks:
-        hit = find(span[1], span[2], categories)
-        if hit is not None:
-            found.append((span, hit))
-    return found
-
-
 def _pair_hits(
     extraction: PairExtraction, find: Callable[[int, int, frozenset], Optional[_Hit]]
 ) -> List[Tuple[_Hit, _Hit]]:
     """(indicator hit, direction hit) of every pair that becomes an interaction.
 
-    Pairs are taken greedily by node, indicator, then modifier, skipping any
-    whose chunks an earlier interaction used.  A chunk without a hit pairs
-    with nothing, so only chunks with one are kept.  A chunk's span-table
-    entry is its key.
+    The pair grammar's nodes are disjoint (its one NPJJ rule's matches never
+    overlap or hold an NPJJ chunk), so pairs taken greedily by node, indicator,
+    then modifier, each chunk in at most one, pair each node's k-th indicator
+    chunk with a hit with its k-th modifier chunk with one: a zip.
     """
     found: List[Tuple[_Hit, _Hit]] = []
-    used_spans: Set[tuple] = set()
     for indicators, modifiers in extraction.nodes:
-        ind_hits = _span_hits(find, indicators, INDICATOR_CATEGORIES)
-        mod_hits = _span_hits(find, modifiers, DIRECTION_CATEGORIES) if ind_hits else ()
-        m = 0  # a used chunk stays used, so the first unused modifier only moves forward
-        for ind_key, ind_hit in ind_hits:
-            if ind_key in used_spans:
-                continue
-            while m < len(mod_hits) and mod_hits[m][0] in used_spans:
-                m += 1
-            if m == len(mod_hits):
-                break
-            mod_key, mod_hit = mod_hits[m]
-            found.append((ind_hit, mod_hit))
-            used_spans.add(ind_key)
-            used_spans.add(mod_key)
-            m += 1
+        ind_hits = [hit for _, start, end in indicators
+                    if (hit := find(start, end, INDICATOR_CATEGORIES)) is not None]
+        if ind_hits:
+            mod_hits = [hit for _, start, end in modifiers
+                        if (hit := find(start, end, DIRECTION_CATEGORIES)) is not None]
+            found += zip(ind_hits, mod_hits)
     return found
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 import reference_chunker as ref
 from oracles import generator_pair_nodes, generator_pairs, reference_tree, span, subchunks
+from finsent import chunker
 from finsent.chunker import (
     Chunk,
     GrammarError,
+    _TAG_CODES,
     _apply_rule,
-    _code,
     _compile_pattern,
     _plan,
     bundled_grammar,
@@ -269,12 +271,13 @@ def test_longest_match_agrees_with_bruteforce(pattern, symbol_lists):
     # one DFA step for every list, so later lists reuse the transitions earlier
     # ones built; its classes hold the names the lists draw from, as a plan's
     # hold the Penn tags and the earlier labels
+    code = {name: chr(k) for k, name in enumerate(["A", "B", "C", "AB", "ABC", "X"])}
     follow, last, position_atoms, matchers, _, _ = _compile_pattern(pattern, "X")
-    classes = [frozenset(_code(n) for n in ["A", "B", "C", "AB", "ABC"] if m.fullmatch(n)) for m in matchers]
-    rule = ("X", _code("X"), follow, last, (None, *(classes[a] for a in position_atoms[1:])), {})
+    classes = [frozenset(code[n] for n in ["A", "B", "C", "AB", "ABC"] if m.fullmatch(n)) for m in matchers]
+    rule = ("X", code["X"], follow, last, (None, *(classes[a] for a in position_atoms[1:])), {})
     node = ref.parse_pattern(pattern)
     for symbols in symbol_lists:
-        codes = "".join(map(_code, symbols))
+        codes = "".join(map(code.__getitem__, symbols))
         for start in range(len(symbols)):
             rest = codes[start:]
             matches = _apply_rule(rule, rest)
@@ -415,6 +418,15 @@ def test_codes_past_latin1_chunk_as_the_reference():
     assert label == "L249" and ord(code) > 0xFF
 
 
+def test_chunking_leaves_no_module_state():
+    # a plan holds its labels' codes; only the lru_caches remember a grammar
+    state = {name: copy.copy(value) for name, value in vars(chunker).items()
+             if not name.startswith("__") and isinstance(value, (dict, set, list))}
+    grammar = compile_grammar("FRESH1: {<NN.*>+}\nFRESH2: {<DT>?<FRESH1>}\nFRESH3: {<FRESH2><VB.*>*}")
+    chunk_spans(grammar, sentence_from_tags(["DT", "NN", "NNS", "VBD", "DT", "NNP", "."]))
+    assert state and {name: getattr(chunker, name) for name in state} == state
+
+
 class _CountingSymbols(str):
     reads = 0
 
@@ -424,8 +436,9 @@ class _CountingSymbols(str):
 
 
 def _npjj_reads(n):
-    symbols = _CountingSymbols("".join(map(_code, ["DT"] + ["NPP"] * n + ["."])))
-    npjj = _plan(bundled_grammar("indicator_direction"))[-1]
+    (_, labels), npjj = _plan(bundled_grammar("indicator_direction"))  # the run pass, then NPJJ
+    npp = dict(labels[1:])["NPP"]
+    symbols = _CountingSymbols(_TAG_CODES["DT"] + npp * n + _TAG_CODES["."])
     assert npjj[0] == "NPJJ"
     _apply_rule(npjj, symbols)
     return symbols.reads

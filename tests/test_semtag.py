@@ -22,13 +22,13 @@ from finsent.lexicon import (
 from finsent.pos_text import PosSentence, PosTextError, tag_raw
 from finsent.semtag import (
     Mode,
-    PairExtraction,
     SemTag,
     TaggedSentence,
     canonical_order,
     extract_pairs,
     filter_mode,
     flip_direction,
+    pair_nodes,
     tag_sentence,
 )
 from finsent.semtag import (
@@ -164,13 +164,13 @@ def _longtail_sentence(seed, length, label):
     return _longtail_builder().sentence(random.Random(seed), length, label)
 
 
-# random text, the phrasebank stand-in's sentences and the longtail benchmark's sentences
-_tagger_texts = st.one_of(
-    _fuzz_texts,
+# the phrasebank stand-in's sentences and the longtail benchmark's sentences
+_workload_texts = st.one_of(
     st.sampled_from(synthetic_benchmark()[0]),
     st.builds(_longtail_sentence, st.integers(0, 2**32), st.integers(LONGTAIL_MIN_LEN, LONGTAIL_MAX_LEN),
               st.sampled_from(["positive", "neutral", "negative"])),
 )
+_tagger_texts = st.one_of(_fuzz_texts, _workload_texts)
 
 
 @given(_tagger_texts, st.booleans())
@@ -275,12 +275,24 @@ def test_pair_loop_matches_flat_oracle(tags_and_hits):
     sentence = PosSentence(tuple(f"w{i}" for i in range(len(tags))), tuple(tags))
     extraction = extract_pairs(chunk_spans(bundled_grammar("indicator_direction"), sentence))
     find = functools.partial(_find_in_span, hits)
-    # the bundled grammar's NPJJ nodes never nest; repeating them gives every
-    # span a second node, as nested nodes of another grammar would
-    for candidate in (extraction, PairExtraction(extraction.nodes * 2)):
-        assert _pair_hits(candidate, find) == flat_pair_hits(
-            candidate.pairs, find, INDICATOR_CATEGORIES, DIRECTION_CATEGORIES
-        )
+    assert _pair_hits(extraction, find) == flat_pair_hits(
+        extraction.pairs, find, INDICATOR_CATEGORIES, DIRECTION_CATEGORIES
+    )
+
+
+@given(st.one_of(
+    _tags_and_hits().map(lambda tags_and_hits: PosSentence(
+        tuple(f"w{i}" for i in range(len(tags_and_hits[0]))), tuple(tags_and_hits[0]))),
+    _workload_texts.map(tag_raw),
+))
+@settings(max_examples=100, deadline=None)
+def test_pair_grammar_nodes_are_disjoint(sentence):
+    # the premise of _pair_hits' zip, on random POS sequences and both workloads' sentences:
+    # no chunk is in two pair nodes, and no node holds another
+    entries = [entry for node in pair_nodes(chunk_spans(bundled_grammar("indicator_direction"), sentence))
+               for entry in node]
+    assert len(entries) == len(set(entries))
+    assert all(label != "NPJJ" for label, _, _ in entries)
 
 
 # CD surfaces: distinct, equal and unparsable values
