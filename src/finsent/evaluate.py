@@ -5,7 +5,9 @@ positive / neutral / negative).  Evaluation is stratified k-fold: every fold's
 per-class count is within one example of the proportional share, assignment is
 deterministic given the seed, and the union of held-out folds is the corpus.
 Reports carry per-class precision / recall / F-measure / one-vs-rest accuracy,
-the overall accuracy, the confusion matrix, and a per-fold breakdown.
+the overall accuracy, the confusion matrix, and a per-fold breakdown.  A
+minconf sweep trains each fold once and filters its rules per grid value; a
+fold model labels each distinct tag set once.
 """
 from __future__ import annotations
 
@@ -15,11 +17,12 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, asdict, replace
+from functools import cache
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import textfile
-from .arm import DEFAULT_MINCONF, DEFAULT_MINSUP, Transaction
+from .arm import DEFAULT_MINCONF, DEFAULT_MINSUP, RuleBase, Transaction
 from .classify import (
     CLASSES,
     Arrangement,
@@ -293,14 +296,15 @@ def train_model(transactions: Sequence[Transaction], config: PipelineConfig) -> 
     )
 
 
+def _fold_predictor(model: ClassifierModel) -> Tuple[Callable[[Transaction], str], int]:
+    """A trainer's result for ``model``: a predict function that labels each distinct tag set once."""
+    label = cache(lambda tags: predict(model, tags))
+    return (lambda t: label(t.items)), model.rule_count()
+
+
 def pipeline_trainer(config: PipelineConfig) -> Trainer:
     """The real associative-classifier trainer for a config."""
-
-    def fit(transactions: Sequence[Transaction]):
-        model = train_model(transactions, config)
-        return (lambda t: predict(model, t.items)), model.rule_count()
-
-    return fit
+    return lambda transactions: _fold_predictor(train_model(transactions, config))
 
 
 def majority_trainer(transactions: Sequence[Transaction]):
@@ -314,6 +318,38 @@ def majority_trainer(transactions: Sequence[Transaction]):
 def perfect_trainer(transactions: Sequence[Transaction]):
     """Upper-bound stub: echoes the gold label."""
     return (lambda t: t.label), 0
+
+
+def _training_sets(corpus: Corpus, folds: FoldPlan, transactions: Sequence[Transaction]) -> List[list]:
+    """Each fold's training rows: every row outside the fold, in corpus order.
+
+    Raises FoldError unless ``folds`` and ``transactions`` have one entry per
+    corpus sentence and ``folds`` puts every sentence in a fold ``0..k-1``.
+    """
+    if not len(folds.assignment) == len(transactions) == len(corpus):
+        raise FoldError(f"{len(folds.assignment)} fold assignments and {len(transactions)} transactions "
+                        f"for {len(corpus)} sentences; expected one of each per sentence")
+    for i, fold in enumerate(folds.assignment):
+        if not 0 <= fold < folds.k:
+            raise FoldError(f"sentence {i} is assigned fold {fold}; folds run from 0 to {folds.k - 1}")
+    return [[t for t, f in zip(transactions, folds.assignment) if f != fold] for fold in range(folds.k)]
+
+
+def _score_folds(corpus: Corpus, config: PipelineConfig, folds: FoldPlan, transactions: Sequence[Transaction],
+                 fold_models: Sequence[Tuple[Callable[[Transaction], str], int]]) -> EvalReport:
+    """Predict each held-out fold with its ``(predict_fn, rule_count)`` and aggregate the confusion."""
+    pairs: List[Tuple[str, str]] = []
+    fold_results: List[FoldResult] = []
+    for fold, (predict_fn, rule_count) in enumerate(fold_models):
+        fold_pairs = [(corpus.labels[i], predict_fn(transactions[i])) for i in folds.fold_indices(fold)]
+        pairs.extend(fold_pairs)
+        hits = sum(1 for gold, pred in fold_pairs if gold == pred)
+        fold_results.append(
+            FoldResult(fold, hits / len(fold_pairs) if fold_pairs else 0.0, len(fold_pairs), rule_count)
+        )
+
+    report = score_predictions(pairs, {**config.as_dict(), "corpus": corpus.name, "examples": len(corpus)})
+    return replace(report, folds=tuple(fold_results), rule_count=sum(f.rule_count for f in fold_results))
 
 
 def cross_validate(
@@ -333,31 +369,18 @@ def cross_validate(
     folds = folds or make_folds(corpus, config.folds, config.seed)
     if transactions is None:
         transactions = tag_corpus(corpus, lexicon, config)
-    if not len(folds.assignment) == len(transactions) == len(corpus):
-        raise FoldError(f"{len(folds.assignment)} fold assignments and {len(transactions)} transactions "
-                        f"for {len(corpus)} sentences; expected one of each per sentence")
-    for i, fold in enumerate(folds.assignment):
-        if not 0 <= fold < folds.k:
-            raise FoldError(f"sentence {i} is assigned fold {fold}; folds run from 0 to {folds.k - 1}")
     trainer = trainer or pipeline_trainer(config)
+    fold_models = [trainer(rows) for rows in _training_sets(corpus, folds, transactions)]
+    return _score_folds(corpus, config, folds, transactions, fold_models)
 
-    pairs: List[Tuple[str, str]] = []
-    fold_results: List[FoldResult] = []
-    total_rules = 0
-    for fold in range(folds.k):
-        held_out = folds.fold_indices(fold)
-        train_set = [transactions[i] for i, f in enumerate(folds.assignment) if f != fold]
-        predict_fn, rule_count = trainer(train_set)
-        total_rules += rule_count
-        fold_pairs = [(corpus.labels[i], predict_fn(transactions[i])) for i in held_out]
-        pairs.extend(fold_pairs)
-        hits = sum(1 for gold, pred in fold_pairs if gold == pred)
-        fold_results.append(
-            FoldResult(fold, hits / len(fold_pairs) if fold_pairs else 0.0, len(fold_pairs), rule_count)
-        )
 
-    report = score_predictions(pairs, {**config.as_dict(), "corpus": corpus.name, "examples": len(corpus)})
-    return replace(report, folds=tuple(fold_results), rule_count=total_rules)
+def _at_minconf(model: ClassifierModel, minconf: float) -> ClassifierModel:
+    """``model`` as training at ``minconf``, no lower than its own, would mine it:
+    each stage keeps its rules of at least that confidence, in the same order."""
+    return replace(model, stages={
+        stage: RuleBase(tuple(r for r in rb.rules if r.confidence >= minconf), rb.minsup, minconf)
+        for stage, rb in model.stages.items()
+    })
 
 
 @dataclass(frozen=True)
@@ -375,20 +398,25 @@ def sweep_confidence(
 ) -> List[SweepPoint]:
     """One cross-validated report per minimum-confidence grid value.
 
-    Tagging and fold assignment are shared across the grid, so points differ
-    only in the mined rules.
+    Each point's report is the one ``cross_validate`` gives at its minconf.
+    The corpus is tagged once and each fold trained once, at the lowest grid
+    value: a rule base mined at a higher minconf is the lower one's rules of
+    at least that confidence, in the same order (as in CBA), so each point
+    filters the fold models.  An empty grid tags nothing and returns ``[]``.
     """
     for value in grid:
         if not (0.0 < value <= 100.0):
             raise FoldError(f"minconf grid values must be in (0, 100], got {value}")
     folds = folds or make_folds(corpus, config.folds, config.seed)
+    if not grid:
+        return []
     transactions = tag_corpus(corpus, lexicon, config)
+    lowest = replace(config, minconf=min(grid))
+    models = [train_model(rows, lowest) for rows in _training_sets(corpus, folds, transactions)]
     points: List[SweepPoint] = []
     for minconf in grid:
-        point_config = replace(config, minconf=minconf)
-        report = cross_validate(
-            corpus, point_config, folds=folds, transactions=transactions
-        )
+        fold_models = [_fold_predictor(_at_minconf(model, minconf)) for model in models]
+        report = _score_folds(corpus, replace(config, minconf=minconf), folds, transactions, fold_models)
         points.append(SweepPoint(minconf, report))
     return points
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sample_data import KNOWN_RULES, format_pretagged
 from finsent.arm import parse_rulebase
-from finsent.classify import Arrangement, load_model, train
+from finsent.classify import CLASSES, Arrangement, load_model, train
 from finsent.cli import main
 from finsent.evaluate import Corpus, PipelineConfig, load_phrasebank, tag_corpus
 from finsent.lexicon import default_lexicon_paths
@@ -304,6 +304,27 @@ def test_sweep_csv_shape(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "minconf,class,precision,recall"
     assert len(lines) == 1 + 4 * 3
+
+
+@pytest.mark.parametrize("flags", [[], ["--classifier", "ovo", "--match-policy", "subset", "--mode", "lag",
+                                         "--reversal"]], ids=["default", "ovo-subset-lag-reversal"])
+def test_sweep_equals_separate_evaluate_runs(tmp_path, benchmark_corpus, flags):
+    # sweep trains each fold once; its rows and stderr are rebuilt here from one evaluate run per grid value
+    corpus = write_corpus(tmp_path, list(zip(benchmark_corpus.texts, benchmark_corpus.labels))[:300])
+    common = ["--corpus", str(corpus), "--folds", "3", "--seed", "4", *flags]
+    rc, csv_out, err = _run_main(["sweep", *common, "--grid", "90,60,70"])
+    assert rc == 0
+    rows, warned, points = ["minconf,class,precision,recall"], [], []
+    for minconf in (90.0, 60.0, 70.0):
+        rc, out, evaluate_err = _run_main(["evaluate", *common, "--minconf", str(minconf), "--format", "json"])
+        assert rc == 0
+        report = json.loads(out)
+        rows += [f"{minconf},{cls},{report['per_class'][cls]['precision']:.4f},"
+                 f"{report['per_class'][cls]['recall']:.4f}" for cls in CLASSES]
+        warned += [line for line in evaluate_err.splitlines() if line not in warned]
+        points.append(f"minconf={minconf:g}: rules={report['rule_count']} accuracy={report['overall_accuracy']:.4f}")
+    assert csv_out.splitlines() == rows
+    assert err.splitlines() == warned + points
 
 
 def test_reports_embed_config_for_replay(tmp_path, capsys):

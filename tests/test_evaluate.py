@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -343,9 +345,17 @@ def test_sweep_shapes_and_monotone_rules(lexicon):
     assert len(lines) == 1 + 3 * 3
 
 
-def test_sweep_empty_grid(lexicon):
+def test_sweep_empty_grid(lexicon, monkeypatch):
+    calls = Counter()
+    tag = evaluate.tag_corpus
+    monkeypatch.setattr(evaluate, "tag_corpus", lambda *args: calls.update(["tag_corpus"]) or tag(*args))
     corpus = small_corpus(4, 6, 4)
     assert sweep_confidence(corpus, PipelineConfig(folds=2), [], lexicon=lexicon) == []
+    assert calls == {}  # an empty grid needs no tags
+    with pytest.raises(FoldError, match="needs >= 5"):  # the fold count is still checked
+        sweep_confidence(corpus, PipelineConfig(folds=5), [], lexicon=lexicon)
+    sweep_confidence(corpus, PipelineConfig(folds=2), [60.0, 90.0], lexicon=lexicon)
+    assert calls == {"tag_corpus": 1}
 
 
 def test_sweep_single_point_equals_cross_validate(lexicon):
@@ -354,6 +364,77 @@ def test_sweep_single_point_equals_cross_validate(lexicon):
     (point,) = sweep_confidence(corpus, config, [60.0], lexicon=lexicon)
     direct = cross_validate(corpus, config, lexicon=lexicon)
     assert report_to_json(point.report) == report_to_json(direct)
+
+
+def _random_corpus(rng, k, benchmark_corpus):
+    """At least k sentences per class; most keep their own class's text, some take any, so rule confidences vary."""
+    by_class = {cls: [t for t, l in zip(benchmark_corpus.texts, benchmark_corpus.labels) if l == cls] for cls in LABELS}
+    rows = [(rng.choice(by_class[cls] if rng.random() < 0.7 else benchmark_corpus.texts), cls)
+            for cls in LABELS for _ in range(rng.randint(k, 3 * k + 4))]
+    rng.shuffle(rows)
+    return Corpus(tuple(t for t, _ in rows), tuple(l for _, l in rows), name="random")
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    grid=st.lists(st.sampled_from([30.0, 50.0, 60.0, 62.5, 70.0, 75.0, 80.0, 90.0, 100.0]), min_size=1, max_size=5),
+    arrangement=st.sampled_from(list(Arrangement)),
+    match_policy=st.sampled_from(list(classify.MatchPolicy)),
+    scoring=st.sampled_from(list(classify.Scoring)),
+    minsup=st.sampled_from([0.5, 5.0, 20.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_each_sweep_point_is_a_separate_cross_validation(benchmark_corpus, lexicon, seed, grid, arrangement,
+                                                         match_policy, scoring, minsup):
+    # a sweep trains each fold once, at the lowest grid value, and filters its rules per point
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    corpus = _random_corpus(rng, k, benchmark_corpus)
+    config = PipelineConfig(arrangement=arrangement, match_policy=match_policy, scoring=scoring,
+                            minsup=minsup, folds=k, seed=seed % 100)
+    points = sweep_confidence(corpus, config, grid, lexicon=lexicon)
+    assert [p.minconf for p in points] == grid
+    for point in points:
+        direct = cross_validate(corpus, replace(config, minconf=point.minconf), lexicon=lexicon)
+        assert report_to_json(point.report) == report_to_json(direct)
+
+
+def test_sweep_span_guard(monkeypatch, lexicon):
+    """A 4-point, 10-fold HSC sweep trains each fold once and mines each of its two stages once."""
+    counts = Counter()
+    for owner, attr in ((evaluate, "train"), (classify, "mine_rules"), (arm, "mine_frequent")):
+        original = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, _f=original, _n=attr, **kw: counts.update([_n]) or _f(*a, **kw))
+    points = sweep_confidence(small_corpus(12, 14, 10), PipelineConfig(folds=10, seed=3),
+                              [60.0, 70.0, 80.0, 90.0], lexicon=lexicon)
+    assert len(points) == 4
+    assert counts == {"train": 10, "mine_rules": 20, "mine_frequent": 20}
+
+
+def test_fold_predictor_labels_each_distinct_tag_set_once(monkeypatch):
+    rng = random.Random(4)
+    tags = ["LagInd::UP", "LagInd::DOWN", "POS", "NEG"]
+    tag_sets = [frozenset(rng.sample(tags, rng.randint(0, 2))) for _ in range(6)]
+    rows = [Transaction(rng.choice(tag_sets), LABELS[i % 3]) for i in range(40)]
+    config = PipelineConfig(minsup=2.0, minconf=40.0)
+    model = evaluate.train_model(rows, config)
+    predict_fn, rule_count = evaluate.pipeline_trainer(config)(rows)
+    assert rule_count == model.rule_count() > 0
+    calls = Counter()
+    monkeypatch.setattr(evaluate, "predict", lambda m, items: calls.update([items]) or classify.predict(m, items))
+    assert [predict_fn(t) for t in rows] == [classify.predict(model, t.items) for t in rows]
+    assert calls == Counter({t.items: 1 for t in rows})
+
+
+# SHA-256 of each stub trainer's report_to_json: the fold loop's order and bookkeeping must not move a byte
+@pytest.mark.parametrize("trainer, digest", [
+    (perfect_trainer, "280b5112b1150a4863896352238e3193d2e449b510bd675f68d459220e693e76"),
+    (majority_trainer, "8e2a98a87991a351c35516ff68741f0560d355a0bb2abb8b30204b8d7fff5693"),
+])
+def test_stub_trainer_reports_are_unchanged(lexicon, trainer, digest):
+    corpus = small_corpus(7, 11, 5)
+    report = cross_validate(corpus, PipelineConfig(folds=3, seed=8), lexicon=lexicon, trainer=trainer)
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
 
 
 def test_sweep_rejects_bad_grid(lexicon):
