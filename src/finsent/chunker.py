@@ -27,6 +27,13 @@ are one string of codes.  A run rule, whose automaton has one position, accepts
 a run of one class of symbols (``<JJ.*>*``, ``<VB.*>``).  Run rules in a row
 share one pass, a ``re.finditer`` over the string, while their classes are
 disjoint and hold no label of the pass; for a run, greedy leftmost is longest.
+A run rule with no repeat whose class is its own code alone (``CD: {<CD>}``)
+is symbol-neutral: its pass leaves it out of the regex and reads its chunks
+off the pass's input.  Equal rules share one pass; the pass a plan opens with
+(of no rule, if need be) keeps a one-sentence slot, keyed by the identity of
+``pos_tags``: the tags' codes and the symbols, starts and chunks after it.  So
+the numeric grammar, whose first pass is the pair grammar's plus a neutral
+CD rule, continues from the pair grammar's state on the same sentence.
 A grammar is its rules' text; its first parse plans its steps, cached by the
 grammar's value, and the plan holds all that chunking runs on: each label's
 code, each atom's class (the codes of the names its body fully matches), the
@@ -42,7 +49,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from . import textfile
 from .pos_text import PENN_TAGS, PosSentence, PosToken
@@ -291,8 +298,8 @@ def _step(rule: tuple, states: frozenset, symbol: str) -> tuple:
 
 
 def _apply_rule(rule: tuple, symbols: str) -> list:
-    """One DFA step's pass over the elements' symbol codes: its ``(i, j, label, code)`` matches."""
-    label, code, _, _, _, dfa = rule
+    """One DFA step's pass over the elements' symbol codes: its matches' ``(i, j)``."""
+    dfa = rule[5]
     # every (state set, position) pair a scan reached.  Those up to its last
     # accept lie inside the chunk it makes, where no later scan of the pass
     # looks; the rest have no accept ahead.  The DFA is deterministic and the
@@ -320,15 +327,24 @@ def _apply_rule(rule: tuple, symbols: str) -> list:
                 if accepting:
                     length = j - i
         if length:
-            matches.append((i, i + length, label, code))
+            matches.append((i, i + length))
         i += length or 1
     return matches
 
 
+@lru_cache(maxsize=256)
+def _run_pass(rules: tuple) -> list:
+    """Run rules in a row as one pass, one object per value of the rules: ``[regex, labels, slot]``.
+    ``labels`` gives by group number its rule's ``(label, code)``; see the module docstring for ``slot``."""
+    regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{run})" for _, _, c, run in rules)
+    labels = (None,) + tuple((label, code) for label, code, _, _ in rules)
+    return [re.compile(regex or "(?!)"), labels, (None,)]  # with no rule, it matches nowhere
+
+
 @lru_cache(maxsize=64)
 def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
-    """The grammar's steps: a run pass ``(regex, labels)``, or a rule to run as a lazy DFA,
-    ``(label, code, follow, last, classes, transitions)``.
+    """The grammar's steps: a run pass ``(pass, neutral)``, or a rule to run as a lazy DFA,
+    ``(label, code, follow, last, classes, transitions)``.  The first is a pass, of no rule if need be.
 
     A label's code is the next after the Penn tags' and the earlier labels' (a
     name keeps its first code).  An atom's class is the set of codes of the Penn
@@ -336,8 +352,10 @@ def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
     can meet; ``classes`` holds each position's.  ``transitions`` maps ``(state
     set, code)`` to ``(next state set or None, accepting)``, filled as matches
     first take them: equal grammars share one plan, and so their DFA transitions.
+    A pass's regex leaves out its symbol-neutral rules; ``neutral`` holds each
+    one's label and the ``finditer`` of its code.
     """
-    steps: list = []  # DFA steps, and per run pass the list of its rules
+    steps: list = [[]]  # DFA steps, and per run pass the list of its rules; a pass first
     blocked: set = set()  # the codes the last pass's rules accept or make
     codes = dict(_TAG_CODES)  # the Penn tags' and the labels' so far
     for label, pattern in grammar:
@@ -347,38 +365,66 @@ def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
         if run is None:
             steps.append((label, code, follow, last, (None, *(classes[a] for a in position_atoms[1:])), {}))
         elif classes[0]:  # an empty class never matches
-            if not steps or not isinstance(steps[-1], list) or not classes[0].isdisjoint(blocked):
+            if not isinstance(steps[-1], list) or not classes[0].isdisjoint(blocked):
                 steps.append([])  # a new pass
                 blocked = set()
             steps[-1].append((label, code, classes[0], run))
             blocked |= classes[0] | {code}
     for k, step in enumerate(steps):
-        if isinstance(step, list):  # a pass: its regex, and by group number its rule's (label, code)
-            regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{run})" for _, _, c, run in step)
-            steps[k] = (re.compile(regex), (None,) + tuple((label, code) for label, code, _, _ in step))
+        if isinstance(step, list):  # a symbol-neutral rule has no repeat and a class of its own code alone
+            neutral = [rule for rule in step if not rule[3] and rule[2] == {rule[1]}]
+            steps[k] = (_run_pass(tuple(rule for rule in step if rule not in neutral)),
+                        tuple((label, re.compile(re.escape(code)).finditer) for label, code, _, _ in neutral))
     return tuple(steps)
+
+
+# matched over the whole of ``symbols[i:j]``, a DFA step's match ``[i, j)`` is a regex match of group 1,
+# so both kinds of step rebuild the symbols in ``_apply``
+_WHOLE = re.compile("(.+)", re.DOTALL)
+
+
+def _apply(matches: Iterable[re.Match], labels: tuple, symbols: str, starts: Sequence[int], table: list) -> tuple:
+    """Append a step's chunks to ``table``: the matched group names the rule's ``(label, code)`` in ``labels``,
+    and a match of elements ``[i, j)`` chunks the tokens ``[starts[i], starts[j])``.  Returns the symbols
+    and starts after the step."""
+    out_symbols, out_starts, done = [], [], 0
+    for m in matches:
+        i, j = m.span()
+        label, code = labels[m.lastindex]
+        table.append((label, starts[i], starts[j]))
+        out_symbols += symbols[done:i], code
+        out_starts += starts[done : i + 1]
+        done = j
+    out_symbols.append(symbols[done:])
+    return "".join(out_symbols), out_starts + starts[done:]
 
 
 def chunk_spans(grammar: Sequence[ChunkRule], sentence: PosSentence) -> List[tuple]:
     """Apply the grammar's rules in order; returns every chunk's ``(label, start, end)``, in pre-order.
-    A match ``(i, j, label, code)`` chunks elements i to j - 1, the tokens ``[starts[i], starts[j])``."""
-    symbols = "".join([_TAG_CODES[tag] for tag in sentence.pos_tags])
-    starts = list(range(len(symbols) + 1))
-    table: List[tuple] = []
-    for step in _plan(tuple(grammar)):
-        if len(step) == 2:  # a run pass: the matched regex group names the rule
-            regex, labels = step
-            matches = [(*m.span(), *labels[m.lastindex]) for m in regex.finditer(symbols)]
+    The first pass is read from its slot when a plan last opened with it on this sentence."""
+    plan = _plan(tuple(grammar))
+    (first, neutral), tags = plan[0], sentence.pos_tags
+    regex, labels, slot = first  # the slot: (pos_tags, codes, chunks, symbols, starts) after the pass
+    if slot[0] is not tags:
+        codes, table = "".join([_TAG_CODES[tag] for tag in tags]), []
+        symbols, starts = _apply(regex.finditer(codes), labels, codes, list(range(len(codes) + 1)), table)
+        first[2] = (tags, codes, tuple(table), symbols, starts)
+    else:
+        _, codes, chunks, symbols, starts = slot
+        table = list(chunks)
+    if neutral:  # a pass's symbol-neutral rules chunk its input's elements of their code
+        table += [(label, m.start(), m.end()) for label, finditer in neutral for m in finditer(codes)]
+    for step in plan[1:]:
+        if len(step) == 2:
+            (regex, labels, _), neutral = step
+            table += [(label, starts[m.start()], starts[m.end()]) for label, finditer in neutral
+                      for m in finditer(symbols)]
+            symbols, starts = _apply(regex.finditer(symbols), labels, symbols, starts, table)
+        elif step is plan[-1]:  # the symbols after the last step are never read
+            table += [(step[0], starts[i], starts[j]) for i, j in _apply_rule(step, symbols)]
         else:
-            matches = _apply_rule(step, symbols)
-        out_symbols, out_starts, done = [], [], 0
-        for i, j, label, code in matches:
-            table.append((label, starts[i], starts[j]))
-            out_symbols += symbols[done:i], code
-            out_starts += starts[done : i + 1]
-            done = j
-        out_symbols.append(symbols[done:])
-        symbols, starts = "".join(out_symbols), out_starts + starts[done:]
+            matches = (_WHOLE.match(symbols, i, j) for i, j in _apply_rule(step, symbols))
+            symbols, starts = _apply(matches, (None, step[:2]), symbols, starts, table)
     # a parent is made after its children, so reversed, a stable sort puts it first on an equal span
     return sorted(reversed(table), key=lambda span: (span[1], -span[2]))
 

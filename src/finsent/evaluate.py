@@ -17,7 +17,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, asdict, replace
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -132,8 +132,16 @@ class FoldPlan:
     k: int
     assignment: tuple
 
+    @cached_property
+    def groups(self) -> Dict[int, Tuple[int, ...]]:
+        """Each assigned fold's row indices, in order: one pass over the assignment, made once."""
+        groups: Dict[int, List[int]] = {}
+        for i, fold in enumerate(self.assignment):
+            groups.setdefault(fold, []).append(i)
+        return {fold: tuple(rows) for fold, rows in groups.items()}
+
     def fold_indices(self, fold: int) -> List[int]:
-        return [i for i, f in enumerate(self.assignment) if f == fold]
+        return list(self.groups.get(fold, ()))
 
 
 def make_folds(corpus: Corpus, k: int, seed: int = 0) -> FoldPlan:
@@ -341,7 +349,7 @@ def _score_folds(corpus: Corpus, config: PipelineConfig, folds: FoldPlan, transa
     pairs: List[Tuple[str, str]] = []
     fold_results: List[FoldResult] = []
     for fold, (predict_fn, rule_count) in enumerate(fold_models):
-        fold_pairs = [(corpus.labels[i], predict_fn(transactions[i])) for i in folds.fold_indices(fold)]
+        fold_pairs = [(corpus.labels[i], predict_fn(transactions[i])) for i in folds.groups.get(fold, ())]
         pairs.extend(fold_pairs)
         hits = sum(1 for gold, pred in fold_pairs if gold == pred)
         fold_results.append(

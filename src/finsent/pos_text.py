@@ -57,6 +57,10 @@ class PosSentence:
     pos_tags: tuple
 
     def __post_init__(self) -> None:
+        # both columns are stored as tuples: no caller can change a sentence in place
+        # (the chunker keys its slot on the pos_tags object)
+        object.__setattr__(self, "surfaces", tuple(self.surfaces))
+        object.__setattr__(self, "pos_tags", tuple(self.pos_tags))
         if not self.surfaces:
             raise PosTextError("empty sentence")
         if len(self.surfaces) != len(self.pos_tags):

@@ -241,6 +241,21 @@ def test_fold_plan_or_transactions_not_covering_the_corpus_is_error(folds, rows)
                        trainer=majority_trainer)
 
 
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(-1, k), max_size=40))))
+@settings(max_examples=200, deadline=None)
+def test_fold_groups_equal_the_per_fold_scan(k_assignment):
+    # one pass over the assignment groups the rows by fold, once per plan; rows
+    # of a fold outside 0..k-1 are grouped too, as a scan for that fold finds them
+    k, assignment = k_assignment
+    plan = FoldPlan(k=k, assignment=tuple(assignment))
+    for fold in range(-1, k + 1):
+        rows = [i for i, f in enumerate(assignment) if f == fold]
+        assert plan.groups.get(fold, ()) == tuple(rows)
+        assert plan.fold_indices(fold) == rows
+    assert sorted(i for rows in plan.groups.values() for i in rows) == list(range(len(assignment)))
+    assert plan.groups is plan.groups
+
+
 @pytest.mark.parametrize("bad", [7, 2, -1])
 def test_fold_plan_naming_no_fold_is_error(bad):
     # a sentence outside every fold would be trained on in each fold and never scored

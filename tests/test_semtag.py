@@ -149,6 +149,7 @@ def test_random_text_tags_the_same_on_cold_and_warm_caches(lexicon, text, revers
         sentence = tag_raw(text)
         bundled_grammar.cache_clear()  # fresh grammars and plans: no DFA transition is cached yet
         chunker._plan.cache_clear()
+        chunker._run_pass.cache_clear()  # and fresh passes, whose slots hold no sentence
         cold = tag_sentence(sentence, lexicon, reversal=reversal).tags
     except PosTextError:
         return
@@ -416,6 +417,42 @@ def test_work_count_guard(monkeypatch):
         computed = counts["step"]
         chunk_spans(bundled_grammar(name), sentence)
         assert counts["step"] == computed, f"{name}: a warm chunk computed new DFA states"
+
+
+# A long sentence (99 tokens, three copies of 33) with a comparison marker and,
+# as the lexicon holds no direction word, no interaction: the numeric grammar runs.
+NUMERIC_GUARD_SENTENCE = (
+    "Operating profit was EUR 8.3 mn , compared to EUR 11.8 mn in the corresponding period in 2007 , "
+    "and net sales totalled EUR 120.5 mn in the second quarter of the year "
+) * 3
+
+
+def test_numeric_path_tracer_contract_guard(monkeypatch):
+    # the benchmark's tracer wraps semtag.chunk in a function of exactly
+    # (grammar, sentence) and names the call by the grammar it gets.  The
+    # numeric call continues from the pair call's run pass: it runs no pass
+    lex = mini_lexicon({"operating profit": "LagInd", "net sales": "LagInd", "orders": "LeadInd"})
+    calls, passes = [], [0]
+    semtag_chunk, apply = semtag.chunk, chunker._apply
+
+    def counting_apply(*args):
+        passes[0] += 1
+        return apply(*args)
+
+    def chunk(grammar, sentence):
+        before = passes[0]
+        table = semtag_chunk(grammar, sentence)
+        calls.append((grammar, sentence, passes[0] - before))
+        return table
+
+    monkeypatch.setattr(chunker, "_apply", counting_apply)
+    monkeypatch.setattr(semtag, "chunk", chunk)
+    sentence = tag_raw(NUMERIC_GUARD_SENTENCE)
+    assert len(sentence) == 99
+    assert SemTag.LAGIND_DOWN in tag_sentence(sentence, lex).tags
+    pair, numeric = bundled_grammar("indicator_direction"), bundled_grammar("numeric_direction")
+    assert [(grammar is pair, grammar is numeric, got is sentence, ran) for grammar, got, ran in calls] == [
+        (True, False, True, 1), (False, True, True, 0)]
 
 
 # ---------------------------------------------------------------------------
