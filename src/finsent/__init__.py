@@ -6,78 +6,25 @@ from tagged training sentences; an ordered rule base predicts polarity
 (positive / neutral / negative), optionally arranged as a two-stage
 hierarchical classifier.  An evaluation harness runs stratified k-fold
 cross-validation and reports per-class precision/recall/F/accuracy.
-"""
 
-from .lexicon import (
-    LexCategory,
-    Lexicon,
-    LexiconError,
-    load_default_lexicon,
-    load_lexicon,
-)
-from .pos_text import (
-    PosSentence,
-    PosTextError,
-    PosToken,
-    ingest_pretagged,
-    pos_tags,
-    tag_raw,
-    tokenize,
-)
-from .chunker import (
-    Chunk,
-    GrammarError,
-    bundled_grammar,
-    chunk,
-    chunk_spans,
-    compile_grammar,
-    to_bracket,
-)
-from .semtag import (
-    Mode,
-    SemTag,
-    TaggedSentence,
-    extract_pairs,
-    filter_mode,
-    flip_direction,
-    tag_sentence,
-)
-from .arm import (
-    MiningError,
-    Rule,
-    RuleBase,
-    RuleBaseFormatError,
-    Transaction,
-    generate_rules,
-    mine_frequent,
-    mine_rules,
-    parse_rulebase,
-    serialize_rulebase,
-)
-from .classify import (
-    Arrangement,
-    ClassifierModel,
-    MatchPolicy,
-    Scoring,
-    load_model,
-    predict,
-    predict_flat,
-    save_model,
-    train,
-)
-from .evaluate import (
-    Corpus,
-    CorpusError,
-    EvalReport,
-    FoldError,
-    FoldPlan,
-    PipelineConfig,
-    cross_validate,
-    load_phrasebank,
-    make_folds,
-    sweep_confidence,
-    tag_text,
-    train_model,
-)
+``finsent.<name>`` is the submodule ``name`` if there is one, or else the name in the
+``__all__`` of ``_MODULES``, imported in pipeline order only until one has it
+(``from finsent import tag_text``).  So importing a submodule loads only what it imports.
+"""
+import importlib.util
 
 __version__ = "0.1.0"
+
+_MODULES = ("lexicon", "pos_text", "chunker", "semtag", "arm", "classify", "evaluate")
+
+
+def __getattr__(name):
+    # a submodule comes first: ``from . import`` asks for one, maybe mid-import
+    if name.isidentifier() and not name.startswith("_"):
+        if importlib.util.find_spec(f"{__name__}.{name}"):
+            return importlib.import_module(f"{__name__}.{name}")
+        for module_name in _MODULES:
+            module = importlib.import_module(f"{__name__}.{module_name}")
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

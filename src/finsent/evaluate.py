@@ -140,9 +140,6 @@ class FoldPlan:
             groups.setdefault(fold, []).append(i)
         return {fold: tuple(rows) for fold, rows in groups.items()}
 
-    def fold_indices(self, fold: int) -> List[int]:
-        return list(self.groups.get(fold, ()))
-
 
 def make_folds(corpus: Corpus, k: int, seed: int = 0) -> FoldPlan:
     """Stratified assignment: per-class counts per fold within +-1 of n_c/k."""

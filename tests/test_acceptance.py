@@ -159,7 +159,7 @@ def test_criterion_6_evaluation_identities(benchmark_corpus, lexicon):
         for label in CLASSES:
             total = labels.count(label)
             for fold in range(k):
-                got = sum(1 for i in plan.fold_indices(fold) if labels[i] == label)
+                got = sum(1 for i in plan.groups.get(fold, ()) if labels[i] == label)
                 assert abs(got - total / k) <= 1
 
     config = PipelineConfig(folds=10, seed=7)

@@ -134,11 +134,11 @@ def test_fold_balance_and_partition():
     corpus = small_corpus(60, 25, 15)
     plan = make_folds(corpus, 10, seed=3)
     for fold in range(10):
-        counts = Counter(corpus.labels[i] for i in plan.fold_indices(fold))
+        counts = Counter(corpus.labels[i] for i in plan.groups.get(fold, ()))
         assert counts["positive"] == 6
         assert counts["neutral"] in (2, 3)
         assert counts["negative"] in (1, 2)
-    assert sorted(sum((plan.fold_indices(f) for f in range(10)), [])) == list(range(100))
+    assert sorted(sum((plan.groups.get(f, ()) for f in range(10)), ())) == list(range(100))
 
 
 def test_fold_determinism():
@@ -172,7 +172,7 @@ def test_fold_balance_invariant_random_corpora(seed):
         total = sum(1 for l in labels if l == label)
         share = total / k
         for fold in range(k):
-            got = sum(1 for i in plan.fold_indices(fold) if labels[i] == label)
+            got = sum(1 for i in plan.groups.get(fold, ()) if labels[i] == label)
             assert abs(got - share) <= 1
 
 
@@ -251,7 +251,6 @@ def test_fold_groups_equal_the_per_fold_scan(k_assignment):
     for fold in range(-1, k + 1):
         rows = [i for i, f in enumerate(assignment) if f == fold]
         assert plan.groups.get(fold, ()) == tuple(rows)
-        assert plan.fold_indices(fold) == rows
     assert sorted(i for rows in plan.groups.values() for i in rows) == list(range(len(assignment)))
     assert plan.groups is plan.groups
 

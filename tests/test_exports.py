@@ -1,9 +1,13 @@
 """Every exported name resolves and has a caller outside the tests: each module's
-``__all__`` and the package's imports."""
-import ast
+``__all__``, served by the package on first use, and importing one module loads
+only what it imports."""
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,19 +27,79 @@ def test_module_all_names_exist(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(Path(finsent.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module("." * node.level + (node.module or ""), "finsent")
-        for alias in node.names:
-            assert hasattr(module, alias.name), f"finsent imports {alias.name} from {module.__name__}, which lacks it"
-            assert hasattr(finsent, alias.asname or alias.name)
+    # the package searches exactly the modules that declare __all__, and no two declare
+    # one name, so the search order cannot change what a name resolves to
+    searched = [importlib.import_module(f"finsent.{name}") for name in finsent._MODULES]
+    declaring = {name for name in _MODULES if hasattr(importlib.import_module(f"finsent.{name}"), "__all__")}
+    assert sorted(finsent._MODULES) == sorted(declaring)
+    declared = Counter(attr for module in searched for attr in module.__all__)
+    assert [attr for attr, count in declared.items() if count > 1] == []
+    assert len(declared) > 58  # the names the package once re-exported by hand
+    assert not set(declared) & set(_MODULES), "a submodule would shadow an exported name"
+    for module in searched:
+        for attr in module.__all__:
+            assert getattr(finsent, attr) is getattr(module, attr), f"finsent.{attr} is not {module.__name__}.{attr}"
+    assert hasattr(importlib.import_module("finsent.evaluate"), "_score_folds")
+    for attr in ("no_such_name", "_score_folds", "__all__", "evaluate.tag_text"):
+        with pytest.raises(AttributeError, match=attr):
+            getattr(finsent, attr)
+
+
+def test_names_resolve_when_the_filesystem_ignores_case(monkeypatch):
+    # on a case-insensitive filesystem (the macOS and Windows defaults) lexicon.py also
+    # answers to Lexicon.py; the import system's own finder still tells them apart
+    def exists(path, _exists=os.path.exists):
+        folder, base = os.path.split(os.fspath(path))
+        return _exists(path) or os.path.isdir(folder) and base.lower() in map(str.lower, os.listdir(folder))
+    monkeypatch.setattr(os.path, "exists", exists)
+    assert os.path.exists(_SRC / "Lexicon.py")
+    for name in finsent._MODULES:
+        module = importlib.import_module(f"finsent.{name}")
+        for attr in module.__all__:
+            assert getattr(finsent, attr) is getattr(module, attr), f"finsent.{attr} is not {module.__name__}.{attr}"
+
+
+def _fresh_modules(code: str) -> set:
+    """The modules a fresh interpreter has loaded after running ``code`` with the package on its path."""
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(_SRC.parent)}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_a_cold_start_loads_no_evaluation_code():
+    # what benchmarks/coldstart.py imports
+    loaded = _fresh_modules("import finsent.chunker, finsent.classify, finsent.lexicon")
+    assert {"finsent.chunker", "finsent.classify", "finsent.lexicon"} <= loaded
+    assert not {"finsent.evaluate", "csv"} & loaded
+
+
+@pytest.mark.parametrize("code, package_modules", [
+    ("import finsent\nassert not hasattr(finsent, '__all__') and not hasattr(finsent, '_score_folds')", {"finsent"}),
+    ("import finsent\nfound = finsent.textfile\nimport finsent.textfile as own\nassert found is own", {"finsent", "finsent.textfile"}),
+    ("import finsent\nassert hasattr(finsent, 'textfile')", {"finsent", "finsent.textfile"}),
+    ("from finsent import textfile", {"finsent", "finsent.textfile"}),
+    ("import finsent\nfinsent.chunker.chunk_spans",
+     {"finsent", "finsent.chunker", "finsent.pos_text", "finsent.textfile"}),
+    ("from finsent import tag_text\nfrom finsent.evaluate import tag_text as own\nassert tag_text is own",
+     {"finsent", *(f"finsent.{name}" for name in _MODULES if name != "cli")}),
+], ids=["hasattr-private", "attribute-submodule", "hasattr-submodule", "import-submodule", "submodule-name",
+        "import-name"])
+def test_a_fresh_package_imports_only_what_is_asked_for(code, package_modules):
+    assert {name for name in _fresh_modules(code) if name.partition(".")[0] == "finsent"} == package_modules
+
+
+def test_package_version_is_the_project_version():
+    # Python 3.10 has no tomllib: read the [project] table's version with a regex
+    pyproject = (_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == finsent.__version__
 
 
 @pytest.mark.parametrize("name", _MODULES)
 def test_every_exported_name_has_a_caller_outside_tests(name):
-    # a name only tests use is dead weight; the package's re-exports in __init__ do not count,
+    # a name only tests use is dead weight; the package's docstring does not count,
     # and in its own module the definition and the __all__ entry are two mentions
     module = importlib.import_module(f"finsent.{name}")
     own = (_SRC / f"{name}.py").read_text(encoding="utf-8")
