@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import textfile
 
@@ -30,7 +30,6 @@ __all__ = [
     "Rule",
     "RuleBase",
     "mine_frequent",
-    "generate_rules",
     "mine_rules",
     "serialize_rulebase",
     "parse_rulebase",
@@ -159,18 +158,20 @@ def mine_frequent(
     return frequent
 
 
-def generate_rules(
-    frequent: Mapping[FrozenSet[str], float],
-    minconf: float,
-    classes: Iterable[str],
+def mine_rules(
+    transactions: Sequence[Transaction],
     minsup: float = DEFAULT_MINSUP,
+    minconf: float = DEFAULT_MINCONF,
+    classes: Optional[Iterable[str]] = None,
 ) -> RuleBase:
-    """Rules ``X -> c`` from frequent itemsets holding exactly one class item.
+    """Rules ``X -> c`` from the frequent itemsets holding exactly one class item.
 
-    Confidence is support(X u {c}) / support(X); antecedents are non-empty.
+    ``classes`` defaults to the transactions' labels.  Confidence is
+    support(X u {c}) / support(X); antecedents are non-empty.
     """
+    frequent = mine_frequent(transactions, minsup)
     _check_percent(minconf, "minconf")
-    class_set = frozenset(classes)
+    class_set = frozenset({t.label for t in transactions} if classes is None else classes)
     rules: List[Rule] = []
     for itemset, sup in frequent.items():
         class_items = itemset & class_set
@@ -183,19 +184,6 @@ def generate_rules(
             rules.append(Rule(antecedent, consequent, sup, confidence))
     rules.sort(key=Rule.sort_key)
     return RuleBase(tuple(rules), minsup=minsup, minconf=minconf)
-
-
-def mine_rules(
-    transactions: Sequence[Transaction],
-    minsup: float = DEFAULT_MINSUP,
-    minconf: float = DEFAULT_MINCONF,
-    classes: Optional[Iterable[str]] = None,
-) -> RuleBase:
-    """Convenience wrapper: mine frequent itemsets, then generate rules."""
-    if classes is None:
-        classes = {t.label for t in transactions}
-    frequent = mine_frequent(transactions, minsup)
-    return generate_rules(frequent, minconf, classes, minsup=minsup)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +236,7 @@ def parse_rulebase(text: str) -> RuleBase:
 
     The minsup/minconf headers and each rule's support and confidence must be
     numbers in (0, 100]; a confidence may read one ulp above 100, as
-    ``generate_rules`` can compute it.  Any other line starting with '#',
+    ``mine_rules`` can compute it.  Any other line starting with '#',
     such as an older file's ``# stage=gate``, is a comment.
     """
     thresholds = {"minsup": DEFAULT_MINSUP, "minconf": DEFAULT_MINCONF}

@@ -35,7 +35,6 @@ from .evaluate import (
     load_phrasebank,
     majority_trainer,
     perfect_trainer,
-    pipeline_trainer,
     report_to_csv,
     report_to_json,
     report_to_text,
@@ -152,7 +151,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args.lexicon, args.reversals)
     out_lines = []
     for tagged, label in _tag_input(args, lexicon, Mode(args.mode), args.reversal, args.pretagged):
-        tags = " ".join(t.value for t in canonical_order(tagged))
+        tags = " ".join(canonical_order(tagged))
         out_lines.append(f"{tags}\t{label}" if label is not None else tags)
     _write_out("".join(f"{l}\n" for l in out_lines), args.out)
     return 0
@@ -193,7 +192,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     args.encoding = args.encoding or tagging.get("encoding", "utf-8")
     out_lines = []
     for i, (tags, _) in enumerate(_tag_input(args, lexicon, mode, reversal, pretagged), start=1):
-        label = predict(model, frozenset(t.value for t in tags))
+        label = predict(model, tags)
         out_lines.append(f"{i}\t{label}")
     _write_out("".join(f"{l}\n" for l in out_lines), args.out)
     return 0
@@ -201,32 +200,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 # the baseline classifiers `finsent evaluate --classifier` offers
 _STUBS = {"majority": majority_trainer, "perfect": perfect_trainer}
-
-
-def _trainer_for(args: argparse.Namespace, config: PipelineConfig):
-    return _STUBS.get(args.classifier) or pipeline_trainer(config)
+# each --format choice's renderer
+_RENDERERS = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
 
 
 def _emit_report(report, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        _write_out(report_to_json(report), args.out)
-    elif args.format == "csv":
-        _write_out(report_to_csv(report), args.out)
-    else:
-        _write_out(report_to_text(report), args.out)
+    _write_out(_RENDERERS[args.format](report), args.out)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args.lexicon, args.reversals)
     corpus = load_phrasebank(args.corpus, encoding=args.encoding, pretagged=args.pretagged)
     config = _config_from_args(args)
-    report = cross_validate(corpus, config, lexicon=lexicon, trainer=_trainer_for(args, config))
+    report = cross_validate(corpus, config, lexicon=lexicon, trainer=_STUBS.get(args.classifier))
     config_out = {**report.config, "classifier": args.classifier}
     if args.classifier in _STUBS:
         # a stub trains no arrangement; PipelineConfig only holds a placeholder
         del config_out["arrangement"]
-    report = dataclasses.replace(report, config=config_out)
-    _emit_report(report, args)
+    _emit_report(dataclasses.replace(report, config=config_out), args)
     return 0
 
 
@@ -301,7 +292,7 @@ _ARGUMENTS: Dict[str, dict] = {
     "--model-dir": dict(required=True, help="model directory"),
     "--folds": dict(type=_fold_count, default=_DEFAULT.folds, help="cross-validation folds"),
     "--seed": dict(type=int, default=_DEFAULT.seed, help="fold-assignment seed"),
-    "--format": dict(choices=["json", "csv", "text"], default="text", help="report format"),
+    "--format": dict(choices=list(_RENDERERS), default="text", help="report format"),
     "--grid": dict(type=_percent_grid, default="60,70,80,90", help="comma-separated minconf values"),
     "input": dict(nargs="?", help="input file ('-' or omitted: stdin)"),
     "predictions": dict(help="file of 'id<TAB>class' lines, one per corpus row"),

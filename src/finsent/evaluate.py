@@ -69,8 +69,8 @@ class CorpusError(ValueError):
 
 
 class FoldError(ValueError):
-    """Raised for invalid fold requests (k too small, class too small) and for
-    a fold plan or transaction list without one entry per corpus sentence."""
+    """Raised for invalid fold requests (k too small, class too small), a fold plan or
+    transaction list without one entry per corpus sentence, or a fold left no training rows."""
 
 
 @dataclass(frozen=True)
@@ -218,17 +218,18 @@ def _metrics(confusion: Mapping[str, Mapping[str, int]]) -> Tuple[Dict[str, Clas
     return per_class, overall
 
 
-def score_predictions(pairs: Sequence[Tuple[str, str]], config: Optional[dict] = None) -> EvalReport:
-    """Build an EvalReport from (gold, predicted) pairs, e.g. external model output."""
+def score_predictions(pairs: Sequence[Tuple[str, str]], config: Optional[dict] = None,
+                      folds: Sequence[FoldResult] = ()) -> EvalReport:
+    """An EvalReport from (gold, predicted) pairs, e.g. external model output, and their folds, if any."""
     confusion = _confusion(pairs)
     per_class, overall = _metrics(confusion)
     return EvalReport(
         per_class=per_class,
         overall_accuracy=overall,
         confusion=confusion,
-        folds=(),
+        folds=tuple(folds),
         config=dict(config or {}),
-        rule_count=0,
+        rule_count=sum(f.rule_count for f in folds),
     )
 
 
@@ -263,9 +264,10 @@ def tag_text(
     reversal: bool = False,
     pretagged: bool = False,
 ) -> frozenset:
-    """The semantic tag set of one raw (or ``surface_TAG``) sentence, restricted to ``mode``."""
+    """The semantic tag strings of one raw (or ``surface_TAG``) sentence, restricted to ``mode``."""
     sentence = ingest_pretagged(text) if pretagged else tag_raw(text)
-    return filter_mode(tag_sentence(sentence, lexicon, reversal=reversal), mode).tags
+    tagged = filter_mode(tag_sentence(sentence, lexicon, reversal=reversal), mode)
+    return frozenset(tag.value for tag in tagged.tags)
 
 
 def tag_corpus(
@@ -277,11 +279,8 @@ def tag_corpus(
     if lexicon is None:
         lexicon = load_default_lexicon()
     config = config or PipelineConfig()
-    transactions: List[Transaction] = []
-    for text, label in zip(corpus.texts, corpus.labels):
-        tags = tag_text(text, lexicon, config.mode, config.reversal, corpus.pretagged)
-        transactions.append(Transaction(frozenset(t.value for t in tags), label))
-    return transactions
+    return [Transaction(tag_text(text, lexicon, config.mode, config.reversal, corpus.pretagged), label)
+            for text, label in zip(corpus.texts, corpus.labels)]
 
 
 # A trainer maps training transactions to (predict_fn, rule_count).
@@ -329,7 +328,8 @@ def _training_sets(corpus: Corpus, folds: FoldPlan, transactions: Sequence[Trans
     """Each fold's training rows: every row outside the fold, in corpus order.
 
     Raises FoldError unless ``folds`` and ``transactions`` have one entry per
-    corpus sentence and ``folds`` puts every sentence in a fold ``0..k-1``.
+    corpus sentence, ``folds`` puts every sentence in a fold ``0..k-1``, and
+    no fold holds every sentence.
     """
     if not len(folds.assignment) == len(transactions) == len(corpus):
         raise FoldError(f"{len(folds.assignment)} fold assignments and {len(transactions)} transactions "
@@ -337,7 +337,11 @@ def _training_sets(corpus: Corpus, folds: FoldPlan, transactions: Sequence[Trans
     for i, fold in enumerate(folds.assignment):
         if not 0 <= fold < folds.k:
             raise FoldError(f"sentence {i} is assigned fold {fold}; folds run from 0 to {folds.k - 1}")
-    return [[t for t, f in zip(transactions, folds.assignment) if f != fold] for fold in range(folds.k)]
+    training = [[t for t, f in zip(transactions, folds.assignment) if f != fold] for fold in range(folds.k)]
+    for fold, rows in enumerate(training):
+        if not rows:
+            raise FoldError(f"fold {fold} leaves no training rows: every sentence is in it")
+    return training
 
 
 def _score_folds(corpus: Corpus, config: PipelineConfig, folds: FoldPlan, transactions: Sequence[Transaction],
@@ -348,13 +352,10 @@ def _score_folds(corpus: Corpus, config: PipelineConfig, folds: FoldPlan, transa
     for fold, (predict_fn, rule_count) in enumerate(fold_models):
         fold_pairs = [(corpus.labels[i], predict_fn(transactions[i])) for i in folds.groups.get(fold, ())]
         pairs.extend(fold_pairs)
-        hits = sum(1 for gold, pred in fold_pairs if gold == pred)
-        fold_results.append(
-            FoldResult(fold, hits / len(fold_pairs) if fold_pairs else 0.0, len(fold_pairs), rule_count)
-        )
-
-    report = score_predictions(pairs, {**config.as_dict(), "corpus": corpus.name, "examples": len(corpus)})
-    return replace(report, folds=tuple(fold_results), rule_count=sum(f.rule_count for f in fold_results))
+        accuracy = sum(gold == pred for gold, pred in fold_pairs) / len(fold_pairs) if fold_pairs else 0.0
+        fold_results.append(FoldResult(fold, accuracy, len(fold_pairs), rule_count))
+    return score_predictions(pairs, {**config.as_dict(), "corpus": corpus.name, "examples": len(corpus)},
+                             fold_results)
 
 
 def cross_validate(
@@ -368,8 +369,8 @@ def cross_validate(
     """Train on k-1 folds, predict the held-out fold, aggregate the confusion.
 
     Raises FoldError when ``folds`` or ``transactions`` does not have one
-    entry per corpus sentence, or ``folds`` assigns a sentence to no fold
-    in ``0..k-1``.
+    entry per corpus sentence, ``folds`` assigns a sentence to no fold in
+    ``0..k-1``, or one fold holds every sentence and so has no training rows.
     """
     folds = folds or make_folds(corpus, config.folds, config.seed)
     if transactions is None:
@@ -432,17 +433,7 @@ def sweep_confidence(
 
 
 def report_to_json(report: EvalReport) -> str:
-    payload = {
-        "config": dict(report.config),
-        "overall_accuracy": report.overall_accuracy,
-        "rule_count": report.rule_count,
-        "per_class": {
-            cls: asdict(metrics) for cls, metrics in report.per_class.items()
-        },
-        "confusion": {gold: dict(row) for gold, row in report.confusion.items()},
-        "folds": [asdict(f) for f in report.folds],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def report_to_csv(report: EvalReport) -> str:

@@ -114,8 +114,8 @@ def flip_direction(tag: SemTag) -> SemTag:
     return _FLIP.get(tag, tag)
 
 
-def canonical_order(tags: Iterable[SemTag]) -> List[SemTag]:
-    """Tags sorted in declaration order (bare tags first, then interactions)."""
+def canonical_order(tags: Iterable[str]) -> List[str]:
+    """Tags or their strings in declaration order (bare tags first, then interactions)."""
     return sorted(tags, key=_TAG_ORDER.__getitem__)
 
 

@@ -266,6 +266,24 @@ def test_fold_plan_naming_no_fold_is_error(bad):
                        trainer=majority_trainer)
 
 
+@pytest.mark.parametrize("held_out", [0, 1])
+@pytest.mark.parametrize("trainer", [majority_trainer, perfect_trainer, None], ids=["majority", "perfect", "pipeline"])
+def test_fold_plan_leaving_a_fold_no_training_rows_is_error(trainer, held_out):
+    # a fold that holds every sentence trains on nothing; every trainer fails alike, on that fold
+    corpus = Corpus(tuple(f"s{i}" for i in range(12)), ("positive", "neutral", "negative") * 4)
+    plan = FoldPlan(k=2, assignment=(held_out,) * 12)
+    transactions = [Transaction(frozenset({f"t{i % 3}"}), label) for i, label in enumerate(corpus.labels)]
+    with pytest.raises(FoldError, match=f"fold {held_out} leaves no training rows"):
+        cross_validate(corpus, PipelineConfig(folds=2), folds=plan, transactions=transactions, trainer=trainer)
+
+
+def test_sweep_over_a_fold_plan_leaving_a_fold_no_training_rows_is_error(lexicon):
+    corpus = small_corpus()
+    with pytest.raises(FoldError, match="fold 0 leaves no training rows"):
+        sweep_confidence(corpus, PipelineConfig(folds=2), [60.0], folds=FoldPlan(2, (0,) * len(corpus)),
+                         lexicon=lexicon)
+
+
 def test_majority_stub_matches_majority_share(lexicon):
     corpus = small_corpus(6, 10, 4)
     config = PipelineConfig(folds=2, seed=1)

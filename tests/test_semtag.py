@@ -597,3 +597,4 @@ def test_flip_direction_table():
 def test_canonical_order():
     mixed = [SemTag.LAGIND_UP, SemTag.NEG, SemTag.LAGIND, SemTag.POS]
     assert canonical_order(mixed) == [SemTag.LAGIND, SemTag.POS, SemTag.NEG, SemTag.LAGIND_UP]
+    assert canonical_order(t.value for t in mixed) == ["LagInd", "POS", "NEG", "LagInd::UP"]

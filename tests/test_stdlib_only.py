@@ -1,6 +1,7 @@
-"""The package imports nothing outside the standard library, only ``finsent.textfile``
-turns file bytes into text and text into lines, and the reference chunker, an
-oracle for ``finsent.chunker``, imports nothing from the package."""
+"""The package imports nothing outside the standard library and reads every name it
+imports, only ``finsent.textfile`` turns file bytes into text and text into lines,
+and the reference chunker, an oracle for ``finsent.chunker``, imports nothing from
+the package."""
 import ast
 import sys
 from pathlib import Path
@@ -31,6 +32,37 @@ def test_imports_only_the_standard_library(path):
         if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "finsent"
     })
     assert not foreign, f"{path.name} imports {', '.join(foreign)}"
+
+
+def _unread_imports(path: Path):
+    """Names ``path`` binds by ``import`` or ``from ... import`` (``from __future__`` aside)
+    that it neither reads nor lists in its ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(bound - read - exported)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_read(path):
+    unread = _unread_imports(path)
+    assert not unread, f"{path.name} imports {', '.join(unread)} and never reads it"
+
+
+def test_an_unread_import_is_found(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("from __future__ import annotations\nimport os.path\nimport re, sys as system\n"
+                      "from typing import List, Mapping\n__all__ = ['List']\nprint(re, os.sep)\n")
+    assert _unread_imports(source) == ["Mapping", "system"]
 
 
 # calls that read a file or split text into lines, each allowed only in the reader
