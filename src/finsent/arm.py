@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import textfile
+from .record import Record
 
 __all__ = [
     "MiningError",
@@ -52,8 +52,7 @@ class RuleBaseFormatError(ValueError):
     """Raised when a serialized rulebase cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     """One training example: a tag itemset plus its class label."""
 
     items: frozenset
@@ -64,8 +63,7 @@ class Transaction:
         return self.items | {self.label}
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """Class association rule ``antecedent -> consequent`` with percent stats."""
 
     antecedent: frozenset
@@ -83,13 +81,14 @@ class Rule:
         )
 
 
-@dataclass(frozen=True)
-class RuleBase:
+class RuleBase(Record):
     """An ordered rule list with the thresholds it was mined under."""
 
-    rules: tuple
-    minsup: float = DEFAULT_MINSUP
-    minconf: float = DEFAULT_MINCONF
+    _fields = ("rules", "minsup", "minconf")
+    __slots__ = (*_fields, "__dict__")  # the dict holds only the cached index
+
+    def __init__(self, rules: tuple, minsup: float = DEFAULT_MINSUP, minconf: float = DEFAULT_MINCONF) -> None:
+        self._set(rules=rules, minsup=minsup, minconf=minconf)
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -19,10 +19,9 @@ import json
 import os
 import shutil
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import textfile
 from .arm import (
@@ -91,8 +90,7 @@ class Scoring(str, Enum):
     SUM = "sum"
 
 
-@dataclass(frozen=True)
-class ClassScore:
+class ClassScore(NamedTuple):
     """Accumulated confidence per class: (sum, match count) pairs."""
 
     sums: Mapping[str, float]
@@ -169,8 +167,7 @@ _STAGES: Dict[Arrangement, Dict[str, Tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class ClassifierModel:
+class ClassifierModel(NamedTuple):
     """Stage rule bases plus the prediction policy knobs."""
 
     arrangement: Arrangement

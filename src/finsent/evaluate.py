@@ -383,7 +383,7 @@ def cross_validate(
 def _at_minconf(model: ClassifierModel, minconf: float) -> ClassifierModel:
     """``model`` as training at ``minconf``, no lower than its own, would mine it:
     each stage keeps its rules of at least that confidence, in the same order."""
-    return replace(model, stages={
+    return model._replace(stages={
         stage: RuleBase(tuple(r for r in rb.rules if r.confidence >= minconf), rb.minsup, minconf)
         for stage, rb in model.stages.items()
     })

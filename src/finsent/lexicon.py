@@ -9,13 +9,13 @@ for which downward movement is a good outcome (costs, expenses, losses).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import textfile
+from .record import Record
 
 __all__ = [
     "LexCategory",
@@ -58,24 +58,23 @@ def normalize_phrase(phrase: Union[str, Sequence[str]]) -> str:
     return " ".join(phrase.split()).lower()
 
 
-@dataclass(frozen=True, eq=True)
-class Lexicon:
+class Lexicon(Record):
     """Immutable category lexicon with case-insensitive exact-phrase lookup."""
 
-    entries: Mapping[str, LexCategory]
-    reversal_terms: frozenset = frozenset()
+    _fields = ("entries", "reversal_terms")
+    __slots__ = (*_fields, "_reach")
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Mapping[str, LexCategory], reversal_terms: frozenset = frozenset()) -> None:
         reach: dict = {}  # first word -> word count of the longest entry it starts
-        for phrase in self.entries:
+        for phrase in entries:
             words = phrase.split()
             if words:
                 reach[words[0]] = max(reach.get(words[0], 0), len(words))
-        object.__setattr__(self, "_reach", reach)
+        self._set(entries=entries, reversal_terms=reversal_terms, _reach=reach)
 
     def reach(self, word: str) -> int:
         """Word count of the longest entry whose first word is ``word`` (0 if none)."""
-        return self._reach.get(word, 0)  # type: ignore[attr-defined]
+        return self._reach.get(word, 0)
 
     def lookup(self, phrase: Union[str, Sequence[str]]) -> Optional[LexCategory]:
         """Exact-phrase lookup of a token sequence (or string); None if absent."""

@@ -11,9 +11,10 @@ tagger runs its rule chain once per token, lowercasing it at most once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Sequence
+
+from .record import Record
 
 __all__ = [
     "PENN_TAGS",
@@ -49,25 +50,29 @@ class PosToken(NamedTuple):
     pos: str
 
 
-@dataclass(frozen=True)
-class PosSentence:
+class PosSentence(Record):
     """A non-empty sentence as two columns: one-word surfaces and their Penn Treebank tags."""
 
-    surfaces: tuple
-    pos_tags: tuple
+    _fields = ("surfaces", "pos_tags")
+    __slots__ = (*_fields, "__dict__")  # the dict holds only the cached tokens
 
-    def __post_init__(self) -> None:
+    def __init__(self, surfaces: Sequence[str], pos_tags: Sequence[str]) -> None:
         # both columns are stored as tuples: no caller can change a sentence in place
         # (the chunker keys its slot on the pos_tags object)
-        object.__setattr__(self, "surfaces", tuple(self.surfaces))
-        object.__setattr__(self, "pos_tags", tuple(self.pos_tags))
-        if not self.surfaces:
+        surfaces, pos_tags = tuple(surfaces), tuple(pos_tags)
+        self._set(surfaces=surfaces, pos_tags=pos_tags)
+        if not surfaces:
             raise PosTextError("empty sentence")
-        if len(self.surfaces) != len(self.pos_tags):
-            raise PosTextError(f"{len(self.surfaces)} surfaces but {len(self.pos_tags)} POS tags")
-        if PENN_TAGS.issuperset(self.pos_tags) and " ".join(self.surfaces).split() == list(self.surfaces):
-            return
-        for i, (surface, tag) in enumerate(zip(self.surfaces, self.pos_tags), start=1):
+        if len(surfaces) != len(pos_tags):
+            raise PosTextError(f"{len(surfaces)} surfaces but {len(pos_tags)} POS tags")
+        try:
+            if PENN_TAGS.issuperset(pos_tags) and " ".join(surfaces).split() == list(surfaces):
+                return
+        except TypeError:  # a surface that is not a string, named below
+            pass
+        for i, (surface, tag) in enumerate(zip(surfaces, pos_tags), start=1):
+            if not isinstance(surface, str):
+                raise PosTextError(f"token {i} {surface!r}: surface is not a string")
             if surface.split() != [surface]:
                 raise PosTextError(f"token {i} {surface!r}: surface is not one word")
             if tag not in PENN_TAGS:

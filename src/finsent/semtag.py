@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -119,8 +118,7 @@ def canonical_order(tags: Iterable[str]) -> List[str]:
     return sorted(tags, key=_TAG_ORDER.__getitem__)
 
 
-@dataclass(frozen=True)
-class TaggedSentence:
+class TaggedSentence(NamedTuple):
     """The semantic tag set extracted from one sentence."""
 
     tags: frozenset
@@ -243,8 +241,7 @@ MODIFIER_LABELS = frozenset({"JJ", "RB", "VB"})
 NUMBER_LABEL = "CD"
 
 
-@dataclass(frozen=True)
-class PairExtraction:
+class PairExtraction(NamedTuple):
     """Each pair-pattern node's (indicator chunks, modifier chunks), in pre-order."""
 
     nodes: tuple

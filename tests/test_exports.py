@@ -68,11 +68,20 @@ def _fresh_modules(code: str) -> set:
     return set(result.stdout.split())
 
 
-def test_a_cold_start_loads_no_evaluation_code():
-    # what benchmarks/coldstart.py imports
-    loaded = _fresh_modules("import finsent.chunker, finsent.classify, finsent.lexicon")
+def test_a_cold_start_loads_no_evaluation_code(tmp_path):
+    # what benchmarks/coldstart.py imports and sets up; no record there is a dataclass
+    from finsent.arm import Transaction
+    from finsent.classify import save_model, train
+
+    save_model(train([Transaction(frozenset({"LagInd::UP"}), label) for label in ("positive", "neutral", "negative")]),
+               tmp_path)
+    loaded = _fresh_modules(
+        "from finsent.chunker import bundled_grammar\nfrom finsent.classify import load_model\n"
+        "from finsent.lexicon import load_default_lexicon\nload_default_lexicon()\n"
+        f"bundled_grammar('indicator_direction')\nbundled_grammar('numeric_direction')\nload_model({str(tmp_path)!r})"
+    )
     assert {"finsent.chunker", "finsent.classify", "finsent.lexicon"} <= loaded
-    assert not {"finsent.evaluate", "csv"} & loaded
+    assert not {"finsent.evaluate", "csv", "dataclasses", "inspect"} & loaded
 
 
 @pytest.mark.parametrize("code, package_modules", [
@@ -81,7 +90,7 @@ def test_a_cold_start_loads_no_evaluation_code():
     ("import finsent\nassert hasattr(finsent, 'textfile')", {"finsent", "finsent.textfile"}),
     ("from finsent import textfile", {"finsent", "finsent.textfile"}),
     ("import finsent\nfinsent.chunker.chunk_spans",
-     {"finsent", "finsent.chunker", "finsent.pos_text", "finsent.textfile"}),
+     {"finsent", "finsent.chunker", "finsent.pos_text", "finsent.record", "finsent.textfile"}),
     ("from finsent import tag_text\nfrom finsent.evaluate import tag_text as own\nassert tag_text is own",
      {"finsent", *(f"finsent.{name}" for name in _MODULES if name != "cli")}),
 ], ids=["hasattr-private", "attribute-submodule", "hasattr-submodule", "import-submodule", "submodule-name",
