@@ -191,25 +191,27 @@ def train(
 ) -> ClassifierModel:
     """Mine the stage rule bases for the chosen arrangement.
 
-    Raises MiningError for an empty transaction list or a label outside
-    CLASSES; warns for each class the transactions lack.
+    One pass splits the rows by label, and each stage is mined from the rows
+    of its classes in ``_STAGES``.  Raises MiningError for an empty transaction
+    list or a label outside CLASSES; warns for each class the rows lack.
     """
     if not transactions:
         raise MiningError("cannot train on an empty transaction list")
     arrangement = Arrangement(arrangement)
-    present = {t.label for t in transactions}
-    if not present <= set(CLASSES):
-        unknown = ", ".join(repr(label) for label in sorted(present.difference(CLASSES)))
+    groups: Dict[str, list] = {cls: [] for cls in CLASSES}
+    for t in transactions:
+        groups.setdefault(t.label, []).append(t)
+    if len(groups) > len(CLASSES):
+        unknown = ", ".join(repr(label) for label in sorted(groups.keys() - CLASSES))
         raise MiningError(f"training labels must be one of {', '.join(CLASSES)}; got {unknown}")
     for cls in CLASSES:
-        if cls not in present:
+        if not groups[cls]:
             warnings.warn(f"class {cls!r} absent from training data; it cannot be predicted", stacklevel=2)
+    if arrangement is Arrangement.HSC:
+        groups[POLARIZED] = [Transaction(t.items, POLARIZED) for t in groups[POSITIVE] + groups[NEGATIVE]]
     stages: Dict[str, RuleBase] = {}
     for stage, classes in _STAGES[arrangement].items():
-        if POLARIZED in classes:
-            rows = [t if t.label == NEUTRAL else Transaction(t.items, POLARIZED) for t in transactions]
-        else:
-            rows = [t for t in transactions if t.label in classes]
+        rows = [t for cls in classes for t in groups[cls]]
         stages[stage] = (
             mine_rules(rows, minsup, minconf, classes=classes) if rows
             else RuleBase((), minsup=minsup, minconf=minconf)

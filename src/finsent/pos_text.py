@@ -75,7 +75,7 @@ class PosSentence(Record):
                 raise PosTextError(f"token {i} {surface!r}: surface is not a string")
             if surface.split() != [surface]:
                 raise PosTextError(f"token {i} {surface!r}: surface is not one word")
-            if tag not in PENN_TAGS:
+            if not isinstance(tag, str) or tag not in PENN_TAGS:
                 raise PosTextError(f"token {i} {surface!r}: unknown POS tag {tag!r}")
 
     def __len__(self) -> int:

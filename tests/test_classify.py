@@ -242,6 +242,23 @@ def test_label_outside_classes_is_error(arrangement):
         train(transactions, arrangement, minsup=0.5, minconf=60.0)
 
 
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_train_reads_each_label_once(arrangement, monkeypatch):
+    reads = []
+
+    class CountingTransaction(Transaction):
+        @property
+        def label(self):
+            reads.append(id(self))
+            return self[1]
+
+    rows = [CountingTransaction(t.items, t.label) for t in SAMPLE_TRANSACTIONS]
+    # an empty rule base for every stage: only train's own reads are counted
+    monkeypatch.setattr(classify, "mine_rules", lambda *args, **kwargs: RuleBase(()))
+    train(rows, arrangement, minsup=0.5, minconf=60.0)
+    assert [reads.count(id(t)) for t in rows] == [1] * len(rows)
+
+
 _TRAIN_TAGS = ["A", "B", "C", "D", "E"]
 
 

@@ -52,6 +52,7 @@ def test_token_validation():
         (("rose", "b", "c d", "e"), ("VBD", "X1", "NN", "X2"), "token 2 'b': unknown POS tag 'X1'"),
         (("rose", "c d", "b"), ("VBD", "X1", "X2"), "token 2 'c d': surface is not one word"),
         ((1,), ("NN",), "token 1 1: surface is not a string"),
+        (("a",), (["NN"],), "token 1 'a': unknown POS tag ['NN']"),
     ]
     for surfaces, tags, message in cases:
         with pytest.raises(PosTextError, match=re.escape(message)):
