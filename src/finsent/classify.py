@@ -35,7 +35,6 @@ from .arm import (
     parse_rulebase,
     serialize_rulebase,
 )
-from .semtag import Mode
 
 __all__ = [
     "POSITIVE",
@@ -286,8 +285,11 @@ def save_model(model: ClassifierModel, directory: Union[str, Path], tagging: Opt
     then renamed into place, so a failed save leaves no partial model and an
     existing model at ``directory`` intact.  An existing ``directory`` is
     replaced as a whole; it must be empty or hold a ``manifest.json``, else
-    FileExistsError is raised and nothing is written.
+    FileExistsError is raised and nothing is written.  So is TypeError for a
+    ``tagging`` that is not a dict; load_model returns ``tagging`` unread.
     """
+    if not isinstance(tagging, (dict, type(None))):
+        raise TypeError(f"tagging {tagging!r} is not a dict")
     directory = Path(directory)
     target = Path(os.path.abspath(directory))
     if target.exists() and not (
@@ -322,14 +324,12 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
 
     Raises ModelFormatError for a missing or malformed manifest, including a
     ``stage2_default`` outside CLASSES, an older manifest's ``default_class``
-    other than neutral, a ``tagging`` section that is not an object or whose
-    ``mode`` is not a Mode or ``encoding`` (what ``finsent predict`` decodes
-    with by default) not a text codec Python knows, a ``stages`` section that is
-    not an object whose keys are exactly the arrangement's stage names, a
-    stage file that is not a plain file name inside ``directory`` or that
-    parse_rulebase rejects, a rule whose class is not one of its stage's
-    classes, and a value of the wrong JSON type (a ``tagging.reversal`` that
-    is not a bool).  The message names the offending key, or the stage file
+    other than neutral, a ``tagging`` section that is not an object (its
+    entries are returned unread), a ``stages`` section that is not an object
+    whose keys are exactly the arrangement's stage names, a stage file that is
+    not a plain file name inside ``directory`` or that parse_rulebase rejects,
+    a rule whose class is not one of its stage's classes, and a value of the
+    wrong JSON type.  The message names the offending key, or the stage file
     and the class or line.
     """
     directory = Path(directory)
@@ -353,19 +353,8 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         # file's headers hold them, and a default_class that was always neutral
         if manifest.get("default_class", NEUTRAL) != NEUTRAL:
             raise ValueError(f"default_class {manifest['default_class']!r} is not {NEUTRAL!r}")
-        tagging = manifest.get("tagging", {})
-        if not isinstance(tagging, dict):
-            raise ValueError(f"tagging {tagging!r} is not an object")
-        mode = tagging.get("mode", Mode.ALL.value)
-        if mode not in {m.value for m in Mode}:
-            raise ValueError(f"tagging.mode {mode!r} is not one of {', '.join(m.value for m in Mode)}")
-        # the entries `finsent predict` reads
-        for key, kind in (("lexicon", str), ("reversals", str), ("reversal", bool), ("pretagged", bool),
-                          ("encoding", str)):
-            if not isinstance(tagging.get(key, kind()), kind):
-                raise ValueError(f"tagging.{key} {tagging[key]!r} is not a {kind.__name__}")
-        if not textfile.is_text_encoding(tagging.get("encoding", "utf-8")):
-            raise ValueError(f"tagging.encoding {tagging['encoding']!r} is not a text codec Python knows")
+        if not isinstance(manifest.get("tagging", {}), dict):
+            raise ValueError(f"tagging {manifest['tagging']!r} is not an object")
         arrangement = Arrangement(manifest["arrangement"])
         files = manifest["stages"]
         if not isinstance(files, dict) or sorted(files) != sorted(_STAGES[arrangement]):

@@ -130,8 +130,7 @@ def _split_labeled(line: str) -> tuple:
     return line.strip(), None
 
 
-def _tag_input(args: argparse.Namespace, lexicon: Lexicon, mode: Mode, reversal: bool,
-               pretagged: bool) -> List[tuple]:
+def _tag_input(args: argparse.Namespace, lexicon: Lexicon, mode: Mode, reversal: bool) -> List[tuple]:
     """``(tag set, label or None)`` for each non-blank line of ``args.input``.
 
     A line that cannot be tagged is a data error located at ``file:line``.
@@ -141,7 +140,7 @@ def _tag_input(args: argparse.Namespace, lexicon: Lexicon, mode: Mode, reversal:
     for lineno, line in _read_lines(args.input, args.encoding):
         text, label = _split_labeled(line)
         try:
-            tagged.append((tag_text(text, lexicon, mode, reversal, pretagged), label))
+            tagged.append((tag_text(text, lexicon, mode, reversal, args.pretagged), label))
         except PosTextError as exc:
             raise PosTextError(f"{where}:{lineno}: {exc}") from None
     return tagged
@@ -150,7 +149,7 @@ def _tag_input(args: argparse.Namespace, lexicon: Lexicon, mode: Mode, reversal:
 def cmd_tag(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args.lexicon, args.reversals)
     out_lines = []
-    for tagged, label in _tag_input(args, lexicon, Mode(args.mode), args.reversal, args.pretagged):
+    for tagged, label in _tag_input(args, lexicon, Mode(args.mode), args.reversal):
         tags = " ".join(canonical_order(tagged))
         out_lines.append(f"{tags}\t{label}" if label is not None else tags)
     _write_out("".join(f"{l}\n" for l in out_lines), args.out)
@@ -162,15 +161,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = load_phrasebank(args.corpus, encoding=args.encoding, pretagged=args.pretagged)
     config = _config_from_args(args)
     model = train_model(tag_corpus(corpus, lexicon, config), config)
-    # absolute paths, so that `finsent predict` finds them from any directory
-    tagging = {
-        "mode": args.mode,
-        "reversal": args.reversal,
-        "pretagged": args.pretagged,
-        "lexicon": str(Path(args.lexicon).resolve()) if args.lexicon else "",
-        "reversals": str(Path(args.reversals).resolve()) if args.reversals else "",
-        "encoding": args.encoding,
-    }
+    tagging = {key: getattr(args, key) or default for key, default in _TAGGING_DEFAULTS.items()}
+    for key in ("lexicon", "reversals"):  # absolute, so that `finsent predict` finds them from any directory
+        tagging[key] = tagging[key] and str(Path(tagging[key]).resolve())
     save_model(model, args.model_dir, tagging=tagging)
     for stage, rb in model.stages.items():
         print(f"{stage}: {len(rb)} rules")
@@ -178,23 +171,32 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _model_tagging(model_dir: str, manifest: dict) -> dict:
+    """A model's tagging record, absent entries filled in; a bad mode, type or codec is a ModelFormatError."""
+    tagging = {**_TAGGING_DEFAULTS, **manifest.get("tagging", {})}
+    try:
+        if tagging["mode"] not in set(modes := [m.value for m in Mode]):
+            raise ValueError(f"tagging.mode {tagging['mode']!r} is not one of {', '.join(modes)}")
+        for key, default in _TAGGING_DEFAULTS.items():
+            if not isinstance(tagging[key], type(default)):
+                raise ValueError(f"tagging.{key} {tagging[key]!r} is not a {type(default).__name__}")
+        if not textfile.is_text_encoding(tagging["encoding"]):
+            raise ValueError(f"tagging.encoding {tagging['encoding']!r} is not a text codec Python knows")
+    except (ValueError, TypeError) as exc:  # TypeError: an unhashable mode
+        raise ModelFormatError(f"{Path(model_dir)}: malformed model: {exc}") from None
+    return tagging
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     model, manifest = load_model(args.model_dir)
-    tagging = manifest.get("tagging", {})
-    # --lexicon, else the model's lexicon, else the default; --reversals, else
-    # the model's reversal file unless --lexicon is given
-    lexicon_path = args.lexicon or tagging.get("lexicon")
-    reversals_path = args.reversals or (None if args.lexicon else tagging.get("reversals") or None)
-    lexicon = _load_lexicon(lexicon_path, reversals_path)
-    mode = Mode(tagging.get("mode", "all"))
-    reversal = bool(tagging.get("reversal", False))
-    pretagged = args.pretagged or bool(tagging.get("pretagged", False))
-    args.encoding = args.encoding or tagging.get("encoding", "utf-8")
-    out_lines = []
-    for i, (tags, _) in enumerate(_tag_input(args, lexicon, mode, reversal, pretagged), start=1):
-        label = predict(model, tags)
-        out_lines.append(f"{i}\t{label}")
-    _write_out("".join(f"{l}\n" for l in out_lines), args.out)
+    tagging = _model_tagging(args.model_dir, manifest)
+    # --lexicon, else the model's lexicon, else the default; --reversals, else the model's unless --lexicon
+    lexicon = _load_lexicon(args.lexicon or tagging["lexicon"],
+                            args.reversals or (None if args.lexicon else tagging["reversals"] or None))
+    args.encoding = args.encoding or tagging["encoding"]
+    args.pretagged = args.pretagged or tagging["pretagged"]
+    tagged = _tag_input(args, lexicon, Mode(tagging["mode"]), tagging["reversal"])
+    _write_out("".join(f"{i}\t{predict(model, tags)}\n" for i, (tags, _) in enumerate(tagged, start=1)), args.out)
     return 0
 
 
@@ -299,6 +301,8 @@ _ARGUMENTS: Dict[str, dict] = {
 }
 _TAGGING = ("--lexicon", "--reversals", "--encoding", "--mode", "--reversal", "--pretagged", "--out")
 _TRAINING = (*_TAGGING, "--classifier", "--minsup", "--minconf", "--match-policy", "--scoring", "--corpus")
+# a model's tagging record, which `finsent train` writes and `finsent predict` reads: each entry's default
+_TAGGING_DEFAULTS = dict(mode="all", lexicon="", reversals="", reversal=False, pretagged=False, encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:

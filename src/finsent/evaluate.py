@@ -69,8 +69,8 @@ class CorpusError(ValueError):
 
 
 class FoldError(ValueError):
-    """Raised for invalid fold requests (k too small, class too small), a fold plan or
-    transaction list without one entry per corpus sentence, or a fold left no training rows."""
+    """Raised for invalid fold requests (k too small, an empty corpus, class too small), a fold
+    plan or transaction list without one entry per corpus sentence, or a fold left no training rows."""
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,8 @@ def make_folds(corpus: Corpus, k: int, seed: int = 0) -> FoldPlan:
     """Stratified assignment: per-class counts per fold within +-1 of n_c/k."""
     if k < 2:
         raise FoldError(f"fold count must be >= 2, got {k}")
+    if not corpus.labels:
+        raise FoldError(f"corpus {corpus.name!r} has no sentences to fold")
     by_class: Dict[str, List[int]] = {}
     for i, label in enumerate(corpus.labels):
         by_class.setdefault(label, []).append(i)
@@ -196,7 +198,12 @@ class EvalReport:
 def _confusion(pairs: Iterable[Tuple[str, str]]) -> Dict[str, Dict[str, int]]:
     matrix = {gold: {pred: 0 for pred in CLASSES} for gold in CLASSES}
     for gold, pred in pairs:
-        matrix[gold][pred] += 1
+        try:
+            matrix[gold][pred] += 1
+        except KeyError:  # a label outside CLASSES; every pair before this one is counted
+            side, label = ("predicted", pred) if gold in matrix else ("gold", gold)
+            raise CorpusError(f"pair {sum(sum(row.values()) for row in matrix.values()) + 1}: {side} label "
+                              f"{label!r} is not one of {', '.join(CLASSES)}") from None
     return matrix
 
 

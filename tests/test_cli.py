@@ -663,6 +663,28 @@ def test_predict_bad_manifest_mode_is_config_error(tmp_path, capsys):
     assert "tagging.mode 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, value, message", [
+    ("mode", "bogus", "tagging.mode 'bogus' is not one of lag, lag-lead, all"),
+    ("mode", ["all"], "unhashable type: 'list'"),
+    ("lexicon", 5, "tagging.lexicon 5 is not a str"),
+    ("reversal", "no", "tagging.reversal 'no' is not a bool"),
+    # codecs Python knows that decode no bytes to text
+    ("encoding", "base64", "tagging.encoding 'base64' is not a text codec Python knows"),
+    ("encoding", "undefined", "tagging.encoding 'undefined' is not a text codec Python knows"),
+], ids=["mode", "mode_list", "lexicon_int", "reversal_str", "encoding_base64", "encoding_undefined"])
+def test_predict_bad_manifest_tagging_entry_is_config_error(tmp_path, capsys, entry, value, message):
+    corpus = write_corpus(tmp_path, SAMPLE_SENTENCES)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus), "--model-dir", str(model_dir)]) == 0
+    manifest_path = model_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tagging"][entry] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["predict", "--model-dir", str(model_dir), str(corpus)]) == 2
+    assert capsys.readouterr() == ("", f"finsent: configuration error: {model_dir}: malformed model: {message}\n")
+
+
 def test_predict_decodes_with_the_model_encoding(tmp_path, capsys):
     bundled, _ = default_lexicon_paths()
     lexicon = tmp_path / "custom.txt"

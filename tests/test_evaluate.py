@@ -152,6 +152,20 @@ def test_k_below_two_is_error():
         make_folds(small_corpus(), 1)
 
 
+def test_an_empty_corpus_has_no_folds():
+    with pytest.raises(FoldError, match="corpus 'empty' has no sentences to fold"):
+        make_folds(Corpus((), (), name="empty"), 2)
+
+
+@pytest.mark.parametrize("run", [
+    lambda corpus: cross_validate(corpus, PipelineConfig(folds=2), transactions=[], trainer=majority_trainer),
+    lambda corpus: sweep_confidence(corpus, PipelineConfig(folds=2), [60.0], lexicon=Lexicon({})),
+], ids=["cross_validate", "sweep_confidence"])
+def test_evaluating_an_empty_corpus_is_error(run):
+    with pytest.raises(FoldError, match="corpus 'empty' has no sentences to fold"):
+        run(Corpus((), (), name="empty"))
+
+
 def test_class_too_small_is_error():
     with pytest.raises(FoldError, match="negative"):
         make_folds(small_corpus(n_neg=2), 4)
@@ -204,6 +218,24 @@ def test_f_measure_zero_when_no_predictions():
     report = score_predictions([("positive", "neutral"), ("neutral", "neutral")])
     assert report.per_class["negative"].f_measure == 0.0
     assert report.per_class["negative"].precision == 0.0
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([("positive", "bogus")], "pair 1: predicted label 'bogus'"),
+    ([("positive", "positive"), ("bogus", "neutral")], "pair 2: gold label 'bogus'"),
+    ([("neutral", "neutral")] * 3 + [("Positive", "Negative")], "pair 4: gold label 'Positive'"),
+])
+def test_a_label_outside_the_classes_is_a_located_error(pairs, message):
+    with pytest.raises(CorpusError, match=f"^{message} is not one of positive, neutral, negative$"):
+        score_predictions(pairs)
+
+
+@pytest.mark.parametrize("trainer", [majority_trainer, perfect_trainer], ids=["majority", "perfect"])
+def test_cross_validating_a_label_outside_the_classes_is_a_located_error(trainer):
+    corpus = Corpus(tuple(f"s{i}" for i in range(12)), ("positive", "neutral", "negative", "bogus") * 3)
+    transactions = [Transaction(frozenset({"t"}), label) for label in corpus.labels]
+    with pytest.raises(CorpusError, match=r"^pair \d+: (gold|predicted) label 'bogus' is not one of"):
+        cross_validate(corpus, PipelineConfig(folds=2), transactions=transactions, trainer=trainer)
 
 
 def test_recall_prevalence_identity():

@@ -81,7 +81,7 @@ def test_a_cold_start_loads_no_evaluation_code(tmp_path):
         f"bundled_grammar('indicator_direction')\nbundled_grammar('numeric_direction')\nload_model({str(tmp_path)!r})"
     )
     assert {"finsent.chunker", "finsent.classify", "finsent.lexicon"} <= loaded
-    assert not {"finsent.evaluate", "csv", "dataclasses", "inspect"} & loaded
+    assert not {"finsent.evaluate", "finsent.semtag", "csv", "dataclasses", "inspect"} & loaded
 
 
 @pytest.mark.parametrize("code, package_modules", [
@@ -93,8 +93,11 @@ def test_a_cold_start_loads_no_evaluation_code(tmp_path):
      {"finsent", "finsent.chunker", "finsent.pos_text", "finsent.record", "finsent.textfile"}),
     ("from finsent import tag_text\nfrom finsent.evaluate import tag_text as own\nassert tag_text is own",
      {"finsent", *(f"finsent.{name}" for name in _MODULES if name != "cli")}),
+    # the rule layer loads a model without the tagging layer
+    ("from finsent.classify import load_model",
+     {"finsent", "finsent.classify", "finsent.arm", "finsent.record", "finsent.textfile"}),
 ], ids=["hasattr-private", "attribute-submodule", "hasattr-submodule", "import-submodule", "submodule-name",
-        "import-name"])
+        "import-name", "classify-load-model"])
 def test_a_fresh_package_imports_only_what_is_asked_for(code, package_modules):
     assert {name for name in _fresh_modules(code) if name.partition(".")[0] == "finsent"} == package_modules
 
