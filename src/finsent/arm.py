@@ -3,9 +3,9 @@
 Transactions are tag sets with a class label; the label joins the itemset as
 a distinguished item during mining.  Itemsets are generated level-wise as in
 Apriori and counted on vertical tidsets as in Eclat: one int per item whose
-bit i marks row i, so a count is the popcount of an AND.  The ints are built
-from one flag byte per (item, row), filled in a single pass over the rows and
-converted with one base-2 parse per item.  Rules have the form
+bit i marks row i, so a count is the popcount of an AND.  Cross-validation
+mines each population once and reads each fold's frequent itemsets through a
+mask of its training rows (``mine_fold_rules``).  Rules have the form
 ``antecedent -> c`` where the consequent is a single class item, qualified by
 support (joint frequency over all transactions, in percent) and confidence.
 A RuleBase is totally ordered: confidence desc, support desc, antecedent
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import textfile
@@ -31,6 +31,7 @@ __all__ = [
     "RuleBase",
     "mine_frequent",
     "mine_rules",
+    "mine_fold_rules",
     "serialize_rulebase",
     "parse_rulebase",
     "dump_transactions",
@@ -107,28 +108,22 @@ def _check_percent(value: float, name: str) -> None:
         raise MiningError(f"{name} must be in (0, 100], got {value}")
 
 
-def mine_frequent(
-    transactions: Sequence[Transaction], minsup: float
-) -> Dict[FrozenSet[str], float]:
-    """All itemsets over tags plus class items with support >= minsup percent.
+def _join(transactions: Sequence[Transaction], n: float,
+          minsup: float) -> Tuple[Dict[FrozenSet[str], float], Dict[Tuple[str, ...], int]]:
+    """Every itemset over the rows' baskets with support >= minsup percent of
+    ``n`` rows: its support, and its tidset keyed by its sorted items.
 
-    Level-wise Apriori counted on vertical tidsets, as in Eclat: an item's
-    tidset is one int with bit i set when row i's basket holds the item, and
-    an itemset's count is the popcount of its tidset.  One pass over the rows
-    sets byte ``row`` of each of its items' ``bytearray(n)`` flags to 1; each
-    item's flags, mapped to the digits "0"/"1", are then parsed as one base-2
-    int, so no n-bit int is rebuilt per row.  Each level maps sorted item
-    tuples, in sorted order, to their tidsets.  Two (k-1)-tuples that share
-    their first k-2 items join into a size-k candidate whose tidset is the
-    AND of the two joined tidsets.  Apriori's (k-1)-subset prune is left out:
-    support is monotone, so a candidate with an infrequent subset fails the
+    Level-wise Apriori counted on vertical tidsets, as in Eclat: bit i of an
+    item's tidset int is set when row i's basket holds it, so a count is a
+    popcount.  One pass over the rows sets row i's byte in the flags of each
+    item it holds; each item's flags are then parsed as one base-2 int.  Two sorted
+    (k-1)-tuples of a level that share their first k-2 items join into a
+    size-k candidate whose tidset is the AND of theirs.  Apriori's subset
+    prune is left out: a candidate with an infrequent subset fails the
     support test itself, and the AND and popcount cost less than the check.
     """
-    if not transactions:
-        raise MiningError("cannot mine an empty transaction list")
-    _check_percent(minsup, "minsup")
-    n = len(transactions)
-    flags: Dict[str, bytearray] = defaultdict(lambda: bytearray(n))
+    n_rows = len(transactions)
+    flags: Dict[str, bytearray] = defaultdict(lambda: bytearray(n_rows))
     for row, transaction in enumerate(transactions):
         for item in transaction.items:
             flags[item][row] = 1
@@ -137,6 +132,7 @@ def mine_frequent(
     tidsets = {item: int(bits[::-1].translate(_BINARY_DIGITS), 2) for item, bits in flags.items()}
 
     frequent: Dict[FrozenSet[str], float] = {}
+    lattice: Dict[Tuple[str, ...], int] = {}
     level: Dict[Tuple[str, ...], int] = {}
     for item in sorted(tidsets):
         support = 100.0 * tidsets[item].bit_count() / n
@@ -144,6 +140,7 @@ def mine_frequent(
             frequent[frozenset((item,))] = support
             level[(item,)] = tidsets[item]
     while level:
+        lattice.update(level)
         next_level: Dict[Tuple[str, ...], int] = {}
         for _, joinable in groupby(level.items(), key=lambda entry: entry[0][:-1]):
             for (a, tids_a), (b, tids_b) in combinations(joinable, 2):
@@ -154,7 +151,32 @@ def mine_frequent(
                     frequent[frozenset(candidate)] = support
                     next_level[candidate] = tids
         level = next_level
-    return frequent
+    return frequent, lattice
+
+
+def mine_frequent(transactions: Sequence[Transaction], minsup: float) -> Dict[FrozenSet[str], float]:
+    """All itemsets over tags plus class items with support >= minsup percent."""
+    if not transactions:
+        raise MiningError("cannot mine an empty transaction list")
+    _check_percent(minsup, "minsup")
+    return _join(transactions, len(transactions), minsup)[0]
+
+
+def _rules(frequent: Dict[FrozenSet[str], float], classes: FrozenSet[str], minsup: float, minconf: float) -> RuleBase:
+    """The rule base of ``frequent``'s itemsets that hold exactly one class item and some tag."""
+    _check_percent(minconf, "minconf")
+    rules: List[Rule] = []
+    for itemset, sup in frequent.items():
+        class_items = itemset & classes
+        if len(class_items) != 1 or len(itemset) < 2:
+            continue
+        consequent = next(iter(class_items))
+        antecedent = itemset - class_items
+        confidence = 100.0 * sup / frequent[antecedent]
+        if confidence >= minconf:
+            rules.append(Rule(antecedent, consequent, sup, confidence))
+    rules.sort(key=Rule.sort_key)
+    return RuleBase(tuple(rules), minsup=minsup, minconf=minconf)
 
 
 def mine_rules(
@@ -169,20 +191,30 @@ def mine_rules(
     support(X u {c}) / support(X); antecedents are non-empty.
     """
     frequent = mine_frequent(transactions, minsup)
-    _check_percent(minconf, "minconf")
-    class_set = frozenset({t.label for t in transactions} if classes is None else classes)
-    rules: List[Rule] = []
-    for itemset, sup in frequent.items():
-        class_items = itemset & class_set
-        if len(class_items) != 1 or len(itemset) < 2:
-            continue
-        consequent = next(iter(class_items))
-        antecedent = itemset - class_items
-        confidence = 100.0 * sup / frequent[antecedent]
-        if confidence >= minconf:
-            rules.append(Rule(antecedent, consequent, sup, confidence))
-    rules.sort(key=Rule.sort_key)
-    return RuleBase(tuple(rules), minsup=minsup, minconf=minconf)
+    return _rules(frequent, frozenset({t.label for t in transactions} if classes is None else classes),
+                  minsup, minconf)
+
+
+def mine_fold_rules(held_out: Sequence[Sequence[Transaction]], minsup: float, minconf: float,
+                    classes: Iterable[str]) -> List[RuleBase]:
+    """For each held-out row list, the rule base ``mine_rules`` gives on every other list's rows.
+
+    All rows are joined once, at the fewest rows a fold trains on, n_min: an itemset frequent
+    among n_f >= n_min rows is so among n_min at its whole count.  A fold, whose mask leaves
+    out its own rows' bits, keeps the itemsets of ``100.0 * (tids & mask).bit_count() / n_f
+    >= minsup``, the float ``mine_frequent`` gives on its rows; with no rows, no rule.
+    """
+    _check_percent(minsup, "minsup")
+    rows = [t for part in held_out for t in part]
+    sizes = [len(rows) - len(part) for part in held_out]
+    masks = [(1 << len(rows)) - 1 ^ (1 << end) - (1 << end - len(part))
+             for part, end in zip(held_out, accumulate(map(len, held_out)))]
+    # with no row under any mask, the join over infinitely many rows finds nothing frequent
+    lattice = [(frozenset(items), tids) for items, tids in
+               _join(rows, min(filter(None, sizes), default=math.inf), minsup)[1].items()]
+    return [_rules({itemset: support for itemset, tids in lattice
+                    if n and (support := 100.0 * (tids & mask).bit_count() / n) >= minsup},
+                   frozenset(classes), minsup, minconf) for mask, n in zip(masks, sizes)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import shutil
 import warnings
 from enum import Enum
 from pathlib import Path
-from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import textfile
 from .arm import (
@@ -31,6 +31,7 @@ from .arm import (
     RuleBase,
     RuleBaseFormatError,
     Transaction,
+    mine_fold_rules,
     mine_rules,
     parse_rulebase,
     serialize_rulebase,
@@ -51,6 +52,7 @@ __all__ = [
     "score_tags",
     "predict_flat",
     "train",
+    "train_folds",
     "predict",
     "save_model",
     "load_model",
@@ -179,6 +181,32 @@ class ClassifierModel(NamedTuple):
         return sum(len(rb) for rb in self.stages.values())
 
 
+def _stages(transactions: Iterable[Transaction], arrangement: Arrangement) -> Tuple[Dict[str, int], Dict[str, list]]:
+    """Each label's row count (each class of CLASSES first) and each stage's rows: one pass splits the
+    rows by label, and a stage takes its classes' rows in turn, the gate's polarized class every class's
+    but neutral's."""
+    groups: Dict[str, list] = {cls: [] for cls in CLASSES}
+    for t in transactions:
+        groups.setdefault(t.label, []).append(t)
+    counts = {label: len(rows) for label, rows in groups.items()}
+    if arrangement is Arrangement.HSC:
+        groups[POLARIZED] = [Transaction(t.items, POLARIZED) for t in groups[POSITIVE] + groups[NEGATIVE]]
+    return counts, {stage: [t for cls in classes for t in groups[cls]]
+                    for stage, classes in _STAGES[arrangement].items()}
+
+
+def _check_labels(counts: Mapping[str, int]) -> None:
+    """Raise MiningError for no rows or a label outside CLASSES; warn for each class with no rows."""
+    if not any(counts.values()):
+        raise MiningError("cannot train on an empty transaction list")
+    unknown = ", ".join(repr(label) for label in sorted(counts.keys() - CLASSES) if counts[label])
+    if unknown:
+        raise MiningError(f"training labels must be one of {', '.join(CLASSES)}; got {unknown}")
+    for cls in CLASSES:
+        if not counts[cls]:
+            warnings.warn(f"class {cls!r} absent from training data; it cannot be predicted", stacklevel=3)
+
+
 def train(
     transactions: Sequence[Transaction],
     arrangement: Arrangement = Arrangement.HSC,
@@ -190,39 +218,38 @@ def train(
 ) -> ClassifierModel:
     """Mine the stage rule bases for the chosen arrangement.
 
-    One pass splits the rows by label, and each stage is mined from the rows
-    of its classes in ``_STAGES``.  Raises MiningError for an empty transaction
-    list or a label outside CLASSES; warns for each class the rows lack.
+    Each stage is mined from its rows (see ``_stages``).  Raises MiningError
+    for an empty transaction list or a label outside CLASSES; warns for each
+    class the rows lack.
     """
-    if not transactions:
-        raise MiningError("cannot train on an empty transaction list")
     arrangement = Arrangement(arrangement)
-    groups: Dict[str, list] = {cls: [] for cls in CLASSES}
-    for t in transactions:
-        groups.setdefault(t.label, []).append(t)
-    if len(groups) > len(CLASSES):
-        unknown = ", ".join(repr(label) for label in sorted(groups.keys() - CLASSES))
-        raise MiningError(f"training labels must be one of {', '.join(CLASSES)}; got {unknown}")
-    for cls in CLASSES:
-        if not groups[cls]:
-            warnings.warn(f"class {cls!r} absent from training data; it cannot be predicted", stacklevel=2)
-    if arrangement is Arrangement.HSC:
-        groups[POLARIZED] = [Transaction(t.items, POLARIZED) for t in groups[POSITIVE] + groups[NEGATIVE]]
-    stages: Dict[str, RuleBase] = {}
-    for stage, classes in _STAGES[arrangement].items():
-        rows = [t for cls in classes for t in groups[cls]]
-        stages[stage] = (
-            mine_rules(rows, minsup, minconf, classes=classes) if rows
-            else RuleBase((), minsup=minsup, minconf=minconf)
-        )
+    counts, stage_rows = _stages(transactions, arrangement)
+    _check_labels(counts)
+    stages = {stage: mine_rules(rows, minsup, minconf, classes=_STAGES[arrangement][stage]) if rows
+              else RuleBase((), minsup=minsup, minconf=minconf) for stage, rows in stage_rows.items()}
+    return ClassifierModel(arrangement, stages, stage2_default, MatchPolicy(match_policy), Scoring(scoring))
 
-    return ClassifierModel(
-        arrangement=arrangement,
-        stages=stages,
-        stage2_default=stage2_default,
-        match_policy=MatchPolicy(match_policy),
-        scoring=Scoring(scoring),
-    )
+
+def train_folds(
+    held_out: Sequence[Sequence[Transaction]],
+    arrangement: Arrangement = Arrangement.HSC,
+    minsup: float = DEFAULT_MINSUP,
+    minconf: float = DEFAULT_MINCONF,
+    match_policy: MatchPolicy = MatchPolicy.EXACT,
+    scoring: Scoring = Scoring.AVERAGE,
+    stage2_default: str = NEGATIVE,
+) -> List[ClassifierModel]:
+    """For each fold's held-out rows, the model ``train`` gives on every other fold's rows, with its
+    errors and warnings: ``mine_fold_rules`` mines each stage once for every fold."""
+    arrangement = Arrangement(arrangement)
+    folds = [_stages(rows, arrangement) for rows in held_out]
+    labels = {label for counts, _ in folds for label in counts}
+    for counts, _ in folds:
+        _check_labels({label: sum(c.get(label, 0) for c, _ in folds) - counts.get(label, 0) for label in labels})
+    bases = {stage: mine_fold_rules([stage_rows[stage] for _, stage_rows in folds], minsup, minconf, classes)
+             for stage, classes in _STAGES[arrangement].items()}
+    return [ClassifierModel(arrangement, {stage: rbs[fold] for stage, rbs in bases.items()}, stage2_default,
+                            MatchPolicy(match_policy), Scoring(scoring)) for fold in range(len(folds))]
 
 
 def predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:

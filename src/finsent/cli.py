@@ -86,12 +86,11 @@ def _encoding(value: str) -> str:
 def _load_lexicon(lexicon_path: Optional[str], reversals_path: Optional[str]) -> Lexicon:
     """The given lexicon, else the bundled (or $FINSENT_LEXICON_DIR) one.
 
-    A given ``reversals_path`` replaces the default reversal file and must exist.
+    A given ``reversals_path`` replaces the default reversal file and must
+    exist; an empty one is not given, as in a model's tagging record.
     """
-    if lexicon_path:
-        return load_lexicon(lexicon_path, reversals_path)
-    if reversals_path:
-        return load_lexicon(default_lexicon_paths()[0], reversals_path)
+    if lexicon_path or reversals_path:
+        return load_lexicon(lexicon_path or default_lexicon_paths()[0], reversals_path)
     return load_default_lexicon()
 
 

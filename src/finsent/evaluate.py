@@ -6,7 +6,8 @@ per-class count is within one example of the proportional share, assignment is
 deterministic given the seed, and the union of held-out folds is the corpus.
 Reports carry per-class precision / recall / F-measure / one-vs-rest accuracy,
 the overall accuracy, the confusion matrix, and a per-fold breakdown.  A
-minconf sweep trains each fold once and filters its rules per grid value; a
+cross-validation mines each stage once and reads each fold's rules through a
+mask of its training rows; a minconf sweep filters them per grid value.  A
 fold model labels each distinct tag set once.
 """
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .classify import (
     Scoring,
     predict,
     train,
+    train_folds,
 )
 from .lexicon import Lexicon, load_default_lexicon
 from .pos_text import PosTextError, ingest_pretagged, tag_raw
@@ -56,7 +58,6 @@ __all__ = [
     "score_predictions",
     "majority_trainer",
     "perfect_trainer",
-    "pipeline_trainer",
     "report_to_json",
     "report_to_csv",
     "report_to_text",
@@ -294,28 +295,20 @@ def tag_corpus(
 Trainer = Callable[[Sequence[Transaction]], Tuple[Callable[[Transaction], str], int]]
 
 
+def _training_options(config: PipelineConfig) -> Dict[str, object]:
+    return dict(arrangement=config.arrangement, minsup=config.minsup, minconf=config.minconf,
+                match_policy=config.match_policy, scoring=config.scoring, stage2_default=config.stage2_default)
+
+
 def train_model(transactions: Sequence[Transaction], config: PipelineConfig) -> ClassifierModel:
     """Train the associative classifier a config describes."""
-    return train(
-        transactions,
-        arrangement=config.arrangement,
-        minsup=config.minsup,
-        minconf=config.minconf,
-        match_policy=config.match_policy,
-        scoring=config.scoring,
-        stage2_default=config.stage2_default,
-    )
+    return train(transactions, **_training_options(config))
 
 
 def _fold_predictor(model: ClassifierModel) -> Tuple[Callable[[Transaction], str], int]:
     """A trainer's result for ``model``: a predict function that labels each distinct tag set once."""
     label = cache(lambda tags: predict(model, tags))
     return (lambda t: label(t.items)), model.rule_count()
-
-
-def pipeline_trainer(config: PipelineConfig) -> Trainer:
-    """The real associative-classifier trainer for a config."""
-    return lambda transactions: _fold_predictor(train_model(transactions, config))
 
 
 def majority_trainer(transactions: Sequence[Transaction]):
@@ -331,8 +324,8 @@ def perfect_trainer(transactions: Sequence[Transaction]):
     return (lambda t: t.label), 0
 
 
-def _training_sets(corpus: Corpus, folds: FoldPlan, transactions: Sequence[Transaction]) -> List[list]:
-    """Each fold's training rows: every row outside the fold, in corpus order.
+def _held_out(corpus: Corpus, folds: FoldPlan, transactions: Sequence[Transaction]) -> List[list]:
+    """Each fold's rows, in corpus order.
 
     Raises FoldError unless ``folds`` and ``transactions`` have one entry per
     corpus sentence, ``folds`` puts every sentence in a fold ``0..k-1``, and
@@ -344,11 +337,11 @@ def _training_sets(corpus: Corpus, folds: FoldPlan, transactions: Sequence[Trans
     for i, fold in enumerate(folds.assignment):
         if not 0 <= fold < folds.k:
             raise FoldError(f"sentence {i} is assigned fold {fold}; folds run from 0 to {folds.k - 1}")
-    training = [[t for t, f in zip(transactions, folds.assignment) if f != fold] for fold in range(folds.k)]
-    for fold, rows in enumerate(training):
-        if not rows:
+    held_out = [[transactions[i] for i in folds.groups.get(fold, ())] for fold in range(folds.k)]
+    for fold, rows in enumerate(held_out):
+        if len(rows) == len(corpus):
             raise FoldError(f"fold {fold} leaves no training rows: every sentence is in it")
-    return training
+    return held_out
 
 
 def _score_folds(corpus: Corpus, config: PipelineConfig, folds: FoldPlan, transactions: Sequence[Transaction],
@@ -382,8 +375,12 @@ def cross_validate(
     folds = folds or make_folds(corpus, config.folds, config.seed)
     if transactions is None:
         transactions = tag_corpus(corpus, lexicon, config)
-    trainer = trainer or pipeline_trainer(config)
-    fold_models = [trainer(rows) for rows in _training_sets(corpus, folds, transactions)]
+    held_out = _held_out(corpus, folds, transactions)
+    if trainer is None:
+        fold_models = [_fold_predictor(model) for model in train_folds(held_out, **_training_options(config))]
+    else:
+        fold_models = [trainer([t for t, f in zip(transactions, folds.assignment) if f != fold])
+                       for fold in range(folds.k)]
     return _score_folds(corpus, config, folds, transactions, fold_models)
 
 
@@ -408,13 +405,15 @@ def sweep_confidence(
     grid: Sequence[float],
     folds: Optional[FoldPlan] = None,
     lexicon: Optional[Lexicon] = None,
+    transactions: Optional[Sequence[Transaction]] = None,
 ) -> List[SweepPoint]:
     """One cross-validated report per minimum-confidence grid value.
 
-    Each point's report is the one ``cross_validate`` gives at its minconf.
-    The corpus is tagged once and each fold trained once, at the lowest grid
-    value: a rule base mined at a higher minconf is the lower one's rules of
-    at least that confidence, in the same order (as in CBA), so each point
+    Each point's report is the one ``cross_validate`` gives at its minconf,
+    on the same ``transactions``, if given.  The corpus is tagged once and
+    each stage mined once, with each fold read through a mask, at the lowest
+    grid value: a rule base mined at a higher minconf is the lower one's rules
+    of at least that confidence, in the same order (as in CBA), so each point
     filters the fold models.  An empty grid tags nothing and returns ``[]``.
     """
     for value in grid:
@@ -423,9 +422,10 @@ def sweep_confidence(
     folds = folds or make_folds(corpus, config.folds, config.seed)
     if not grid:
         return []
-    transactions = tag_corpus(corpus, lexicon, config)
+    if transactions is None:
+        transactions = tag_corpus(corpus, lexicon, config)
     lowest = replace(config, minconf=min(grid))
-    models = [train_model(rows, lowest) for rows in _training_sets(corpus, folds, transactions)]
+    models = train_folds(_held_out(corpus, folds, transactions), **_training_options(lowest))
     points: List[SweepPoint] = []
     for minconf in grid:
         fold_models = [_fold_predictor(_at_minconf(model, minconf)) for model in models]

@@ -99,8 +99,9 @@ def _iter_data_lines(path: Path) -> Iterable[tuple]:
 def load_lexicon(path: Union[str, Path], reversals_path: Union[str, Path, None] = None) -> Lexicon:
     """Load a ``phrase,CATEGORY`` lexicon file plus an optional reversal list.
 
-    Raises LexiconError on malformed lines, unknown categories, phrases listed
-    under two categories, or reversal terms that are not indicator entries.
+    An empty ``reversals_path`` is no reversal list.  Raises LexiconError on
+    malformed lines, unknown categories, phrases listed under two categories,
+    or reversal terms that are not indicator entries.
     """
     path = Path(path)
     entries: dict = {}
@@ -122,7 +123,7 @@ def load_lexicon(path: Union[str, Path], reversals_path: Union[str, Path, None] 
         entries[phrase] = category
 
     reversal_terms: set = set()
-    if reversals_path is not None:
+    if reversals_path:
         rpath = Path(reversals_path)
         for lineno, line in _iter_data_lines(rpath):
             phrase = normalize_phrase(line)

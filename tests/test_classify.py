@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import branch_predict, branch_train, scan_score_tags
+from oracles import branch_predict, branch_train, brute_force_rules, scan_score_tags
 from sample_data import KNOWN_RULES_TEXT, SAMPLE_TRANSACTIONS
 from finsent import classify
 from finsent.arm import MiningError, Rule, RuleBase, Transaction, parse_rulebase, serialize_rulebase
@@ -29,6 +29,7 @@ from finsent.classify import (
     save_model,
     score_tags,
     train,
+    train_folds,
 )
 
 
@@ -301,6 +302,72 @@ def test_stage_table_matches_branch_oracle(transactions, tag_sets, minsup, minco
         for tags in {frozenset(), *tag_sets, *(frozenset((t,)) for t in _TRAIN_TAGS),
                      *(t.items for t in transactions)}:
             assert predict(got, tags) == branch_predict(want, tags)
+
+
+# tags that are class names too, so that a tag and a stage's class item share a key
+_FOLD_TAGS = ["A", "B", "C", NEUTRAL, POLARIZED]
+
+
+@st.composite
+def fold_split(draw):
+    """Transactions and a fold assignment with k from 2 to 10: about half the
+    draws lack a class, some fold may hold out a whole class or every row,
+    and now and then a row has a label outside CLASSES."""
+    classes = CLASSES if draw(st.booleans()) else draw(
+        st.lists(st.sampled_from(CLASSES), min_size=1, max_size=2, unique=True))
+    labels = st.sampled_from(classes) if draw(st.integers(0, 9)) else st.sampled_from([*classes, "other"])
+    rows = draw(st.lists(st.builds(Transaction, st.frozensets(st.sampled_from(_FOLD_TAGS), max_size=3), labels),
+                         min_size=1, max_size=30))
+    k = draw(st.integers(2, 10))
+    return rows, draw(st.lists(st.integers(0, k - 1), min_size=len(rows), max_size=len(rows))), k
+
+
+def _recording_warnings(fn):
+    """``fn()``'s result, or the MiningError it raised, and the warnings before it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn()
+        except MiningError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+@given(fold_split(), st.sampled_from(list(Arrangement)), st.sampled_from([0.5, 5.0, 12.5, 30.0, 50.0]),
+       st.sampled_from([20.0, 50.0, 60.0, 80.0, 100.0]))
+@settings(max_examples=150, deadline=None)
+def test_each_fold_model_equals_train_on_the_other_folds(split, arrangement, minsup, minconf):
+    rows, assignment, k = split
+    training = [[t for t, f in zip(rows, assignment) if f != fold] for fold in range(k)]
+    held_out = [[t for t, f in zip(rows, assignment) if f == fold] for fold in range(k)]
+    got, got_warnings = _recording_warnings(lambda: train_folds(held_out, arrangement, minsup, minconf))
+    want, want_warnings = [], []
+    for fold_rows in training:  # train fold after fold, up to the first fold it refuses
+        model, caught = _recording_warnings(lambda: train(fold_rows, arrangement, minsup, minconf))
+        want_warnings += caught
+        if isinstance(model, MiningError):
+            want = model
+            break
+        want.append(model)
+    assert got_warnings == want_warnings
+    if isinstance(want, MiningError):
+        assert isinstance(got, MiningError) and str(got) == str(want)
+        return
+    assert len(got) == k
+    for fold_rows, got_model, want_model in zip(training, got, want):
+        assert list(got_model.stages) == list(want_model.stages)
+        assert [serialize_rulebase(rb) for rb in got_model.stages.values()] == \
+            [serialize_rulebase(rb) for rb in want_model.stages.values()]
+        assert got_model._replace(stages=None) == want_model._replace(stages=None)
+        if arrangement is Arrangement.HSC:
+            stage_baskets = {
+                "gate": ([t.items | {NEUTRAL if t.label == NEUTRAL else POLARIZED} for t in fold_rows],
+                         {NEUTRAL, POLARIZED}),
+                "polarity": ([t.basket for t in fold_rows if t.label != NEUTRAL], {POSITIVE, NEGATIVE}),
+            }
+            for stage, (baskets, classes) in stage_baskets.items():
+                rules = {(r.antecedent, r.consequent, r.support, r.confidence) for r in got_model.stages[stage].rules}
+                assert rules == brute_force_rules(baskets, minsup, minconf, classes)
 
 
 def test_hierarchy_consistency_random_tag_sets():

@@ -116,6 +116,18 @@ def test_tag_missing_reversals_is_config_error(tmp_path, capsys):
         assert "nope.txt" in capsys.readouterr().err
 
 
+def test_tag_empty_reversals_is_no_reversal_list(tmp_path, capsys):
+    # an empty --reversals is not given: with or without --lexicon, the output is the one without the flag
+    bundled, _ = default_lexicon_paths()
+    source = tmp_path / "in.txt"
+    source.write_text("Unit costs fell by 6.4 percent\n")
+    for lexicon_flags in ([], ["--lexicon", str(bundled)]):
+        assert main(["tag", "--reversal", *lexicon_flags, str(source)]) == 0
+        want = capsys.readouterr()
+        assert main(["tag", "--reversal", *lexicon_flags, "--reversals", "", str(source)]) == 0
+        assert capsys.readouterr() == want
+
+
 def test_tag_pretagged_malformed_is_data_error(tmp_path, capsys):
     source = tmp_path / "in.txt"
     source.write_text("hello world\n")

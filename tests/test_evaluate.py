@@ -347,7 +347,7 @@ def test_seed_reproducibility(lexicon):
 
 
 def test_span_contract_guard(monkeypatch):
-    """A 10-fold HSC CV trains once per fold and mines each of its two stages once per fold."""
+    """A 10-fold HSC CV trains its folds in one call and counts each of its two stages' lattices once."""
     rng = random.Random(11)
     tags = ["LagInd::UP", "LagInd::DOWN", "POS", "NEG", "LeadInd::UP"]
     transactions = [
@@ -365,12 +365,15 @@ def test_span_contract_guard(monkeypatch):
 
         monkeypatch.setattr(owner, attr, counting)
 
-    # the benchmark's tracer wraps the same attributes
+    # the benchmark's tracer wraps the first three attributes; the fold path calls none of them
     count(evaluate, "train")
     count(classify, "mine_rules")
     count(arm, "mine_frequent")
+    count(evaluate, "train_folds")
+    count(classify, "mine_fold_rules")
+    count(arm, "_join")
     cross_validate(corpus, PipelineConfig(folds=10, seed=3), transactions=transactions)
-    assert counts == {"train": 10, "mine_rules": 20, "mine_frequent": 20}
+    assert counts == {"train_folds": 1, "mine_fold_rules": 2, "_join": 2}
 
 
 def test_mode_filter_reaches_transactions(lexicon):
@@ -430,6 +433,20 @@ def test_sweep_single_point_equals_cross_validate(lexicon):
     assert report_to_json(point.report) == report_to_json(direct)
 
 
+def test_sweep_over_tagged_transactions_equals_the_sweep_from_text(lexicon, monkeypatch):
+    corpus = small_corpus(8, 10, 8)
+    config = PipelineConfig(folds=3, seed=6)
+    grid = [60.0, 75.0, 90.0]
+    from_text = sweep_confidence(corpus, config, grid, lexicon=lexicon)
+    transactions = tag_corpus(corpus, lexicon, config)
+    monkeypatch.setattr(evaluate, "tag_corpus", None)  # given transactions, the sweep tags nothing
+    tagged = sweep_confidence(corpus, config, grid, transactions=transactions)
+    assert [report_to_json(p.report) for p in tagged] == [report_to_json(p.report) for p in from_text]
+    assert sweep_to_csv(tagged) == sweep_to_csv(from_text)
+    with pytest.raises(FoldError, match="one of each per sentence"):
+        sweep_confidence(corpus, config, grid, transactions=transactions[1:])
+
+
 def _random_corpus(rng, k, benchmark_corpus):
     """At least k sentences per class; most keep their own class's text, some take any, so rule confidences vary."""
     by_class = {cls: [t for t, l in zip(benchmark_corpus.texts, benchmark_corpus.labels) if l == cls] for cls in LABELS}
@@ -464,15 +481,16 @@ def test_each_sweep_point_is_a_separate_cross_validation(benchmark_corpus, lexic
 
 
 def test_sweep_span_guard(monkeypatch, lexicon):
-    """A 4-point, 10-fold HSC sweep trains each fold once and mines each of its two stages once."""
+    """A 4-point, 10-fold HSC sweep trains its folds in one call and counts each of its two stages' lattices once."""
     counts = Counter()
-    for owner, attr in ((evaluate, "train"), (classify, "mine_rules"), (arm, "mine_frequent")):
+    for owner, attr in ((evaluate, "train"), (classify, "mine_rules"), (arm, "mine_frequent"),
+                        (evaluate, "train_folds"), (classify, "mine_fold_rules"), (arm, "_join")):
         original = getattr(owner, attr)
         monkeypatch.setattr(owner, attr, lambda *a, _f=original, _n=attr, **kw: counts.update([_n]) or _f(*a, **kw))
     points = sweep_confidence(small_corpus(12, 14, 10), PipelineConfig(folds=10, seed=3),
                               [60.0, 70.0, 80.0, 90.0], lexicon=lexicon)
     assert len(points) == 4
-    assert counts == {"train": 10, "mine_rules": 20, "mine_frequent": 20}
+    assert counts == {"train_folds": 1, "mine_fold_rules": 2, "_join": 2}
 
 
 def test_fold_predictor_labels_each_distinct_tag_set_once(monkeypatch):
@@ -482,7 +500,7 @@ def test_fold_predictor_labels_each_distinct_tag_set_once(monkeypatch):
     rows = [Transaction(rng.choice(tag_sets), LABELS[i % 3]) for i in range(40)]
     config = PipelineConfig(minsup=2.0, minconf=40.0)
     model = evaluate.train_model(rows, config)
-    predict_fn, rule_count = evaluate.pipeline_trainer(config)(rows)
+    predict_fn, rule_count = evaluate._fold_predictor(model)
     assert rule_count == model.rule_count() > 0
     calls = Counter()
     monkeypatch.setattr(evaluate, "predict", lambda m, items: calls.update([items]) or classify.predict(m, items))
