@@ -3,14 +3,14 @@
 Transactions are tag sets with a class label; the label joins the itemset as
 a distinguished item during mining.  Itemsets are generated level-wise as in
 Apriori and counted on vertical tidsets as in Eclat: one int per item whose
-bit i marks row i, so a count is the popcount of an AND.  Cross-validation
-mines each population once and reads each fold's frequent itemsets through a
-mask of its training rows (``mine_fold_rules``).  Rules have the form
-``antecedent -> c`` where the consequent is a single class item, qualified by
-support (joint frequency over all transactions, in percent) and confidence.
-A RuleBase is totally ordered: confidence desc, support desc, antecedent
-length desc, then antecedent and consequent ascending as determinism
-tie-breaks.
+bit i marks row i, so a count is the popcount of an AND; the join keeps only
+tidsets.  Cross-validation joins each population once, splits its itemsets
+into antecedent and class once, and reads each fold's frequent itemsets
+through a mask of its training rows (``mine_fold_rules``).  A rule ``X -> c``
+has a single class item c as consequent and carries support (joint frequency
+over all transactions, in percent) and confidence.  A RuleBase is totally
+ordered: confidence desc, support desc, antecedent length desc, then
+antecedent and consequent ascending as determinism tie-breaks.
 """
 from __future__ import annotations
 
@@ -108,10 +108,9 @@ def _check_percent(value: float, name: str) -> None:
         raise MiningError(f"{name} must be in (0, 100], got {value}")
 
 
-def _join(transactions: Sequence[Transaction], n: float,
-          minsup: float) -> Tuple[Dict[FrozenSet[str], float], Dict[Tuple[str, ...], int]]:
-    """Every itemset over the rows' baskets with support >= minsup percent of
-    ``n`` rows: its support, and its tidset keyed by its sorted items.
+def _join(transactions: Sequence[Transaction], n: float, minsup: float) -> Dict[Tuple[str, ...], int]:
+    """The tidset of every itemset over the rows' baskets with support >= minsup
+    percent of ``n`` rows, keyed by its sorted items.
 
     Level-wise Apriori counted on vertical tidsets, as in Eclat: bit i of an
     item's tidset int is set when row i's basket holds it, so a count is a
@@ -131,27 +130,19 @@ def _join(transactions: Sequence[Transaction], n: float,
     # int() reads the most significant digit first, so row 0's flag goes last
     tidsets = {item: int(bits[::-1].translate(_BINARY_DIGITS), 2) for item, bits in flags.items()}
 
-    frequent: Dict[FrozenSet[str], float] = {}
     lattice: Dict[Tuple[str, ...], int] = {}
-    level: Dict[Tuple[str, ...], int] = {}
-    for item in sorted(tidsets):
-        support = 100.0 * tidsets[item].bit_count() / n
-        if support >= minsup:
-            frequent[frozenset((item,))] = support
-            level[(item,)] = tidsets[item]
+    level = {(item,): tidsets[item] for item in sorted(tidsets)
+             if 100.0 * tidsets[item].bit_count() / n >= minsup}
     while level:
         lattice.update(level)
         next_level: Dict[Tuple[str, ...], int] = {}
         for _, joinable in groupby(level.items(), key=lambda entry: entry[0][:-1]):
             for (a, tids_a), (b, tids_b) in combinations(joinable, 2):
-                candidate = a + b[-1:]
                 tids = tids_a & tids_b
-                support = 100.0 * tids.bit_count() / n
-                if support >= minsup:
-                    frequent[frozenset(candidate)] = support
-                    next_level[candidate] = tids
+                if 100.0 * tids.bit_count() / n >= minsup:
+                    next_level[a + b[-1:]] = tids
         level = next_level
-    return frequent, lattice
+    return lattice
 
 
 def mine_frequent(transactions: Sequence[Transaction], minsup: float) -> Dict[FrozenSet[str], float]:
@@ -159,22 +150,23 @@ def mine_frequent(transactions: Sequence[Transaction], minsup: float) -> Dict[Fr
     if not transactions:
         raise MiningError("cannot mine an empty transaction list")
     _check_percent(minsup, "minsup")
-    return _join(transactions, len(transactions), minsup)[0]
+    n = len(transactions)
+    return {frozenset(items): 100.0 * tids.bit_count() / n for items, tids in _join(transactions, n, minsup).items()}
 
 
-def _rules(frequent: Dict[FrozenSet[str], float], classes: FrozenSet[str], minsup: float, minconf: float) -> RuleBase:
-    """The rule base of ``frequent``'s itemsets that hold exactly one class item and some tag."""
+def _split(itemsets: Iterable[FrozenSet[str]], classes: FrozenSet[str]) -> List[Tuple[frozenset, frozenset, str]]:
+    """``(itemset, antecedent, class)`` for each itemset that holds exactly one class item and some tag."""
+    return [(itemset, itemset - class_items, next(iter(class_items))) for itemset in itemsets
+            if len(class_items := itemset & classes) == 1 and len(itemset) > 1]
+
+
+def _rules(entries: Sequence[tuple], supports: Dict[FrozenSet[str], float], minsup: float, minconf: float) -> RuleBase:
+    """The rule base of the ``_split`` entries whose itemset has a support in ``supports``."""
     _check_percent(minconf, "minconf")
     rules: List[Rule] = []
-    for itemset, sup in frequent.items():
-        class_items = itemset & classes
-        if len(class_items) != 1 or len(itemset) < 2:
-            continue
-        consequent = next(iter(class_items))
-        antecedent = itemset - class_items
-        confidence = 100.0 * sup / frequent[antecedent]
-        if confidence >= minconf:
-            rules.append(Rule(antecedent, consequent, sup, confidence))
+    for itemset, antecedent, consequent in entries:
+        if itemset in supports and (confidence := 100.0 * supports[itemset] / supports[antecedent]) >= minconf:
+            rules.append(Rule(antecedent, consequent, supports[itemset], confidence))
     rules.sort(key=Rule.sort_key)
     return RuleBase(tuple(rules), minsup=minsup, minconf=minconf)
 
@@ -191,8 +183,8 @@ def mine_rules(
     support(X u {c}) / support(X); antecedents are non-empty.
     """
     frequent = mine_frequent(transactions, minsup)
-    return _rules(frequent, frozenset({t.label for t in transactions} if classes is None else classes),
-                  minsup, minconf)
+    classes = frozenset({t.label for t in transactions} if classes is None else classes)
+    return _rules(_split(frequent, classes), frequent, minsup, minconf)
 
 
 def mine_fold_rules(held_out: Sequence[Sequence[Transaction]], minsup: float, minconf: float,
@@ -200,9 +192,10 @@ def mine_fold_rules(held_out: Sequence[Sequence[Transaction]], minsup: float, mi
     """For each held-out row list, the rule base ``mine_rules`` gives on every other list's rows.
 
     All rows are joined once, at the fewest rows a fold trains on, n_min: an itemset frequent
-    among n_f >= n_min rows is so among n_min at its whole count.  A fold, whose mask leaves
-    out its own rows' bits, keeps the itemsets of ``100.0 * (tids & mask).bit_count() / n_f
-    >= minsup``, the float ``mine_frequent`` gives on its rows; with no rows, no rule.
+    among n_f >= n_min rows is so among n_min at its whole count, and the lattice is split into
+    ``_rules`` entries once.  A fold, whose mask leaves out its own rows' bits, keeps the itemsets
+    of ``100.0 * (tids & mask).bit_count() / n_f >= minsup``, the float ``mine_frequent`` gives on
+    its rows; with no rows, no rule.
     """
     _check_percent(minsup, "minsup")
     rows = [t for part in held_out for t in part]
@@ -210,11 +203,12 @@ def mine_fold_rules(held_out: Sequence[Sequence[Transaction]], minsup: float, mi
     masks = [(1 << len(rows)) - 1 ^ (1 << end) - (1 << end - len(part))
              for part, end in zip(held_out, accumulate(map(len, held_out)))]
     # with no row under any mask, the join over infinitely many rows finds nothing frequent
-    lattice = [(frozenset(items), tids) for items, tids in
-               _join(rows, min(filter(None, sizes), default=math.inf), minsup)[1].items()]
-    return [_rules({itemset: support for itemset, tids in lattice
-                    if n and (support := 100.0 * (tids & mask).bit_count() / n) >= minsup},
-                   frozenset(classes), minsup, minconf) for mask, n in zip(masks, sizes)]
+    lattice = {frozenset(items): tids for items, tids in
+               _join(rows, min(filter(None, sizes), default=math.inf), minsup).items()}
+    entries = _split(lattice, frozenset(classes))
+    return [_rules(entries, {itemset: support for itemset, tids in lattice.items()
+                             if n and (support := 100.0 * (tids & mask).bit_count() / n) >= minsup},
+                   minsup, minconf) for mask, n in zip(masks, sizes)]
 
 
 # ---------------------------------------------------------------------------

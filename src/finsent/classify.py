@@ -153,14 +153,13 @@ def predict_flat(
 
 STAGE_GATE = "gate"
 STAGE_POLARITY = "polarity"
-STAGE_MULTICLASS = "multiclass"
 
 # the stage rule bases each arrangement trains and predicts with, in order,
 # and the classes each stage separates; the gate's polarized class stands for
 # every class but neutral
 _STAGES: Dict[Arrangement, Dict[str, Tuple[str, ...]]] = {
     Arrangement.HSC: {STAGE_GATE: (NEUTRAL, POLARIZED), STAGE_POLARITY: (NEGATIVE, POSITIVE)},
-    Arrangement.MULTICLASS: {STAGE_MULTICLASS: CLASSES},
+    Arrangement.MULTICLASS: {"multiclass": CLASSES},
     Arrangement.ONE_VS_ONE: {
         "-".join(sorted(pair)): pair
         for pair in ((POSITIVE, NEUTRAL), (POSITIVE, NEGATIVE), (NEUTRAL, NEGATIVE))
@@ -263,12 +262,10 @@ def predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
             return gate
         return predict_flat(tags, model.stages[STAGE_POLARITY], model.stage2_default, policy, scoring)
 
-    if model.arrangement is Arrangement.MULTICLASS:
-        return predict_flat(tags, model.stages[STAGE_MULTICLASS], NEUTRAL, policy, scoring)
-
+    # multiclass is a one-stage vote; each stage defaults to its first class in tie order
     votes: Dict[str, int] = {}
-    for stage, pair in _STAGES[Arrangement.ONE_VS_ONE].items():
-        vote = predict_flat(tags, model.stages[stage], min(pair, key=_TIE_RANK.get), policy, scoring)
+    for stage, classes in _STAGES[model.arrangement].items():
+        vote = predict_flat(tags, model.stages[stage], min(classes, key=_TIE_RANK.get), policy, scoring)
         votes[vote] = votes.get(vote, 0) + 1
     return min(votes, key=lambda cls: (-votes[cls], _TIE_RANK.get(cls, len(_TIE_RANK))))
 

@@ -5,10 +5,11 @@ positive / neutral / negative).  Evaluation is stratified k-fold: every fold's
 per-class count is within one example of the proportional share, assignment is
 deterministic given the seed, and the union of held-out folds is the corpus.
 Reports carry per-class precision / recall / F-measure / one-vs-rest accuracy,
-the overall accuracy, the confusion matrix, and a per-fold breakdown.  A
-cross-validation mines each stage once and reads each fold's rules through a
-mask of its training rows; a minconf sweep filters them per grid value.  A
-fold model labels each distinct tag set once.
+the overall accuracy, the confusion matrix, and a per-fold breakdown.
+Cross-validation is the one-point case of the minconf sweep: one fold loop
+joins each stage's lattice of tidsets and splits it into rules once, reads
+each fold's rules through a mask of its training rows, and filters them per
+grid value.  A fold model labels each distinct tag set once.
 """
 from __future__ import annotations
 
@@ -358,6 +359,33 @@ def _score_folds(corpus: Corpus, config: PipelineConfig, folds: FoldPlan, transa
                              fold_results)
 
 
+def _at_minconf(model: ClassifierModel, minconf: float) -> ClassifierModel:
+    """``model`` as training at ``minconf``, no lower than its own, would mine it:
+    each stage keeps its rules of at least that confidence, in the same order."""
+    return model._replace(stages={
+        stage: RuleBase(tuple(r for r in rb.rules if r.confidence >= minconf), rb.minsup, minconf)
+        for stage, rb in model.stages.items()
+    })
+
+
+def _fold_reports(corpus: Corpus, config: PipelineConfig, grid: Sequence[float], folds: Optional[FoldPlan],
+                  lexicon: Optional[Lexicon], trainer: Optional[Trainer],
+                  transactions: Optional[Sequence[Transaction]]) -> List[EvalReport]:
+    """``cross_validate``'s report at each minconf of ``grid``, as ``sweep_confidence`` describes."""
+    folds = folds or make_folds(corpus, config.folds, config.seed)
+    if not grid:
+        return []
+    if transactions is None:
+        transactions = tag_corpus(corpus, lexicon, config)
+    held_out = _held_out(corpus, folds, transactions)
+    if trainer is not None:
+        models = [trainer([t for t, f in zip(transactions, folds.assignment) if f != fold]) for fold in range(folds.k)]
+        return [_score_folds(corpus, config, folds, transactions, models)]
+    models = train_folds(held_out, **_training_options(replace(config, minconf=min(grid))))
+    return [_score_folds(corpus, replace(config, minconf=minconf), folds, transactions,
+                         [_fold_predictor(_at_minconf(model, minconf)) for model in models]) for minconf in grid]
+
+
 def cross_validate(
     corpus: Corpus,
     config: PipelineConfig,
@@ -372,25 +400,7 @@ def cross_validate(
     entry per corpus sentence, ``folds`` assigns a sentence to no fold in
     ``0..k-1``, or one fold holds every sentence and so has no training rows.
     """
-    folds = folds or make_folds(corpus, config.folds, config.seed)
-    if transactions is None:
-        transactions = tag_corpus(corpus, lexicon, config)
-    held_out = _held_out(corpus, folds, transactions)
-    if trainer is None:
-        fold_models = [_fold_predictor(model) for model in train_folds(held_out, **_training_options(config))]
-    else:
-        fold_models = [trainer([t for t, f in zip(transactions, folds.assignment) if f != fold])
-                       for fold in range(folds.k)]
-    return _score_folds(corpus, config, folds, transactions, fold_models)
-
-
-def _at_minconf(model: ClassifierModel, minconf: float) -> ClassifierModel:
-    """``model`` as training at ``minconf``, no lower than its own, would mine it:
-    each stage keeps its rules of at least that confidence, in the same order."""
-    return model._replace(stages={
-        stage: RuleBase(tuple(r for r in rb.rules if r.confidence >= minconf), rb.minsup, minconf)
-        for stage, rb in model.stages.items()
-    })
+    return _fold_reports(corpus, config, [config.minconf], folds, lexicon, trainer, transactions)[0]
 
 
 @dataclass(frozen=True)
@@ -409,29 +419,18 @@ def sweep_confidence(
 ) -> List[SweepPoint]:
     """One cross-validated report per minimum-confidence grid value.
 
-    Each point's report is the one ``cross_validate`` gives at its minconf,
-    on the same ``transactions``, if given.  The corpus is tagged once and
-    each stage mined once, with each fold read through a mask, at the lowest
-    grid value: a rule base mined at a higher minconf is the lower one's rules
-    of at least that confidence, in the same order (as in CBA), so each point
+    ``cross_validate`` is its one-point case: both run one fold loop, which
+    tags the corpus once, unless ``transactions`` is given, and at the lowest
+    grid value joins each stage's lattice, of tidsets only, and splits its
+    itemsets into antecedent and class once, reading each fold through a
+    mask.  A rule base mined at a higher minconf is the lower one's rules of
+    at least that confidence, in the same order (as in CBA), so each point
     filters the fold models.  An empty grid tags nothing and returns ``[]``.
     """
     for value in grid:
         if not (0.0 < value <= 100.0):
             raise FoldError(f"minconf grid values must be in (0, 100], got {value}")
-    folds = folds or make_folds(corpus, config.folds, config.seed)
-    if not grid:
-        return []
-    if transactions is None:
-        transactions = tag_corpus(corpus, lexicon, config)
-    lowest = replace(config, minconf=min(grid))
-    models = train_folds(_held_out(corpus, folds, transactions), **_training_options(lowest))
-    points: List[SweepPoint] = []
-    for minconf in grid:
-        fold_models = [_fold_predictor(_at_minconf(model, minconf)) for model in models]
-        report = _score_folds(corpus, replace(config, minconf=minconf), folds, transactions, fold_models)
-        points.append(SweepPoint(minconf, report))
-    return points
+    return list(map(SweepPoint, grid, _fold_reports(corpus, config, grid, folds, lexicon, None, transactions)))
 
 
 # ---------------------------------------------------------------------------

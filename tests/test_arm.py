@@ -13,6 +13,7 @@ from finsent.arm import (
     RuleBaseFormatError,
     Transaction,
     dump_transactions,
+    mine_fold_rules,
     mine_frequent,
     mine_rules,
     parse_rulebase,
@@ -218,6 +219,15 @@ def test_raising_minconf_never_adds_rules(seed):
         for minconf in (50.0, 60.0, 75.0, 90.0, 100.0)
     ]
     assert counts == sorted(counts, reverse=True)
+
+
+def test_fold_rules_read_a_one_shot_classes_iterable_once():
+    part = [Transaction(frozenset({"UP"}), "a"), Transaction(frozenset({"DOWN"}), "b")]
+    held_out = [part, list(part)]
+    want = [mine_rules(part, 10.0, 50.0, classes=("a", "b"))] * 2
+    assert mine_fold_rules(held_out, 10.0, 50.0, ("a", "b")) == want
+    assert mine_fold_rules(held_out, 10.0, 50.0, iter(["a", "b"])) == want
+    assert [len(rb) for rb in want] == [2, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -346,34 +346,35 @@ def test_seed_reproducibility(lexicon):
     assert report_to_json(a) == report_to_json(b)
 
 
-def test_span_contract_guard(monkeypatch):
-    """A 10-fold HSC CV trains its folds in one call and counts each of its two stages' lattices once."""
+def _guard_cross_validate(lexicon):
     rng = random.Random(11)
     tags = ["LagInd::UP", "LagInd::DOWN", "POS", "NEG", "LeadInd::UP"]
     transactions = [
         Transaction(frozenset(rng.sample(tags, rng.randint(0, 3))), LABELS[i % 3]) for i in range(60)
     ]
     corpus = Corpus(tuple(dump_transactions(transactions).splitlines()), tuple(t.label for t in transactions))
-    counts = Counter()
-
-    def count(owner, attr):
-        original = getattr(owner, attr)
-
-        def counting(*args, **kwargs):
-            counts[attr] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, counting)
-
-    # the benchmark's tracer wraps the first three attributes; the fold path calls none of them
-    count(evaluate, "train")
-    count(classify, "mine_rules")
-    count(arm, "mine_frequent")
-    count(evaluate, "train_folds")
-    count(classify, "mine_fold_rules")
-    count(arm, "_join")
     cross_validate(corpus, PipelineConfig(folds=10, seed=3), transactions=transactions)
-    assert counts == {"train_folds": 1, "mine_fold_rules": 2, "_join": 2}
+
+
+def _guard_sweep_confidence(lexicon):
+    points = sweep_confidence(small_corpus(12, 14, 10), PipelineConfig(folds=10, seed=3),
+                              [60.0, 70.0, 80.0, 90.0], lexicon=lexicon)
+    assert len(points) == 4
+
+
+@pytest.mark.parametrize("run", [_guard_cross_validate, _guard_sweep_confidence],
+                         ids=["cross_validate", "sweep_confidence"])
+def test_span_contract_guard(monkeypatch, lexicon, run):
+    """A 10-fold HSC cross-validation, or a 4-point sweep, trains its folds in one call, and joins each
+    of its two stages' lattices and splits it into rule entries once."""
+    counts = Counter()
+    # the benchmark's tracer wraps the first three attributes; the fold path calls none of them
+    for owner, attr in ((evaluate, "train"), (classify, "mine_rules"), (arm, "mine_frequent"),
+                        (evaluate, "train_folds"), (classify, "mine_fold_rules"), (arm, "_join"), (arm, "_split")):
+        original = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, _f=original, _n=attr, **kw: counts.update([_n]) or _f(*a, **kw))
+    run(lexicon)
+    assert counts == {"train_folds": 1, "mine_fold_rules": 2, "_join": 2, "_split": 2}
 
 
 def test_mode_filter_reaches_transactions(lexicon):
@@ -478,19 +479,6 @@ def test_each_sweep_point_is_a_separate_cross_validation(benchmark_corpus, lexic
     for point in points:
         direct = cross_validate(corpus, replace(config, minconf=point.minconf), lexicon=lexicon)
         assert report_to_json(point.report) == report_to_json(direct)
-
-
-def test_sweep_span_guard(monkeypatch, lexicon):
-    """A 4-point, 10-fold HSC sweep trains its folds in one call and counts each of its two stages' lattices once."""
-    counts = Counter()
-    for owner, attr in ((evaluate, "train"), (classify, "mine_rules"), (arm, "mine_frequent"),
-                        (evaluate, "train_folds"), (classify, "mine_fold_rules"), (arm, "_join")):
-        original = getattr(owner, attr)
-        monkeypatch.setattr(owner, attr, lambda *a, _f=original, _n=attr, **kw: counts.update([_n]) or _f(*a, **kw))
-    points = sweep_confidence(small_corpus(12, 14, 10), PipelineConfig(folds=10, seed=3),
-                              [60.0, 70.0, 80.0, 90.0], lexicon=lexicon)
-    assert len(points) == 4
-    assert counts == {"train_folds": 1, "mine_fold_rules": 2, "_join": 2}
 
 
 def test_fold_predictor_labels_each_distinct_tag_set_once(monkeypatch):
