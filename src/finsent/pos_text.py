@@ -7,12 +7,12 @@ closed-vocabulary plus suffix-heuristic tagger: POS quality is not the point
 of this package, and any external tagger's output can be ingested through the
 pre-tagged format instead.  The tokenizer keeps a plain unit (all letters and
 digits, most units of news text) as one token and splits only the others; the
-tagger runs its rule chain once per token, lowercasing it at most once.
+tagger decides each distinct token once, keeping its decision in a bounded table.
 """
 from __future__ import annotations
 
-from functools import cached_property
-from typing import List, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .record import Record
 
@@ -211,35 +211,50 @@ _CLOSED_VOCAB = {
 }
 
 
-def pos_tags(tokens: Sequence[str]) -> List[str]:
-    """Closed-vocabulary + suffix-heuristic POS tags for ``tokens``.
+_TABLE_SIZE = 2**14  # distinct tokens decided: numbers and names make a vocabulary open-ended
 
-    Deterministic and dependency-free; adequate for the chunk grammars this
-    package ships.  The first rule that applies, in the order below, tags a token.
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _decide(tok: str) -> Tuple[str, bool, bool]:
+    """A token's tag at position 0; whether a capital makes it NNP after that; whether TO/MD makes it VB."""
+    if not isinstance(tok, str) or not tok:
+        raise TypeError(tok)
+    if tok in _SYMBOL_TAGS:
+        return _SYMBOL_TAGS[tok], False, False
+    if tok[0].isdigit() or (len(tok) > 1 and tok[0] in "+-" and tok[1].isdigit()):
+        return "CD", False, False
+    if (lower := tok.lower()) in _CLOSED_VOCAB:
+        return _CLOSED_VOCAB[lower], False, False
+    if lower.endswith("ly"):
+        tag = "RB"
+    elif lower.endswith("ing") and len(lower) > 4:
+        tag = "VBG"
+    elif lower.endswith("ed") and len(lower) > 3:
+        tag = "VBD"
+    elif lower.endswith("s") and not lower.endswith(("ss", "us", "is")) and len(lower) > 2:
+        tag = "NNS"
+    else:
+        tag = "NN"
+    return tag, tok[0].isupper(), tok.isalpha()
+
+
+def pos_tags(tokens: Sequence[str]) -> List[str]:
+    """Closed-vocabulary + suffix-heuristic POS tags for ``tokens``; a token not a non-empty str is a PosTextError.
+
+    Deterministic and dependency-free; adequate for the chunk grammars this package ships.  The first rule that
+    applies tags a token: symbol, number, closed vocabulary, NNP for a capital after position 0, VB after TO or MD,
+    then suffix.  ``_decide`` runs them once per distinct token; only the two context rules run per position.
     """
     tags: List[str] = []
-    for i, tok in enumerate(tokens):
-        if tok in _SYMBOL_TAGS:
-            tag = _SYMBOL_TAGS[tok]
-        elif tok[0].isdigit() or (len(tok) > 1 and tok[0] in "+-" and tok[1].isdigit()):
-            tag = "CD"
-        elif (lower := tok.lower()) in _CLOSED_VOCAB:
-            tag = _CLOSED_VOCAB[lower]
-        elif i > 0 and tok[0].isupper():
-            tag = "NNP"
-        elif i > 0 and tags[-1] in ("TO", "MD") and tok.isalpha():
-            tag = "VB"
-        elif lower.endswith("ly"):
-            tag = "RB"
-        elif lower.endswith("ing") and len(lower) > 4:
-            tag = "VBG"
-        elif lower.endswith("ed") and len(lower) > 3:
-            tag = "VBD"
-        elif lower.endswith("s") and not lower.endswith(("ss", "us", "is")) and len(lower) > 2:
-            tag = "NNS"
-        else:
-            tag = "NN"
-        tags.append(tag)
+    try:
+        for tok in tokens:
+            tag, proper, verb = _decide(tok)
+            if tags and (proper or verb and tags[-1] in ("TO", "MD")):
+                tag = "NNP" if proper else "VB"
+            tags.append(tag)
+    except TypeError:  # a bad token (an unhashable one fails in the table's lookup)
+        why = "one word" if isinstance(tok := tokens[len(tags)], str) else "a string"
+        raise PosTextError(f"token {len(tags) + 1} {tok!r}: surface is not {why}") from None
     return tags
 
 

@@ -15,6 +15,7 @@ from finsent.pos_text import (
     PENN_TAGS,
     PosSentence,
     PosTextError,
+    _decide,
     ingest_pretagged,
     pos_tags,
     tag_raw,
@@ -186,3 +187,66 @@ _POS_TOKENS = st.one_of(
 @settings(max_examples=500, deadline=None)
 def test_pos_tags_match_rule_chain_oracle(tokens):
     assert pos_tags(tokens) == rule_chain_pos_tags(tokens)
+
+
+@given(st.lists(st.lists(_POS_TOKENS, min_size=1, max_size=12), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_warm_decision_table_matches_rule_chain_oracle(sentences):
+    # each token's decision is made wherever it is first seen; every later sentence reads it back
+    for tokens in [*sentences, *reversed(sentences)]:
+        assert pos_tags(tokens) == rule_chain_pos_tags(tokens)
+
+
+@pytest.mark.parametrize(
+    "first, then, tags",
+    [
+        (["EUR"], ["from", "EUR"], ["IN", "NNP"]),
+        (["Increase"], ["sales", "Increase"], ["NNS", "NNP"]),
+        (["Increase"], ["to", "Increase"], ["TO", "NNP"]),
+        (["increase"], ["to", "increase"], ["TO", "VB"]),
+        (["increases"], ["will", "increases"], ["MD", "VB"]),
+        (["to", "expand"], ["expand", "to"], ["NN", "TO"]),
+        (["from", "Nokia"], ["Nokia"], ["NN"]),
+    ],
+)
+def test_decision_read_back_in_another_position(first, then, tags):
+    pos_tags(first)  # decides the shared token in its first position
+    assert pos_tags(then) == rule_chain_pos_tags(then) == tags
+
+
+def _letters(i):
+    return "".join("abcdefghij"[int(d)] for d in str(i))
+
+
+def test_decision_table_stays_bounded():
+    before = _decide.cache_info()
+    assert before.maxsize is not None
+    # letters-only fresh words (so the VB rule can fire), some capitalised, across the suffix rules
+    fresh = [
+        f"{'Q' if i % 3 == 0 else 'q'}wz{_letters(i)}{('', 'ly', 'ing', 'ed', 's')[i % 5]}"
+        for i in range(before.maxsize + 10)
+    ]
+    for start in range(0, len(fresh), 8):
+        tokens = ["to", *fresh[start : start + 8]]
+        assert pos_tags(tokens) == rule_chain_pos_tags(tokens)
+    after = _decide.cache_info()
+    assert after.misses - before.misses >= len(fresh)
+    assert after.currsize <= after.maxsize
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        ([""], "token 1 '': surface is not one word"),
+        (["sales", "rose", ""], "token 3 '': surface is not one word"),
+        ([None], "token 1 None: surface is not a string"),
+        ([3], "token 1 3: surface is not a string"),
+        (["to", ["cut"]], "token 2 ['cut']: surface is not a string"),
+        (["rose", ("1",)], "token 2 ('1',): surface is not a string"),
+        (["sales", b"rose"], "token 2 b'rose': surface is not a string"),
+    ],
+)
+def test_pos_tags_names_a_bad_token(tokens, message):
+    with pytest.raises(PosTextError, match=f"^{re.escape(message)}$"):
+        pos_tags(tokens)
+    assert pos_tags(["sales", "rose"]) == ["NNS", "VBD"]
