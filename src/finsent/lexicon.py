@@ -59,22 +59,25 @@ def normalize_phrase(phrase: Union[str, Sequence[str]]) -> str:
 
 
 class Lexicon(Record):
-    """Immutable category lexicon with case-insensitive exact-phrase lookup."""
+    """Immutable category lexicon with case-insensitive exact-phrase lookup.
+
+    ``_trie`` is a dict of dicts, one edge per word; a phrase's last node holds
+    ``(category, phrase)`` under the key ``None``.  It holds only the keys ``k``
+    with ``k and normalize_phrase(k) == k``, the ones ``lookup`` can hit.
+    """
 
     _fields = ("entries", "reversal_terms")
-    __slots__ = (*_fields, "_reach")
+    __slots__ = (*_fields, "_trie")
 
     def __init__(self, entries: Mapping[str, LexCategory], reversal_terms: frozenset = frozenset()) -> None:
-        reach: dict = {}  # first word -> word count of the longest entry it starts
-        for phrase in entries:
-            words = phrase.split()
-            if words:
-                reach[words[0]] = max(reach.get(words[0], 0), len(words))
-        self._set(entries=entries, reversal_terms=reversal_terms, _reach=reach)
-
-    def reach(self, word: str) -> int:
-        """Word count of the longest entry whose first word is ``word`` (0 if none)."""
-        return self._reach.get(word, 0)
+        trie: dict = {}
+        for phrase, category in entries.items():
+            if phrase and normalize_phrase(phrase) == phrase:
+                node = trie
+                for word in phrase.split(" "):
+                    node = node.setdefault(word, {})
+                node[None] = (category, phrase)
+        self._set(entries=entries, reversal_terms=reversal_terms, _trie=trie)
 
     def lookup(self, phrase: Union[str, Sequence[str]]) -> Optional[LexCategory]:
         """Exact-phrase lookup of a token sequence (or string); None if absent."""
@@ -114,25 +117,18 @@ def load_lexicon(path: Union[str, Path], reversals_path: Union[str, Path, None] 
             category = LexCategory(parts[1])
         except ValueError:
             raise LexiconError(f"{path}:{lineno}: unknown category {parts[1]!r}") from None
-        previous = entries.get(phrase)
-        if previous is not None and previous is not category:
-            raise LexiconError(
-                f"{path}:{lineno}: {phrase!r} listed under both "
-                f"{previous.value} and {category.value}"
-            )
-        entries[phrase] = category
+        if entries.setdefault(phrase, category) is not category:
+            raise LexiconError(f"{path}:{lineno}: {phrase!r} listed under both "
+                               f"{entries[phrase].value} and {category.value}")
 
     reversal_terms: set = set()
     if reversals_path:
         rpath = Path(reversals_path)
         for lineno, line in _iter_data_lines(rpath):
             phrase = normalize_phrase(line)
-            category = entries.get(phrase)
-            if category not in INDICATOR_CATEGORIES:
-                raise LexiconError(
-                    f"{rpath}:{lineno}: reversal term {phrase!r} is not a "
-                    "lagging/leading indicator entry"
-                )
+            if entries.get(phrase) not in INDICATOR_CATEGORIES:
+                raise LexiconError(f"{rpath}:{lineno}: reversal term {phrase!r} is not a "
+                                   "lagging/leading indicator entry")
             reversal_terms.add(phrase)
 
     return Lexicon(entries=entries, reversal_terms=frozenset(reversal_terms))

@@ -16,9 +16,9 @@ is built in four passes:
 4. POS/NEG sentiment words are collected token-wise, independent of chunking.
 
 Every token's surface is one word, lowercased once per sentence.  The lexicon
-is read once per sentence into one list of hits: only the tokens whose word
-starts an entry are visited, and at each the n-grams of up to that word's
-longest entry are looked up (see ``_lexicon_hits``).
+is read once per sentence into one list of hits by walking its word trie from
+each token whose word starts an entry, with no n-gram lookup (see
+``_lexicon_hits``).
 Chunking yields a span table, each chunk's ``(label, start, end)`` in
 pre-order, and builds no tree.  Both grammars' tables are read through
 ``pair_nodes``, one scan per table.  Passes 1 and 2 take the longest hit
@@ -176,16 +176,18 @@ def _lexicon_hits(lex: Lexicon, words: Sequence[str]) -> Tuple[_Hit, ...]:
     Each surface is one word (``PosSentence`` holds no other), so an n-gram's
     normalized words are its ``words`` (lowercasing word by word is the same:
     a space ends the context of final sigma, the one contextual mapping).  It
-    can be an entry only if its first word starts one and it is no longer than
-    the longest entry that word starts (``lex.reach``); only those are looked up.
+    is an entry exactly when it spells a path of ``lex``'s word trie that ends
+    on a phrase; only the starts whose word is in the trie's root are walked.
     """
-    n = len(words)
-    hits = []
-    for start, reach in [(start, reach) for start, reach in enumerate(map(lex.reach, words)) if reach]:
-        for end in range(min(n, start + reach), start, -1):
-            category = lex.lookup(words[start:end])
-            if category is not None:
-                hits.append(_Hit(category, " ".join(words[start:end]), start, end))
+    trie, n = lex._trie, len(words)
+    hits: List[_Hit] = []
+    for start in [start for start, word in enumerate(words) if word in trie]:
+        mark, node, end = len(hits), trie[words[start]], start + 1
+        while node is not None:
+            if None in node:  # a longer phrase goes before the shorter ones of its start
+                hits.insert(mark, _Hit(*node[None], start, end))
+            node = node.get(words[end]) if end < n else None
+            end += 1
     return tuple(hits)
 
 

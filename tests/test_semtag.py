@@ -1,5 +1,6 @@
 import functools
 import math
+import pickle
 import random
 import sys
 from collections.abc import Sequence
@@ -18,6 +19,7 @@ from finsent.lexicon import (
     LexCategory,
     Lexicon,
     load_default_lexicon,
+    normalize_phrase,
 )
 from finsent.pos_text import PosSentence, PosTextError, tag_raw
 from finsent.semtag import (
@@ -212,17 +214,64 @@ _CATEGORY_SETS = [
 @example(["ΑΣ", "ΣΑΣ", "ΑΣΑΣ", "ROSE", "Σ", "NET", "ΑΣ"])
 @settings(max_examples=300, deadline=None)
 def test_hit_list_matches_lookup_oracles(surfaces):
-    hits = _lexicon_hits(_OVERLAP_LEX, [surface.lower() for surface in surfaces])
-    assert [tuple(hit) for hit in hits] == lookup_hits(_OVERLAP_LEX, surfaces)
+    _assert_hits_match_lookup_oracles(_OVERLAP_LEX, surfaces)
+
+
+def _assert_hits_match_lookup_oracles(lex, surfaces):
+    hits = _lexicon_hits(lex, [surface.lower() for surface in surfaces])
+    assert [tuple(hit) for hit in hits] == lookup_hits(lex, surfaces)
     n = len(surfaces)
     for categories in _CATEGORY_SETS:
         scanned = [tuple(hit) for hit in _scan(hits, categories)]
-        assert scanned == list(lookup_scan(_OVERLAP_LEX, surfaces, categories))
+        assert scanned == list(lookup_scan(lex, surfaces, categories))
         for start in range(n):
             for end in range(start + 1, n + 1):
                 found = _find_in_span(hits, start, end, categories)
-                expected = lookup_find_in_span(_OVERLAP_LEX, surfaces, start, end, categories)
+                expected = lookup_find_in_span(lex, surfaces, start, end, categories)
                 assert (found and tuple(found)) == expected, (start, end, categories)
+
+
+# Random lexicons over a few words, so entries share prefixes: entries of 1-5
+# words; long entries (4-5 words) whose 2- and 3-word prefixes are not entries,
+# so a walk must pass nodes that end no phrase; and keys load_lexicon would
+# normalize, which no lookup hits.  Sentences are runs of entry words and
+# single words, each in one of three cases.  Mutants this catches: a walk that
+# keeps only the longest end of each start, one that stops at a node ending no
+# phrase, a trie built from every key normalized (it hits "Net Sales"), and a
+# pickled lexicon rebuilt without its trie.
+_VOCAB = ["net", "sales", "rose", "fell", "order", "book", "strong", "the"]
+_CATEGORIES = st.sampled_from(list(LexCategory))
+_UNNORMALIZE = [str.title, str.upper, lambda key: key.replace(" ", "  ", 1), lambda key: key + " ",
+                lambda key: ""]
+
+
+def _vocab_phrases(min_size, max_size):
+    return st.lists(st.sampled_from(_VOCAB), min_size=min_size, max_size=max_size).map(" ".join)
+
+
+@st.composite
+def _random_lexicons(draw):
+    entries = draw(st.dictionaries(_vocab_phrases(1, 5), _CATEGORIES, max_size=12))
+    for phrase in draw(st.lists(_vocab_phrases(4, 5), max_size=3)):
+        words = phrase.split()
+        for k in (2, 3):
+            entries.pop(" ".join(words[:k]), None)
+        entries[phrase] = draw(_CATEGORIES)
+    for phrase in draw(st.lists(_vocab_phrases(1, 3), max_size=4)):
+        entries[draw(st.sampled_from(_UNNORMALIZE))(phrase)] = draw(_CATEGORIES)
+    return Lexicon(entries=entries)
+
+
+@given(_random_lexicons(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_random_lexicon_hits_match_lookup_oracles(lex, data):
+    pieces = [phrase.split() for phrase in lex.entries if phrase.strip()] + [[word] for word in _VOCAB]
+    runs = data.draw(st.lists(st.sampled_from(pieces), max_size=6))
+    surfaces = [data.draw(st.sampled_from([word.lower(), word.title(), word.upper()]))
+                for run in runs for word in run]
+    _assert_hits_match_lookup_oracles(lex, surfaces)
+    words = [surface.lower() for surface in surfaces]
+    assert _lexicon_hits(pickle.loads(pickle.dumps(lex)), words) == _lexicon_hits(lex, words)
 
 
 # A Lexicon built directly may hold keys that load_lexicon would normalize:
@@ -349,17 +398,15 @@ def test_span_query_reads_only_its_span():
 
 
 # Work counts of one fixed long sentence (153 tokens, three copies of 51).
-# Only a token whose word starts an entry is looked up, once per length from
-# its longest entry's word count down to 1.  Each copy has 14 such tokens: 12
-# start one-word entries (sales, rose, costs, fell, orders, increased, strong,
-# lawsuit, lower; sales, costs and orders twice) and 2 start "operating
-# profit", so a copy costs 12 + 2 * 2 = 16 lookups and the sentence 3 * 16.
+# Tagging reads the lexicon through its word trie alone: no phrase is looked
+# up or normalized (the trie is built with the lexicon, before counting starts;
+# reversal is off, so ``is_reversal`` never runs).
 GUARD_SENTENCE = (
     "Operating profit and net sales rose in the first quarter , while costs fell and orders increased "
     "compared to the weak market in Finland , and the strong order book of the company supported sales "
     "although the lawsuit and lower prices in Sweden weighed on operating profit , costs and orders "
 ) * 3
-GUARD_LOOKUPS = 48
+GUARD_LOOKUPS = GUARD_NORMALIZATIONS = 0
 # One chunk (interactions are found, so the numeric grammar never runs), the
 # candidate pairs of the NPJJ nodes, and one span query per indicator chunk of
 # a node plus one per modifier chunk of a node whose indicators hold a hit.
@@ -372,7 +419,7 @@ def test_work_count_guard(monkeypatch):
         "rose": "UP", "increased": "UP", "fell": "DOWN", "lower": "DOWN",
         "strong": "POS", "lawsuit": "NEG",
     })
-    counts = {"lookup": 0, "step": 0, "chunk": 0, "pairs": 0, "find": 0}
+    counts = {"lookup": 0, "normalize": 0, "step": 0, "chunk": 0, "pairs": 0, "find": 0}
     lookup, step = Lexicon.lookup, chunker._step
     semtag_chunk, semtag_extract_pairs = semtag.chunk, semtag.extract_pairs
     find_in_span = semtag._find_in_span
@@ -380,6 +427,10 @@ def test_work_count_guard(monkeypatch):
     def counting_lookup(self, phrase):
         counts["lookup"] += 1
         return lookup(self, phrase)
+
+    def counting_normalize(phrase):
+        counts["normalize"] += 1
+        return normalize_phrase(phrase)
 
     def counting_step(rule, states, symbol):
         counts["step"] += 1
@@ -398,8 +449,9 @@ def test_work_count_guard(monkeypatch):
         counts["find"] += 1
         return find_in_span(hits, start, end, categories)
 
-    # the benchmark's tracer wraps the same attributes
+    # the benchmark's tracer wraps Lexicon.lookup, semtag.chunk and semtag.extract_pairs too
     monkeypatch.setattr(Lexicon, "lookup", counting_lookup)
+    monkeypatch.setattr("finsent.lexicon.normalize_phrase", counting_normalize)
     monkeypatch.setattr(chunker, "_step", counting_step)
     monkeypatch.setattr(semtag, "chunk", counting_chunk)
     monkeypatch.setattr(semtag, "extract_pairs", counting_extract_pairs)
@@ -408,6 +460,7 @@ def test_work_count_guard(monkeypatch):
     assert len(sentence) == 153
     assert SemTag.LEADIND_UP in tag_sentence(sentence, lex).tags
     assert counts["lookup"] == GUARD_LOOKUPS
+    assert counts["normalize"] == GUARD_NORMALIZATIONS
     assert counts["chunk"] == GUARD_CHUNKS
     assert counts["pairs"] == GUARD_PAIRS
     assert counts["find"] == GUARD_SPAN_QUERIES
