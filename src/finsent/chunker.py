@@ -27,13 +27,8 @@ are one string of codes.  A run rule, whose automaton has one position, accepts
 a run of one class of symbols (``<JJ.*>*``, ``<VB.*>``).  Run rules in a row
 share one pass, a ``re.finditer`` over the string, while their classes are
 disjoint and hold no label of the pass; for a run, greedy leftmost is longest.
-A run rule with no repeat whose class is its own code alone (``CD: {<CD>}``)
-is symbol-neutral: its pass leaves it out of the regex and reads its chunks
-off the pass's input.  Equal rules share one pass; the pass a plan opens with
-(of no rule, if need be) keeps a one-sentence slot, keyed by the identity of
-``pos_tags``: the tags' codes and the symbols, starts and chunks after it.  So
-the numeric grammar, whose first pass is the pair grammar's plus a neutral
-CD rule, continues from the pair grammar's state on the same sentence.
+``CD: {<CD>}``, whose class is its own code, joins a pass like any run rule.
+Each call encodes the sentence's tags and runs its plan from the first step.
 A grammar is its rules' text; its first parse plans its steps, cached by the
 grammar's value, and the plan holds all that chunking runs on: each label's
 code, each atom's class (the codes of the names its body fully matches), the
@@ -332,19 +327,17 @@ def _apply_rule(rule: tuple, symbols: str) -> list:
     return matches
 
 
-@lru_cache(maxsize=256)
-def _run_pass(rules: tuple) -> list:
-    """Run rules in a row as one pass, one object per value of the rules: ``[regex, labels, slot]``.
-    ``labels`` gives by group number its rule's ``(label, code)``; see the module docstring for ``slot``."""
+def _run_pass(rules: list) -> tuple:
+    """Run rules in a row as one pass: ``(regex, labels)``, ``labels`` giving by group number its rule's
+    ``(label, code)``."""
     regex = "|".join(f"([{''.join(map(re.escape, sorted(c)))}]{run})" for _, _, c, run in rules)
-    labels = (None,) + tuple((label, code) for label, code, _, _ in rules)
-    return [re.compile(regex or "(?!)"), labels, (None,)]  # with no rule, it matches nowhere
+    return re.compile(regex), (None,) + tuple((label, code) for label, code, _, _ in rules)
 
 
 @lru_cache(maxsize=64)
 def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
-    """The grammar's steps: a run pass ``(pass, neutral)``, or a rule to run as a lazy DFA,
-    ``(label, code, follow, last, classes, transitions)``.  The first is a pass, of no rule if need be.
+    """The grammar's steps: a run pass ``(regex, labels)``, or a rule to run as a lazy DFA,
+    ``(label, code, follow, last, classes, transitions)``.
 
     A label's code is the next after the Penn tags' and the earlier labels' (a
     name keeps its first code).  An atom's class is the set of codes of the Penn
@@ -352,10 +345,10 @@ def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
     can meet; ``classes`` holds each position's.  ``transitions`` maps ``(state
     set, code)`` to ``(next state set or None, accepting)``, filled as matches
     first take them: equal grammars share one plan, and so their DFA transitions.
-    A pass's regex leaves out its symbol-neutral rules; ``neutral`` holds each
-    one's label and the ``finditer`` of its code.
+    A run rule joins the pass before it while its class is disjoint from the
+    codes that pass's rules accept or make, and otherwise opens a pass.
     """
-    steps: list = [[]]  # DFA steps, and per run pass the list of its rules; a pass first
+    steps: list = []  # DFA steps, and per run pass the list of its rules
     blocked: set = set()  # the codes the last pass's rules accept or make
     codes = dict(_TAG_CODES)  # the Penn tags' and the labels' so far
     for label, pattern in grammar:
@@ -365,17 +358,12 @@ def _plan(grammar: Tuple[ChunkRule, ...]) -> tuple:
         if run is None:
             steps.append((label, code, follow, last, (None, *(classes[a] for a in position_atoms[1:])), {}))
         elif classes[0]:  # an empty class never matches
-            if not isinstance(steps[-1], list) or not classes[0].isdisjoint(blocked):
+            if not steps or not isinstance(steps[-1], list) or not classes[0].isdisjoint(blocked):
                 steps.append([])  # a new pass
                 blocked = set()
             steps[-1].append((label, code, classes[0], run))
             blocked |= classes[0] | {code}
-    for k, step in enumerate(steps):
-        if isinstance(step, list):  # a symbol-neutral rule has no repeat and a class of its own code alone
-            neutral = [rule for rule in step if not rule[3] and rule[2] == {rule[1]}]
-            steps[k] = (_run_pass(tuple(rule for rule in step if rule not in neutral)),
-                        tuple((label, re.compile(re.escape(code)).finditer) for label, code, _, _ in neutral))
-    return tuple(steps)
+    return tuple(_run_pass(step) if isinstance(step, list) else step for step in steps)
 
 
 # matched over the whole of ``symbols[i:j]``, a DFA step's match ``[i, j)`` is a regex match of group 1,
@@ -400,26 +388,13 @@ def _apply(matches: Iterable[re.Match], labels: tuple, symbols: str, starts: Seq
 
 
 def chunk_spans(grammar: Sequence[ChunkRule], sentence: PosSentence) -> List[tuple]:
-    """Apply the grammar's rules in order; returns every chunk's ``(label, start, end)``, in pre-order.
-    The first pass is read from its slot when a plan last opened with it on this sentence."""
-    plan = _plan(tuple(grammar))
-    (first, neutral), tags = plan[0], sentence.pos_tags
-    regex, labels, slot = first  # the slot: (pos_tags, codes, chunks, symbols, starts) after the pass
-    if slot[0] is not tags:
-        codes, table = "".join([_TAG_CODES[tag] for tag in tags]), []
-        symbols, starts = _apply(regex.finditer(codes), labels, codes, list(range(len(codes) + 1)), table)
-        first[2] = (tags, codes, tuple(table), symbols, starts)
-    else:
-        _, codes, chunks, symbols, starts = slot
-        table = list(chunks)
-    if neutral:  # a pass's symbol-neutral rules chunk its input's elements of their code
-        table += [(label, m.start(), m.end()) for label, finditer in neutral for m in finditer(codes)]
-    for step in plan[1:]:
+    """Apply the grammar's rules in order; returns every chunk's ``(label, start, end)``, in pre-order."""
+    plan, table = _plan(tuple(grammar)), []
+    symbols = "".join([_TAG_CODES[tag] for tag in sentence.pos_tags])
+    starts = list(range(len(symbols) + 1))
+    for step in plan:
         if len(step) == 2:
-            (regex, labels, _), neutral = step
-            table += [(label, starts[m.start()], starts[m.end()]) for label, finditer in neutral
-                      for m in finditer(symbols)]
-            symbols, starts = _apply(regex.finditer(symbols), labels, symbols, starts, table)
+            symbols, starts = _apply(step[0].finditer(symbols), step[1], symbols, starts, table)
         elif step is plan[-1]:  # the symbols after the last step are never read
             table += [(step[0], starts[i], starts[j]) for i, j in _apply_rule(step, symbols)]
         else:

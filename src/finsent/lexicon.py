@@ -77,7 +77,7 @@ class Lexicon(Record):
                 for word in phrase.split(" "):
                     node = node.setdefault(word, {})
                 node[None] = (category, phrase)
-        self._set(entries=entries, reversal_terms=reversal_terms, _trie=trie)
+        self._set(entries=dict(entries), reversal_terms=reversal_terms, _trie=trie)
 
     def lookup(self, phrase: Union[str, Sequence[str]]) -> Optional[LexCategory]:
         """Exact-phrase lookup of a token sequence (or string); None if absent."""

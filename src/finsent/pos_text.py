@@ -58,7 +58,6 @@ class PosSentence(Record):
 
     def __init__(self, surfaces: Sequence[str], pos_tags: Sequence[str]) -> None:
         # both columns are stored as tuples: no caller can change a sentence in place
-        # (the chunker keys its slot on the pos_tags object)
         surfaces, pos_tags = tuple(surfaces), tuple(pos_tags)
         self._set(surfaces=surfaces, pos_tags=pos_tags)
         if not surfaces:

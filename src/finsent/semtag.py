@@ -4,13 +4,15 @@ Tags are the six lexicon categories plus four interaction tags pairing an
 indicator with a direction (``LagInd::UP`` and friends).  A sentence's tag set
 is built in four passes:
 
-1. indicator/modifier pairs from the pairing grammar become interaction tags.
+1. if the sentence's hits hold an indicator and a direction word,
+   indicator/modifier pairs from the pairing grammar become interaction tags.
    That grammar's NPJJ nodes are disjoint and no span-table entry repeats, so
    each node's k-th indicator chunk with a hit pairs with its k-th modifier
    chunk with one, a zip (each chunk joins at most one interaction);
-2. if no interaction was found and the sentence contains a comparison marker,
-   numeric directionality is derived from the numeric grammar's pair-pattern
-   nodes, each node's chunks read once for its indicator and its numbers;
+2. if no interaction was found, the hits hold an indicator and the sentence
+   contains a comparison marker, numeric directionality is derived from the
+   numeric grammar's pair-pattern nodes, each node's chunks read once for its
+   indicator and its numbers;
 3. remaining indicator/direction words anywhere in the sentence contribute
    bare tags (spans consumed by an interaction are suppressed);
 4. POS/NEG sentiment words are collected token-wise, independent of chunking.
@@ -353,16 +355,18 @@ def tag_sentence(sentence: PosSentence, lex: Lexicon, *, reversal: bool = False)
     words = [surface.lower() for surface in surfaces]
     hits = _lexicon_hits(lex, words)
     find = functools.partial(_find_in_span, hits)
-
-    extraction = extract_pairs(chunk(bundled_grammar("indicator_direction"), sentence))
+    categories = {hit.category for hit in hits}  # a pair takes both kinds from these hits, a number its indicator
+    indicated = not categories.isdisjoint(INDICATOR_CATEGORIES)
 
     interactions: List[Tuple[SemTag, _Hit]] = []
     consumed: Set[int] = set()
-    for ind_hit, mod_hit in _pair_hits(extraction, find):
-        interactions.append((interaction_tag(ind_hit.category, mod_hit.category), ind_hit))
-        consumed.update(range(ind_hit.start, ind_hit.end), range(mod_hit.start, mod_hit.end))
+    if indicated and not categories.isdisjoint(DIRECTION_CATEGORIES):
+        extraction = extract_pairs(chunk(bundled_grammar("indicator_direction"), sentence))
+        for ind_hit, mod_hit in _pair_hits(extraction, find):
+            interactions.append((interaction_tag(ind_hit.category, mod_hit.category), ind_hit))
+            consumed.update(range(ind_hit.start, ind_hit.end), range(mod_hit.start, mod_hit.end))
 
-    if not interactions and (marker := _marker_in(words)):
+    if indicated and not interactions and (marker := _marker_in(words)):
         table = chunk(bundled_grammar("numeric_direction"), sentence)
         found = _numeric_hit(table, surfaces, find, marker)
         if found is not None:

@@ -351,8 +351,8 @@ def _run_grammars(draw):
 @given(_run_grammars(), st.lists(st.sampled_from(["NN", "NNS", "VB", "VBD", "JJ", "RB", "CD", "DT", "IN"]),
                                  min_size=1, max_size=30), st.data())
 @settings(max_examples=300, deadline=None)
-# symbol-neutral rules: a pass reads their chunks off its input, not off its
-# output, where a later rule of the pass may make the same code (JJ -> CD)
+# a rule whose class is its own code joins its pass's regex, where a later
+# rule of the pass may make the same code (JJ -> CD)
 @example("CD: {<CD>}", ["CD", "JJ", "CD", "CD", "NN"], None)
 @example("CD: {<CD>}\nCD: {<JJ.*>}", ["CD", "JJ", "NN", "CD", "JJ", "JJ"], None)
 @example("T: {<DT><NN>}\nCD: {<CD>}\nCD: {<JJ.*>}", ["DT", "NN", "CD", "JJ", "CD", "JJ"], None)
@@ -379,8 +379,8 @@ def test_span_table_matches_reference_implementation(tags, grammar_name):
 
 
 def _call_order_grammars():
-    # the bundled grammars and parts of them open with one shared pass; after a
-    # DFA rule (a plan then opens with a pass of no rule) that pass runs as a later step
+    # the bundled grammars and parts of them open with a pass; after a DFA rule
+    # (a plan then opens with that rule) the pass runs as a later step
     pair, numeric = bundled_grammar("indicator_direction"), bundled_grammar("numeric_direction")
     return pair, numeric, pair[:5], numeric[:6], compile_grammar("T: {<DT><NN>}") + numeric
 
@@ -389,9 +389,8 @@ def _call_order_grammars():
        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_any_call_order_gives_the_cold_tables(tag_lists, calls):
-    # a pass's slot holds the last sentence a plan opened with it.  Whatever
-    # grammar and sentence (the same object, an equal one or another) came
-    # before, a table equals a cold call's, on fresh plans and passes, and the
+    # whatever grammar and sentence (the same object, an equal one or another)
+    # came before, a table equals a cold call's, on fresh plans, and the
     # reference's.  Each tag list is two objects; one is built from a list,
     # which is changed after every call: a sentence keeps its own tuple
     grammars = _call_order_grammars()
@@ -402,7 +401,6 @@ def test_any_call_order_gives_the_cold_tables(tag_lists, calls):
     for g, grammar in enumerate(grammars):
         for k, sentence in enumerate(sentences):
             _plan.cache_clear()
-            chunker._run_pass.cache_clear()
             cold[g, k] = chunk_spans(grammar, sentence)
             assert cold[g, k] == [span(node) for node in subchunks(reference_tree(grammar, sentence))]
     for k, g in calls:
@@ -420,29 +418,30 @@ def test_any_call_order_gives_the_cold_tables(tag_lists, calls):
 def test_run_rules_are_read_off_the_automaton(pattern, run):
     grammar = compile_grammar(f"X: {{{pattern}}}")
     assert _compile_pattern(pattern, "X")[-1] == run
-    # a plan opens with a pass, of no rule when its first rule runs on a DFA
-    ((regex, _, _), neutral), *rest = _plan(grammar)
-    assert (regex.groups, neutral, [len(step) for step in rest]) == ((0, (), [6]) if run is None else (1, (), []))
+    # a run rule is a pass of one group, ``(regex, labels)``; any other runs on a DFA
+    (step,) = _plan(grammar)
+    if run is None:
+        assert len(step) == 6 and step[0] == "X"
+    else:
+        regex, labels = step
+        assert regex.groups == 1 and labels[1][0] == "X"
 
 
 @pytest.mark.parametrize("name, merged", [("indicator_direction", 5), ("numeric_direction", 6)])
 def test_bundled_run_rules_share_one_pass(name, merged):
-    # both bundled plans open with one pass object, of the five rules JJ, VB, NP,
-    # NPP and RB; the numeric grammar's CD: {<CD>} is symbol-neutral, outside
-    # the regex, and its chunks are the CD tags
+    # both bundled plans open with one pass, of the five rules JJ, VB, NP, NPP
+    # and RB; the numeric grammar's CD: {<CD>}, whose class is its own code,
+    # joins it, and its chunks are the CD tags
     grammar = bundled_grammar(name)
-    (run_pass, neutral), *rest = _plan(grammar)
-    assert run_pass is _plan(bundled_grammar("indicator_direction"))[0][0]
-    regex, labels, _ = run_pass
-    assert regex.groups == 5 and [label for label, _ in labels[1:]] == [rule.label for rule in grammar[:5]]
-    assert [label for label, _ in neutral] == [rule.label for rule in grammar[5:merged]]
+    (regex, labels), *rest = _plan(grammar)
+    assert regex.groups == merged and [label for label, _ in labels[1:]] == [rule.label for rule in grammar[:merged]]
     # the rules after the pass run on the DFA
     assert [(len(step), step[0]) for step in rest] == [(6, rule.label) for rule in grammar[merged:]]
     # planned by the grammar's value: any compilation of its source shares the
-    # plan, a prefix plans as its own, with the same pass, and a list of the rules chunks alike
+    # plan, a prefix plans as its own, with an equal pass, and a list of the rules chunks alike
     assert _plan(compile_grammar(bundled_grammar_source(name))) is _plan(grammar)
-    ((prefix, _),) = _plan(grammar[:merged])
-    assert prefix is run_pass
+    ((prefix, prefix_labels),) = _plan(grammar[:merged])
+    assert (prefix.pattern, prefix_labels) == (regex.pattern, labels)
     tags = ["JJ", "NN", "NNS", "VBD", "RB", "CD", "NNP", "IN", "CD", "NN", "VBZ", "."]
     sentence = sentence_from_tags(tags)
     assert to_bracket(chunk(list(grammar), sentence)) == to_bracket(chunk(grammar, sentence))
@@ -468,7 +467,7 @@ def test_codes_past_latin1_chunk_as_the_reference():
     # when a grammar is planned
     source = "L0: {<NN>}\n" + "".join(f"L{k}: {{<L{k - 1}>+}}\n" for k in range(1, 250))
     _assert_source_matches_reference(source, ["NN", "DT", "NN", "NN", "VB", "NN"])
-    (_, labels, _), _ = _plan(compile_grammar(source))[-1]
+    _, labels = _plan(compile_grammar(source))[-1]
     label, code = labels[-1]
     assert label == "L249" and ord(code) > 0xFF
 
@@ -491,7 +490,7 @@ class _CountingSymbols(str):
 
 
 def _npjj_reads(n):
-    ((_, labels, _), _), npjj = _plan(bundled_grammar("indicator_direction"))  # the run pass, then NPJJ
+    (_, labels), npjj = _plan(bundled_grammar("indicator_direction"))  # the run pass, then NPJJ
     npp = dict(labels[1:])["NPP"]
     symbols = _CountingSymbols(_TAG_CODES["DT"] + npp * n + _TAG_CODES["."])
     assert npjj[0] == "NPJJ"

@@ -3,11 +3,14 @@ import pytest
 from finsent.lexicon import (
     INDICATOR_CATEGORIES,
     LexCategory,
+    Lexicon,
     LexiconError,
     load_default_lexicon,
     load_lexicon,
     normalize_phrase,
 )
+from finsent.pos_text import tag_raw
+from finsent.semtag import SemTag, tag_sentence
 
 
 def write(tmp_path, name, text):
@@ -76,6 +79,15 @@ def test_lookup_exact_case_insensitive_absent(tmp_path):
     assert lex.lookup(("banana",)) is None
     # prefix back-off is not performed: exact phrase only
     assert lex.lookup(("market", "share", "growth")) is None
+
+
+def test_lexicon_keeps_a_copy_of_its_entries():
+    # a later change to the caller's mapping reaches neither lookup nor tagging
+    entries = {"sales": LexCategory.LAGIND}
+    lex = Lexicon(entries)
+    entries["rose"] = LexCategory.UP
+    assert lex.entries == {"sales": LexCategory.LAGIND} and lex.lookup("rose") is None
+    assert tag_sentence(tag_raw("Sales rose"), lex).tags == {SemTag.LAGIND}
 
 
 def test_is_reversal(tmp_path):

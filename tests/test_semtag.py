@@ -151,7 +151,6 @@ def test_random_text_tags_the_same_on_cold_and_warm_caches(lexicon, text, revers
         sentence = tag_raw(text)
         bundled_grammar.cache_clear()  # fresh grammars and plans: no DFA transition is cached yet
         chunker._plan.cache_clear()
-        chunker._run_pass.cache_clear()  # and fresh passes, whose slots hold no sentence
         cold = tag_sentence(sentence, lexicon, reversal=reversal).tags
     except PosTextError:
         return
@@ -179,6 +178,10 @@ _tagger_texts = st.one_of(_fuzz_texts, _workload_texts)
 @given(_tagger_texts, st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_tag_sentence_matches_reference_tagger(lexicon, text, reversal):
+    # the reference chunks whatever the lexicon hits: every sentence with the
+    # pair grammar, and each one with a marker and no pair with the numeric
+    # grammar.  So this also checks that tag_sentence's gate on the hits skips
+    # a grammar only where it would find nothing
     try:
         sentence = tag_raw(text)
     except PosTextError:
@@ -482,9 +485,11 @@ NUMERIC_GUARD_SENTENCE = (
 
 def test_numeric_path_tracer_contract_guard(monkeypatch):
     # the benchmark's tracer wraps semtag.chunk in a function of exactly
-    # (grammar, sentence) and names the call by the grammar it gets.  The
-    # numeric call continues from the pair call's run pass: it runs no pass
-    lex = mini_lexicon({"operating profit": "LagInd", "net sales": "LagInd", "orders": "LeadInd"})
+    # (grammar, sentence) and names the call by the grammar it gets.  The guard
+    # sentence has an indicator and a marker but no direction word: one numeric
+    # call, which runs its own pass.  With a direction word outside every pair
+    # node, the pair call comes first and finds nothing; each call runs its pass
+    lex = mini_lexicon({"operating profit": "LagInd", "net sales": "LagInd", "orders": "LeadInd", "strong": "UP"})
     calls, passes = [], [0]
     semtag_chunk, apply = semtag.chunk, chunker._apply
 
@@ -500,12 +505,39 @@ def test_numeric_path_tracer_contract_guard(monkeypatch):
 
     monkeypatch.setattr(chunker, "_apply", counting_apply)
     monkeypatch.setattr(semtag, "chunk", chunk)
-    sentence = tag_raw(NUMERIC_GUARD_SENTENCE)
-    assert len(sentence) == 99
-    assert SemTag.LAGIND_DOWN in tag_sentence(sentence, lex).tags
     pair, numeric = bundled_grammar("indicator_direction"), bundled_grammar("numeric_direction")
-    assert [(grammar is pair, grammar is numeric, got is sentence, ran) for grammar, got, ran in calls] == [
-        (True, False, True, 1), (False, True, True, 0)]
+    for text, shape in [(NUMERIC_GUARD_SENTENCE, [(False, True, 1)]),
+                        ("Strong : operating profit was EUR 8.3 mn , compared to EUR 11.8 mn",
+                         [(True, False, 1), (False, True, 1)])]:
+        calls.clear()
+        sentence = tag_raw(text)
+        assert SemTag.LAGIND_DOWN in tag_sentence(sentence, lex).tags
+        assert all(got is sentence for _, got, _ in calls)
+        assert [(grammar is pair, grammar is numeric, ran) for grammar, _, ran in calls] == shape
+    assert len(tag_raw(NUMERIC_GUARD_SENTENCE)) == 99
+
+
+def test_a_grammar_runs_only_on_hits_it_can_pair(monkeypatch):
+    # a pair needs an indicator and a direction hit, the numeric path an indicator
+    # hit and a marker; a grammar that could find nothing is not called
+    lex = mini_lexicon({"operating profit": "LagInd", "rose": "UP"})
+    pair, numeric = bundled_grammar("indicator_direction"), bundled_grammar("numeric_direction")
+    calls = []
+    semtag_chunk = semtag.chunk
+
+    def chunk(grammar, sentence):
+        calls.append("pair" if grammar is pair else "numeric" if grammar is numeric else grammar)
+        return semtag_chunk(grammar, sentence)
+
+    monkeypatch.setattr(semtag, "chunk", chunk)
+    for text, tags, called in [
+        ("Operating profit was EUR 8.3 mn in the period", {SemTag.LAGIND}, []),
+        ("Shares rose to EUR 8.3 , compared to EUR 11.8", {SemTag.UP}, []),
+        ("Operating profit was EUR 8.3 mn , compared to EUR 11.8 mn", {SemTag.LAGIND_DOWN}, ["numeric"]),
+        ("Operating profit rose to EUR 11.8 mn", {SemTag.LAGIND_UP}, ["pair"]),
+    ]:
+        calls.clear()
+        assert tags_of(text, lex) == tags and calls == called, text
 
 
 # ---------------------------------------------------------------------------
