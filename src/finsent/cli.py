@@ -46,7 +46,7 @@ from .evaluate import (
     train_model,
 )
 from .lexicon import LexiconError, Lexicon, default_lexicon_paths, load_default_lexicon, load_lexicon
-from .pos_text import PosTextError
+from .pos_text import PosTextError, ingest_pretagged
 from .semtag import Mode, canonical_order
 
 CONFIG_ERRORS = (LexiconError, GrammarError, ModelFormatError, FileNotFoundError, FileExistsError,
@@ -130,16 +130,17 @@ def _split_labeled(line: str) -> tuple:
 
 
 def _tag_input(args: argparse.Namespace, lexicon: Lexicon, mode: Mode, reversal: bool) -> List[tuple]:
-    """``(tag set, label or None)`` for each non-blank line of ``args.input``.
+    """``(tag set, label or None)`` for each non-blank line of ``args.input``, parsed here if ``--pretagged``.
 
-    A line that cannot be tagged is a data error located at ``file:line``.
+    A line that cannot be parsed or tagged is a data error located at ``file:line``.
     """
     where = "<stdin>" if args.input in (None, "-") else args.input
     tagged = []
     for lineno, line in _read_lines(args.input, args.encoding):
         text, label = _split_labeled(line)
         try:
-            tagged.append((tag_text(text, lexicon, mode, reversal, args.pretagged), label))
+            sentence = ingest_pretagged(text) if args.pretagged else text
+            tagged.append((tag_text(sentence, lexicon, mode, reversal), label))
         except PosTextError as exc:
             raise PosTextError(f"{where}:{lineno}: {exc}") from None
     return tagged

@@ -37,7 +37,7 @@ from .classify import (
     train_folds,
 )
 from .lexicon import Lexicon, load_default_lexicon
-from .pos_text import PosTextError, ingest_pretagged, tag_raw
+from .pos_text import PosSentence, PosTextError, ingest_pretagged, tag_raw
 from .semtag import Mode, filter_mode, tag_sentence
 
 __all__ = [
@@ -77,12 +77,11 @@ class FoldError(ValueError):
 
 @dataclass(frozen=True)
 class Corpus:
-    """Sentences with gold labels; sentences may be raw text or pre-tagged."""
+    """Sentences with gold labels; a sentence is a raw line or a parsed ``PosSentence``."""
 
     texts: tuple
     labels: tuple
     name: str = "corpus"
-    pretagged: bool = False
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -97,11 +96,11 @@ def load_phrasebank(
     """Load a ``sentence@label`` corpus file.
 
     Decoding errors fall back to replacement characters: the public corpus
-    circulates in legacy encodings.  A pre-tagged sentence that
-    ``ingest_pretagged`` rejects is a CorpusError naming its line.
+    circulates in legacy encodings.  With ``pretagged``, each sentence is parsed here,
+    once, into a ``PosSentence``; one ``ingest_pretagged`` rejects is a CorpusError naming its line.
     """
     path = Path(path)
-    texts: List[str] = []
+    texts: List[Union[str, PosSentence]] = []
     labels: List[str] = []
     for lineno, line in textfile.lines(textfile.read(path, encoding)):
         line = line.strip()
@@ -117,14 +116,14 @@ def load_phrasebank(
             raise CorpusError(f"{path}:{lineno}: empty sentence")
         if pretagged:
             try:
-                ingest_pretagged(text)
+                text = ingest_pretagged(text)
             except PosTextError as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from None
         texts.append(text)
         labels.append(label)
     if not texts:
         raise CorpusError(f"{path}: no examples")
-    return Corpus(tuple(texts), tuple(labels), name=name or path.stem, pretagged=pretagged)
+    return Corpus(tuple(texts), tuple(labels), name=name or path.stem)
 
 
 @dataclass(frozen=True)
@@ -267,14 +266,13 @@ class PipelineConfig:
 
 
 def tag_text(
-    text: str,
+    text: Union[str, PosSentence],
     lexicon: Lexicon,
     mode: Mode = Mode.ALL,
     reversal: bool = False,
-    pretagged: bool = False,
 ) -> frozenset:
-    """The semantic tag strings of one raw (or ``surface_TAG``) sentence, restricted to ``mode``."""
-    sentence = ingest_pretagged(text) if pretagged else tag_raw(text)
+    """The semantic tag strings of one raw line or parsed sentence, restricted to ``mode``."""
+    sentence = text if isinstance(text, PosSentence) else tag_raw(text)
     tagged = filter_mode(tag_sentence(sentence, lexicon, reversal=reversal), mode)
     return frozenset(tag.value for tag in tagged.tags)
 
@@ -284,11 +282,11 @@ def tag_corpus(
     lexicon: Optional[Lexicon] = None,
     config: Optional[PipelineConfig] = None,
 ) -> List[Transaction]:
-    """Tag every corpus sentence once; returns index-aligned transactions."""
+    """Tag every corpus sentence, raw or parsed, once; returns index-aligned transactions."""
     if lexicon is None:
         lexicon = load_default_lexicon()
     config = config or PipelineConfig()
-    return [Transaction(tag_text(text, lexicon, config.mode, config.reversal, corpus.pretagged), label)
+    return [Transaction(tag_text(text, lexicon, config.mode, config.reversal), label)
             for text, label in zip(corpus.texts, corpus.labels)]
 
 

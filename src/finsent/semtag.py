@@ -151,8 +151,7 @@ _MODE_KEEP = {
 
 def filter_mode(tagged: TaggedSentence, mode: Mode) -> TaggedSentence:
     """Restrict a tag set to the families the given mode keeps."""
-    keep = _MODE_KEEP[Mode(mode)]
-    return TaggedSentence(frozenset(t for t in tagged.tags if t in keep))
+    return TaggedSentence(tagged.tags & _MODE_KEEP[Mode(mode)])
 
 
 COMPARISON_MARKERS = ("down from", "up from", "compared to", "versus")

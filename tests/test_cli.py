@@ -13,7 +13,7 @@ from finsent.classify import CLASSES, Arrangement, load_model, train
 from finsent.cli import main
 from finsent.evaluate import Corpus, PipelineConfig, load_phrasebank, tag_corpus
 from finsent.lexicon import default_lexicon_paths
-from finsent.pos_text import tag_raw
+from finsent.pos_text import ingest_pretagged, tag_raw
 from finsent.semtag import Mode, SemTag, canonical_order
 
 
@@ -337,6 +337,37 @@ def test_sweep_equals_separate_evaluate_runs(tmp_path, benchmark_corpus, flags):
         points.append(f"minconf={minconf:g}: rules={report['rule_count']} accuracy={report['overall_accuracy']:.4f}")
     assert csv_out.splitlines() == rows
     assert err.splitlines() == warned + points
+
+
+def _raw_and_pretagged(tmp_path, benchmark_corpus):
+    """A 300-line prefix of the synthetic corpus, and its surface_TAG rendering under the same file stem."""
+    rows = list(zip(benchmark_corpus.texts, benchmark_corpus.labels))[:300]
+    (tmp_path / "tagged").mkdir()
+    return (write_corpus(tmp_path, rows),
+            write_corpus(tmp_path / "tagged", [(format_pretagged(tag_raw(text)), label) for text, label in rows]))
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "lag", "--reversal"]], ids=["default", "lag-reversal"])
+def test_evaluating_a_pretagged_rendering_prints_the_raw_report(tmp_path, benchmark_corpus, flags):
+    raw, tagged = _raw_and_pretagged(tmp_path, benchmark_corpus)
+    rc, expected, err = _run_main(["evaluate", "--corpus", str(raw), "--format", "json", *flags])
+    assert rc == 0, err
+    assert _run_main(["evaluate", "--corpus", str(tagged), "--format", "json", "--pretagged", *flags]) == (
+        0, expected, err)
+
+
+def test_a_model_trained_on_a_pretagged_rendering_predicts_the_raw_labels(tmp_path, benchmark_corpus):
+    raw, tagged = _raw_and_pretagged(tmp_path, benchmark_corpus)
+    labels = []
+    for corpus, flags in ((raw, []), (tagged, ["--pretagged"])):
+        model_dir = str(corpus.parent / "model")
+        assert _run_main(["train", "--corpus", str(corpus), "--model-dir", model_dir, *flags])[0] == 0
+        rc, out, err = _run_main(["predict", "--model-dir", model_dir, str(corpus)])  # the model records --pretagged
+        assert rc == 0, err
+        labels.append(out)
+    assert labels[0] == labels[1]
+    assert len(labels[0].splitlines()) == 300
+    assert len({line.split("\t")[1] for line in labels[0].splitlines()}) > 1
 
 
 def test_reports_embed_config_for_replay(tmp_path, capsys):
@@ -755,7 +786,7 @@ def test_tag_lines_equal_tag_corpus(tmp_path, capsys, lexicon, flags):
 
     mode = flags[flags.index("--mode") + 1] if "--mode" in flags else "all"
     config = PipelineConfig(mode=Mode(mode), reversal="--reversal" in flags)
-    corpus = Corpus(tuple(texts), ("neutral",) * len(texts), pretagged=pretagged)
+    corpus = Corpus(tuple(map(ingest_pretagged, texts) if pretagged else texts), ("neutral",) * len(texts))
     expected = [
         " ".join(t.value for t in canonical_order(SemTag(v) for v in tx.items)) + "\tneutral"
         for tx in tag_corpus(corpus, lexicon, config)

@@ -70,6 +70,25 @@ def test_load_phrasebank(tmp_path):
     assert corpus.name == "corpus"
 
 
+def test_a_pretagged_corpus_line_is_parsed_once(tmp_path, lexicon, monkeypatch):
+    # the loader parses each surface_TAG line into the sentence the corpus holds; tagging takes it as it is
+    lines = ["Turnover_NN rose_VBD to_TO EUR_NNP 21mn_CD from_IN EUR_NNP 17mn_CD",
+             "The_DT company_NN won_VBD new_JJ contracts_NNS in_IN Finland_NNP",
+             "Details_NNS were_VBD not_RB given_VBN"]
+    path = tmp_path / "tagged.txt"
+    path.write_text("".join(f"{line}@neutral\n" for line in lines), encoding="utf-8")
+    parsed = Counter()
+    ingest = evaluate.ingest_pretagged
+    monkeypatch.setattr(evaluate, "ingest_pretagged", lambda line: parsed.update([line]) or ingest(line))
+    corpus = load_phrasebank(path, pretagged=True)
+    transactions = tag_corpus(corpus, lexicon)
+    assert parsed == Counter(lines)
+    assert corpus.texts == tuple(map(ingest, lines))
+    assert [t.items for t in transactions] == [
+        tag_text(" ".join(u.rpartition("_")[0] for u in line.split()), lexicon) for line in lines]
+    assert transactions[0].items == {"LagInd::UP"}
+
+
 def test_unknown_label_reports_line(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("Hello world@maybe\n")

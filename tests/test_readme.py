@@ -23,5 +23,5 @@ def test_library_use_block_gives_the_results_its_comments_state():
             else:
                 exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
     assert namespace["tags"] == {"LagInd::UP"}
-    assert shown == [frozenset({"LagInd::UP"}), "positive"]
+    assert shown == [frozenset({"LagInd::UP"}), frozenset({"LagInd::DOWN"}), "positive"]
     assert all(type(tag) is str for tag in namespace["tags"] | shown[0])
