@@ -11,7 +11,9 @@ match the default class is returned.
 
 Three arrangements are supported: a hierarchical classifier (stage one
 separates neutral from polarized, stage two positive from negative), a flat
-three-class rule base, and one-against-one pairwise voting.
+three-class rule base, and one-against-one pairwise voting.  A stage with no
+matching rule answers its class that comes first in the tie order: the gate
+neutral, the polarity stage negative.
 """
 from __future__ import annotations
 
@@ -151,19 +153,21 @@ def predict_flat(
 # classifier arrangements
 # ---------------------------------------------------------------------------
 
-STAGE_GATE = "gate"
-STAGE_POLARITY = "polarity"
-
 # the stage rule bases each arrangement trains and predicts with, in order,
 # and the classes each stage separates; the gate's polarized class stands for
 # every class but neutral
 _STAGES: Dict[Arrangement, Dict[str, Tuple[str, ...]]] = {
-    Arrangement.HSC: {STAGE_GATE: (NEUTRAL, POLARIZED), STAGE_POLARITY: (NEGATIVE, POSITIVE)},
+    Arrangement.HSC: {"gate": (NEUTRAL, POLARIZED), "polarity": (NEGATIVE, POSITIVE)},
     Arrangement.MULTICLASS: {"multiclass": CLASSES},
     Arrangement.ONE_VS_ONE: {
         "-".join(sorted(pair)): pair
         for pair in ((POSITIVE, NEUTRAL), (POSITIVE, NEGATIVE), (NEUTRAL, NEGATIVE))
     },
+}
+# each stage's answer when no rule matches: its class that comes first in tie order
+_DEFAULTS: Dict[Arrangement, Dict[str, str]] = {
+    arrangement: {stage: min(classes, key=_TIE_RANK.get) for stage, classes in stages.items()}
+    for arrangement, stages in _STAGES.items()
 }
 
 
@@ -172,7 +176,6 @@ class ClassifierModel(NamedTuple):
 
     arrangement: Arrangement
     stages: Mapping[str, RuleBase]
-    stage2_default: str = NEGATIVE
     match_policy: MatchPolicy = MatchPolicy.EXACT
     scoring: Scoring = Scoring.AVERAGE
 
@@ -203,7 +206,7 @@ def _check_labels(counts: Mapping[str, int]) -> None:
         raise MiningError(f"training labels must be one of {', '.join(CLASSES)}; got {unknown}")
     for cls in CLASSES:
         if not counts[cls]:
-            warnings.warn(f"class {cls!r} absent from training data; it cannot be predicted", stacklevel=3)
+            warnings.warn(f"class {cls!r} absent from training data; no rule predicts it", stacklevel=3)
 
 
 def train(
@@ -213,7 +216,6 @@ def train(
     minconf: float = DEFAULT_MINCONF,
     match_policy: MatchPolicy = MatchPolicy.EXACT,
     scoring: Scoring = Scoring.AVERAGE,
-    stage2_default: str = NEGATIVE,
 ) -> ClassifierModel:
     """Mine the stage rule bases for the chosen arrangement.
 
@@ -226,7 +228,7 @@ def train(
     _check_labels(counts)
     stages = {stage: mine_rules(rows, minsup, minconf, classes=_STAGES[arrangement][stage]) if rows
               else RuleBase((), minsup=minsup, minconf=minconf) for stage, rows in stage_rows.items()}
-    return ClassifierModel(arrangement, stages, stage2_default, MatchPolicy(match_policy), Scoring(scoring))
+    return ClassifierModel(arrangement, stages, MatchPolicy(match_policy), Scoring(scoring))
 
 
 def train_folds(
@@ -236,7 +238,6 @@ def train_folds(
     minconf: float = DEFAULT_MINCONF,
     match_policy: MatchPolicy = MatchPolicy.EXACT,
     scoring: Scoring = Scoring.AVERAGE,
-    stage2_default: str = NEGATIVE,
 ) -> List[ClassifierModel]:
     """For each fold's held-out rows, the model ``train`` gives on every other fold's rows, with its
     errors and warnings: ``mine_fold_rules`` mines each stage once for every fold."""
@@ -247,25 +248,22 @@ def train_folds(
         _check_labels({label: sum(c.get(label, 0) for c, _ in folds) - counts.get(label, 0) for label in labels})
     bases = {stage: mine_fold_rules([stage_rows[stage] for _, stage_rows in folds], minsup, minconf, classes)
              for stage, classes in _STAGES[arrangement].items()}
-    return [ClassifierModel(arrangement, {stage: rbs[fold] for stage, rbs in bases.items()}, stage2_default,
+    return [ClassifierModel(arrangement, {stage: rbs[fold] for stage, rbs in bases.items()},
                             MatchPolicy(match_policy), Scoring(scoring)) for fold in range(len(folds))]
 
 
 def predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
-    """Predict positive / neutral / negative for one tag set."""
+    """Predict positive / neutral / negative for one tag set: the stages answer in table order, one with
+    no matching rule its class first in tie order.  HSC returns its first answer that is not polarized;
+    the other arrangements vote (multiclass has one stage), ties broken by tie order."""
     tags = frozenset(tags)
     policy, scoring = model.match_policy, model.scoring
-
-    if model.arrangement is Arrangement.HSC:
-        gate = predict_flat(tags, model.stages[STAGE_GATE], NEUTRAL, policy, scoring)
-        if gate != POLARIZED:
-            return gate
-        return predict_flat(tags, model.stages[STAGE_POLARITY], model.stage2_default, policy, scoring)
-
-    # multiclass is a one-stage vote; each stage defaults to its first class in tie order
+    cascade = model.arrangement is Arrangement.HSC
     votes: Dict[str, int] = {}
-    for stage, classes in _STAGES[model.arrangement].items():
-        vote = predict_flat(tags, model.stages[stage], min(classes, key=_TIE_RANK.get), policy, scoring)
+    for stage, default in _DEFAULTS[model.arrangement].items():
+        vote = predict_flat(tags, model.stages[stage], default, policy, scoring)
+        if cascade and vote != POLARIZED:
+            return vote
         votes[vote] = votes.get(vote, 0) + 1
     return min(votes, key=lambda cls: (-votes[cls], _TIE_RANK.get(cls, len(_TIE_RANK))))
 
@@ -286,7 +284,7 @@ def _write_model(model: ClassifierModel, directory: Path, tagging: Optional[dict
     manifest = {
         "format": "finsent-model/1",
         "arrangement": model.arrangement.value,
-        "stage2_default": model.stage2_default,
+        "stage2_default": NEGATIVE,
         "match_policy": model.match_policy.value,
         "scoring": model.scoring.value,
         "stages": stage_files,
@@ -347,7 +345,7 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     """Load a model directory; returns (model, manifest).
 
     Raises ModelFormatError for a missing or malformed manifest, including a
-    ``stage2_default`` outside CLASSES, an older manifest's ``default_class``
+    ``stage2_default`` other than negative, an older manifest's ``default_class``
     other than neutral, a ``tagging`` section that is not an object (its
     entries are returned unread), a ``stages`` section that is not an object
     whose keys are exactly the arrangement's stage names, a stage file that is
@@ -370,11 +368,10 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
     if manifest.get("format") != "finsent-model/1":
         raise ModelFormatError(f"{manifest_path}: unsupported format {manifest.get('format')!r}")
     try:
-        stage2_default = manifest["stage2_default"]
-        if stage2_default not in CLASSES:
-            raise ValueError(f"stage2_default {stage2_default!r} is not one of {', '.join(CLASSES)}")
-        # older manifests also hold minsup and minconf, left unread since each stage
-        # file's headers hold them, and a default_class that was always neutral
+        # the polarity stage's default is fixed; older manifests also hold minsup and minconf,
+        # left unread since each stage file's headers hold them, and a default_class always neutral
+        if manifest["stage2_default"] != NEGATIVE:
+            raise ValueError(f"stage2_default {manifest['stage2_default']!r} is not {NEGATIVE!r}")
         if manifest.get("default_class", NEUTRAL) != NEUTRAL:
             raise ValueError(f"default_class {manifest['default_class']!r} is not {NEUTRAL!r}")
         if not isinstance(manifest.get("tagging", {}), dict):
@@ -402,7 +399,6 @@ def load_model(directory: Union[str, Path]) -> Tuple[ClassifierModel, dict]:
         model = ClassifierModel(
             arrangement=arrangement,
             stages=stages,
-            stage2_default=stage2_default,
             match_policy=MatchPolicy(manifest["match_policy"]),
             scoring=Scoring(manifest["scoring"]),
         )

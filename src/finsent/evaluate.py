@@ -18,7 +18,7 @@ import io
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, field, replace
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -71,8 +71,9 @@ class CorpusError(ValueError):
 
 
 class FoldError(ValueError):
-    """Raised for invalid fold requests (k too small, an empty corpus, class too small), a fold
-    plan or transaction list without one entry per corpus sentence, or a fold left no training rows."""
+    """Raised for invalid fold requests (k too small, an empty corpus, class too small), a fold plan
+    whose k is not the config's, a fold plan or transaction list without one entry per corpus
+    sentence, or a fold left no training rows."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,9 @@ class Corpus:
 def load_phrasebank(
     path: Union[str, Path],
     encoding: str = "utf-8",
-    name: Optional[str] = None,
     pretagged: bool = False,
 ) -> Corpus:
-    """Load a ``sentence@label`` corpus file.
+    """Load a ``sentence@label`` corpus file, named by its file stem.
 
     Decoding errors fall back to replacement characters: the public corpus
     circulates in legacy encodings.  With ``pretagged``, each sentence is parsed here,
@@ -123,7 +123,7 @@ def load_phrasebank(
         labels.append(label)
     if not texts:
         raise CorpusError(f"{path}: no examples")
-    return Corpus(tuple(texts), tuple(labels), name=name or path.stem)
+    return Corpus(tuple(texts), tuple(labels), name=path.stem)
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ class PipelineConfig:
     minconf: float = DEFAULT_MINCONF
     match_policy: MatchPolicy = MatchPolicy.EXACT
     scoring: Scoring = Scoring.AVERAGE
-    stage2_default: str = NEGATIVE
+    stage2_default: str = field(default=NEGATIVE, init=False)  # recorded in reports; classify derives it
     folds: int = 10
     seed: int = 0
 
@@ -296,7 +296,7 @@ Trainer = Callable[[Sequence[Transaction]], Tuple[Callable[[Transaction], str], 
 
 def _training_options(config: PipelineConfig) -> Dict[str, object]:
     return dict(arrangement=config.arrangement, minsup=config.minsup, minconf=config.minconf,
-                match_policy=config.match_policy, scoring=config.scoring, stage2_default=config.stage2_default)
+                match_policy=config.match_policy, scoring=config.scoring)
 
 
 def train_model(transactions: Sequence[Transaction], config: PipelineConfig) -> ClassifierModel:
@@ -371,6 +371,8 @@ def _fold_reports(corpus: Corpus, config: PipelineConfig, grid: Sequence[float],
                   transactions: Optional[Sequence[Transaction]]) -> List[EvalReport]:
     """``cross_validate``'s report at each minconf of ``grid``, as ``sweep_confidence`` describes."""
     folds = folds or make_folds(corpus, config.folds, config.seed)
+    if folds.k != config.folds:
+        raise FoldError(f"a plan of {folds.k} folds for a config of {config.folds} folds")
     if not grid:
         return []
     if transactions is None:
@@ -394,8 +396,9 @@ def cross_validate(
 ) -> EvalReport:
     """Train on k-1 folds, predict the held-out fold, aggregate the confusion.
 
-    Raises FoldError when ``folds`` or ``transactions`` does not have one
-    entry per corpus sentence, ``folds`` assigns a sentence to no fold in
+    Raises FoldError when ``folds`` has not ``config.folds`` folds (the
+    report records the config's), ``folds`` or ``transactions`` does not have
+    one entry per corpus sentence, ``folds`` assigns a sentence to no fold in
     ``0..k-1``, or one fold holds every sentence and so has no training rows.
     """
     return _fold_reports(corpus, config, [config.minconf], folds, lexicon, trainer, transactions)[0]

@@ -483,7 +483,7 @@ def _warn_missing_classes(transactions: Sequence[Transaction], expected: Iterabl
     for cls in expected:
         if cls not in present:
             warnings.warn(
-                f"class {cls!r} absent from training data; it cannot be predicted",
+                f"class {cls!r} absent from training data; no rule predicts it",
                 stacklevel=3,
             )
 
@@ -503,7 +503,6 @@ def branch_train(
     minconf: float = DEFAULT_MINCONF,
     match_policy: MatchPolicy = MatchPolicy.EXACT,
     scoring: Scoring = Scoring.AVERAGE,
-    stage2_default: str = NEGATIVE,
 ) -> ClassifierModel:
     """Mine the stage rule bases for the chosen arrangement."""
     if not transactions:
@@ -530,7 +529,6 @@ def branch_train(
     return ClassifierModel(
         arrangement=arrangement,
         stages=stages,
-        stage2_default=stage2_default,
         match_policy=MatchPolicy(match_policy),
         scoring=Scoring(scoring),
     )
@@ -545,9 +543,7 @@ def branch_predict(model: ClassifierModel, tags: FrozenSet[str]) -> str:
         gate = branch_predict_flat(tags, model.stages["gate"], default=NEUTRAL, **kwargs)
         if gate != POLARIZED:
             return gate
-        return branch_predict_flat(
-            tags, model.stages["polarity"], default=model.stage2_default, **kwargs
-        )
+        return branch_predict_flat(tags, model.stages["polarity"], default=NEGATIVE, **kwargs)
 
     if model.arrangement is Arrangement.MULTICLASS:
         return branch_predict_flat(tags, model.stages["multiclass"], default=NEUTRAL, **kwargs)

@@ -222,14 +222,6 @@ def test_single_class_input_warns_and_defaults_neutral():
     assert predict(model, frozenset()) == NEUTRAL
 
 
-def test_stage_two_default_is_configurable():
-    neutral_and_positive = [t for t in SAMPLE_TRANSACTIONS if t.label != NEGATIVE]
-    with pytest.warns(UserWarning):
-        model = train(neutral_and_positive, Arrangement.HSC, stage2_default=POSITIVE,
-                      minsup=0.5, minconf=60.0)
-    assert model.stage2_default == POSITIVE
-
-
 def test_empty_training_set_is_error():
     with pytest.raises(MiningError):
         train([], Arrangement.HSC)
@@ -285,12 +277,11 @@ def _train_recording_warnings(fn, *args):
 
 @given(labelled_transactions(), st.lists(st.frozensets(st.sampled_from(_TRAIN_TAGS)), max_size=6),
        st.sampled_from([0.5, 10.0, 30.0]), st.sampled_from([30.0, 60.0, 90.0]),
-       st.sampled_from(list(MatchPolicy)), st.sampled_from(list(Scoring)), st.sampled_from(CLASSES))
+       st.sampled_from(list(MatchPolicy)), st.sampled_from(list(Scoring)))
 @settings(max_examples=150, deadline=None)
-def test_stage_table_matches_branch_oracle(transactions, tag_sets, minsup, minconf, policy, scoring,
-                                           stage2_default):
+def test_stage_table_matches_branch_oracle(transactions, tag_sets, minsup, minconf, policy, scoring):
     for arrangement in Arrangement:
-        args = (transactions, arrangement, minsup, minconf, policy, scoring, stage2_default)
+        args = (transactions, arrangement, minsup, minconf, policy, scoring)
         got, got_warnings = _train_recording_warnings(train, *args)
         want, want_warnings = _train_recording_warnings(branch_train, *args)
         assert got_warnings == want_warnings
@@ -503,7 +494,9 @@ def test_load_rejects_unknown_format(tmp_path):
 
 @pytest.mark.parametrize("edit, key", [
     (lambda m: m.update(default_class="mixed"), "default_class 'mixed' is not 'neutral'"),
-    (lambda m: m.update(stage2_default="positve"), "stage2_default"),
+    (lambda m: m.update(stage2_default="positve"), "stage2_default 'positve' is not 'negative'"),
+    # the polarity stage's default is fixed: a class other than negative is rejected too
+    (lambda m: m.update(stage2_default="positive"), "stage2_default 'positive' is not 'negative'"),
     (lambda m: m.update(tagging="all"), "tagging 'all'"),
     (lambda m: m.update(arrangement="ovo"),
      "keys neutral-positive, negative-positive, negative-neutral of arrangement 'ovo'"),
@@ -520,7 +513,7 @@ def test_load_rejects_unknown_format(tmp_path):
     (lambda m: m["stages"].update(polarity="/etc/passwd"), "stages.polarity '/etc/passwd' is not a plain file name"),
     (lambda m: m["stages"].update(gate=".."), r"stages.gate '\.\.' is not a plain file name"),
     (lambda m: m["stages"].update(gate=5), "stages.gate 5 is not a plain file name"),
-], ids=["default_class", "stage2_default", "tagging",
+], ids=["default_class", "stage2_default", "stage2_default_positive", "tagging",
         "arrangement_stages", "stage_missing", "stages_list", "minsup_null", "minconf_str",
         "minsup_numeric_str", "minsup_bool",
         "minsup_negative", "minconf_nan", "stage_parent_dir", "stage_absolute", "stage_dotdot", "stage_int"])

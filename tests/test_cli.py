@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from sample_data import KNOWN_RULES, format_pretagged
 from finsent.arm import parse_rulebase
 from finsent.classify import CLASSES, Arrangement, load_model, train
-from finsent.cli import main
+from finsent.cli import _ARGUMENTS, _config_from_args, build_parser, main
 from finsent.evaluate import Corpus, PipelineConfig, load_phrasebank, tag_corpus
 from finsent.lexicon import default_lexicon_paths
 from finsent.pos_text import ingest_pretagged, tag_raw
@@ -632,7 +633,7 @@ def test_a_training_warning_is_one_finsent_line(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     rc, _, err = _run_main([*command, "--corpus", str(corpus)])
     assert rc == 0
-    assert err == "finsent: warning: class 'neutral' absent from training data; it cannot be predicted\n"
+    assert err == "finsent: warning: class 'neutral' absent from training data; no rule predicts it\n"
 
 
 def write_older_model(directory, model, minsup, minconf):
@@ -900,3 +901,21 @@ def test_cli_corpus_commands_exit_cleanly_or_name_a_line(sample_model, corpus, l
                 lines = f.readlines()
             for lineno in re.findall(rf"{re.escape(str(path))}:(\d+):", err):
                 assert lines[int(lineno) - 1].strip(), (argv, err)
+
+
+def test_every_pipeline_setting_has_an_evaluate_flag():
+    # a PipelineConfig field a caller can set that no `finsent evaluate` flag changes is a library-only setting
+    parser, default, changed = build_parser(), PipelineConfig(), set()
+    for flag, spec in _ARGUMENTS.items():
+        if not flag.startswith("--"):
+            continue
+        values = [[]] if spec.get("action") == "store_true" else [[v] for v in spec.get("choices", ["3"])]
+        for value in values:
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    args = parser.parse_args(["evaluate", "--corpus", "c.txt", flag, *value])
+            except SystemExit:  # a flag evaluate does not take, or a value its type rejects
+                continue
+            config = _config_from_args(args)
+            changed |= {f.name for f in fields(config) if getattr(config, f.name) != getattr(default, f.name)}
+    assert changed == {f.name for f in fields(PipelineConfig) if f.init}

@@ -292,6 +292,17 @@ def test_fold_plan_or_transactions_not_covering_the_corpus_is_error(folds, rows)
                        trainer=majority_trainer)
 
 
+@pytest.mark.parametrize("run", [
+    lambda corpus, config, **kwargs: cross_validate(corpus, config, **kwargs),
+    lambda corpus, config, **kwargs: sweep_confidence(corpus, config, [60.0, 80.0], **kwargs),
+], ids=["cross_validate", "sweep_confidence"])
+def test_fold_plan_of_another_fold_count_than_the_config_is_error(lexicon, run):
+    # the report records the config's folds and seed, so a plan of another k would misstate the run
+    corpus = small_corpus()
+    with pytest.raises(FoldError, match="a plan of 3 folds for a config of 10 folds"):
+        run(corpus, PipelineConfig(), folds=make_folds(corpus, 3, seed=7), lexicon=lexicon)
+
+
 @given(st.integers(2, 6).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(-1, k), max_size=40))))
 @settings(max_examples=200, deadline=None)
 def test_fold_groups_equal_the_per_fold_scan(k_assignment):

@@ -45,7 +45,7 @@ _RULE_REPR = "Rule(antecedent=frozenset({'UP'}), consequent='positive', support=
      "ClassScore(sums={'positive': 80.0}, counts={'positive': 1})", False, None),
     (lambda: ClassifierModel(Arrangement.MULTICLASS, {"multiclass": RuleBase(())}),
      "ClassifierModel(arrangement=<Arrangement.MULTICLASS: 'multiclass'>, "
-     "stages={'multiclass': RuleBase(rules=(), minsup=0.5, minconf=60.0)}, stage2_default='negative', "
+     "stages={'multiclass': RuleBase(rules=(), minsup=0.5, minconf=60.0)}, "
      "match_policy=<MatchPolicy.EXACT: 'exact'>, scoring=<Scoring.AVERAGE: 'average'>)", False, _model),
     (lambda: TaggedSentence(frozenset({SemTag.UP})), "TaggedSentence(tags=frozenset({<SemTag.UP: 'UP'>}))", True,
      None),
